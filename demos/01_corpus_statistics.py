@@ -8,7 +8,7 @@ frequency tables everything downstream is built from.
 
 from pathlib import Path
 
-from layoutforge import AlphabetConfig, count_ngrams, read_corpus, support
+from layoutforge import AlphabetConfig, count_all, read_corpus, support
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 files = sorted(data_dir.glob("*.txt"))
@@ -21,8 +21,9 @@ print(f"{stream.letter_count} letters, "
       f"{sum(1 for _ in stream.runs())} words, "
       f"{len(set(stream.letters()))} distinct letters")
 
-for n, label in ((1, "monograms"), (2, "digraphs"), (3, "trigraphs")):
-    table = count_ngrams(stream, n)
+# One pass over the stream counts all three tables.
+tables = count_all(stream)
+for table, label in zip(tables, ("monograms", "digraphs", "trigraphs")):
     top = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:8]
     print(f"\ntop {label}:")
     for gram, count in top:

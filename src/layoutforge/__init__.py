@@ -6,13 +6,13 @@ across the hands to favor alternation, place each hand's letters on a
 key grid by frequency, then score any layout against a corpus.
 """
 
-from .corpus import (AlphabetConfig, BOUNDARY, LetterStream, concat_streams,
-                     format_codepoint, normalize_text, parse_codepoint,
+from .corpus import (AlphabetConfig, BOUNDARY, LetterStream, choose_separator,
+                     concat_streams, format_codepoint, normalize_text, parse_codepoint,
                      read_corpus, reconstruct_text, tokenize)
 from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, EmptyCorpus,
                      EmptyInput, InvalidEncoding, InvariantViolation,
-                     LayoutForgeError, MalformedLayout, NoInvolvement,
-                     TooFewLetters)
+                     LayoutForgeError, MalformedInput, MalformedLayout,
+                     NoInvolvement, TooFewLetters)
 from .evaluator import (ChunkScore, Comparison, ComparisonRow, EvaluationReport,
                         compare, evaluate, evaluate_chunked, format_comparison,
                         score_chunk)
@@ -21,20 +21,20 @@ from .layout import (Geometry, KeyPosition, KeyboardLayout, build_layout,
                      serialize_layout, write_layout)
 from .partition import (Decision, HandPartition, assign, initialize,
                         partition_all, read_partition_json, write_partition_json)
-from .stats import (NGramTable, SideScore, count_ngrams, digraph_confidence,
+from .stats import (NGramTable, SideScore, count_all, count_ngrams, digraph_confidence,
                     involvement_total, ranked_monograms, read_ngram_tsv, side_scores,
                     support, write_association_tsv, write_ngram_tsv)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetConfig", "BOUNDARY", "LetterStream", "concat_streams",
+    "AlphabetConfig", "BOUNDARY", "LetterStream", "choose_separator", "concat_streams",
     "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus",
     "reconstruct_text", "tokenize",
     "LayoutForgeError", "ConfigError", "InvalidEncoding", "EmptyCorpus",
     "NoInvolvement", "TooFewLetters", "AlreadyAssigned", "CapacityExceeded",
-    "MalformedLayout", "InvariantViolation", "EmptyInput",
-    "NGramTable", "SideScore", "count_ngrams", "support", "involvement_total",
+    "MalformedInput", "MalformedLayout", "InvariantViolation", "EmptyInput",
+    "NGramTable", "SideScore", "count_all", "count_ngrams", "support", "involvement_total",
     "digraph_confidence", "side_scores", "ranked_monograms", "read_ngram_tsv",
     "write_ngram_tsv", "write_association_tsv",
     "Decision", "HandPartition", "initialize", "assign", "partition_all",

@@ -27,7 +27,9 @@ from .evaluator import (compare, evaluate, format_comparison, read_report_json,
                         write_report_json, write_report_tsv)
 from .layout import Geometry, build_layout, load_geometry, load_layout, write_layout
 from .partition import partition_all, read_partition_json, write_partition_json
-from .stats import count_ngrams, read_ngram_tsv, write_ngram_tsv
+from .stats import NGramTable, count_all, read_ngram_tsv, write_ngram_tsv
+# Not called here, but bench/spans.py traces layoutforge.cli.count_ngrams.
+from .stats import count_ngrams  # noqa: F401
 
 CONFIG_ENV_VAR = "LAYOUTFORGE_CONFIG"
 
@@ -123,21 +125,23 @@ def _out_dir(config: PipelineConfig) -> Path:
     return out
 
 
-def _write_stats_files(stream: LetterStream, config: PipelineConfig, out: Path) -> None:
+def _write_stats_files(stream: LetterStream, config: PipelineConfig,
+                       out: Path) -> tuple[NGramTable, NGramTable, NGramTable]:
+    """Write the three n-gram tables and the summary; return the tables."""
     echo = config.echo()
-    names = {1: "monograms.tsv", 2: "digraphs.tsv", 3: "trigrams.tsv"}
-    for n, filename in names.items():
-        table = count_ngrams(stream, n, span_boundaries=config.span_boundaries)
+    tables = count_all(stream, span_boundaries=config.span_boundaries)
+    for table, filename in zip(tables, ("monograms.tsv", "digraphs.tsv", "trigrams.tsv")):
         with open(out / filename, "w", encoding="utf-8") as handle:
             write_ngram_tsv(table, handle, config_echo=echo)
     summary = {
         "total_letters": stream.letter_count,
-        "distinct_letters": len(set(stream.letters())),
+        "distinct_letters": len(tables[0].counts),
         "config": echo,
     }
     with open(out / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(summary, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +169,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     else:
         stream = _read_input(args.corpus, _load_alphabet(config))
         _require_letters(stream)
-        mono = count_ngrams(stream, 1)
-        digraphs = count_ngrams(stream, 2, span_boundaries=config.span_boundaries)
+        mono, digraphs, _trigrams = count_all(stream, span_boundaries=config.span_boundaries)
     part = partition_all(mono, digraphs, coverage=config.coverage,
                          balance_tiebreak=config.balance_tiebreak)
     out = _out_dir(config)
@@ -215,9 +218,7 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     out = _out_dir(config)
     echo = config.echo()
 
-    _write_stats_files(stream, config, out)
-    mono = count_ngrams(stream, 1)
-    digraphs = count_ngrams(stream, 2, span_boundaries=config.span_boundaries)
+    mono, digraphs, _trigrams = _write_stats_files(stream, config, out)
     part = partition_all(mono, digraphs, coverage=config.coverage,
                          balance_tiebreak=config.balance_tiebreak)
     write_partition_json(part, mono, out / "partition.json", config_echo=echo)

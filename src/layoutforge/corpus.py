@@ -1,19 +1,23 @@
 """Text ingestion: UTF-8 decoding, NFC normalization, letter-stream tokenization.
 
-A corpus is reduced to a flat stream of letter tokens separated by word
-boundaries. What counts as a letter is driven entirely by an AlphabetConfig;
-every other code point becomes a boundary, and consecutive boundaries
-collapse into one. The letter unit is a single code point, so dependent
-vowel signs (matras) and the virama are letters in their own right.
+A corpus is reduced to one string of letters in which each word boundary
+is a single separator character. What counts as a letter is driven
+entirely by an AlphabetConfig; every other code point becomes a boundary,
+and consecutive boundaries collapse into one. The letter unit is a single
+code point, so dependent vowel signs (matras) and the virama are letters
+in their own right.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import ConfigError, InvalidEncoding
 
@@ -99,39 +103,54 @@ class AlphabetConfig:
         return cls.from_dict(data)
 
 
-# A boundary token. Letters are single-character strings; None marks the gap
-# between words.
+# A boundary token in the ``tokens`` view of a stream. Letters are
+# single-character strings; None marks the gap between words.
 BOUNDARY = None
 
 
-@dataclass
-class LetterStream:
-    """Ordered letter tokens with collapsed word boundaries.
+def choose_separator(letters: AbstractSet[str]) -> str:
+    """The character that stands for a boundary in a stream's text.
 
-    ``tokens`` holds single-character strings for letters and None for
-    boundaries; no two boundaries are ever adjacent. ``source_bytes`` is the
-    UTF-8 length of the text the stream came from.
+    A space, unless the letter set claims it; then the lowest code point
+    the letter set leaves free. Never a backslash, so the separator can
+    stand as its own replacement template in ``re.sub``.
+    """
+    for cp in itertools.chain((0x20,), range(0x110000)):
+        if cp != 0x5C and chr(cp) not in letters:
+            return chr(cp)
+    raise ConfigError("the alphabet covers every code point; no boundary character is left")
+
+
+@dataclass(frozen=True)
+class LetterStream:
+    """Ordered letters with collapsed word boundaries, held as one string.
+
+    ``text`` keeps the letters in order and writes each boundary as one
+    ``sep`` character, including a boundary at either end; no two ``sep``
+    characters are ever adjacent, and ``sep`` is never a letter.
+    ``source_bytes`` is the UTF-8 length of the text the stream came from.
     """
 
-    tokens: list[str | None] = field(default_factory=list)
+    text: str = ""
+    sep: str = " "
     source_bytes: int = 0
-    letter_count: int = 0
 
-    def runs(self) -> Iterator[list[str]]:
+    @property
+    def letter_count(self) -> int:
+        return len(self.text) - self.text.count(self.sep)
+
+    @property
+    def tokens(self) -> list[str | None]:
+        """The stream as a token list: letters, with BOUNDARY for each ``sep``."""
+        sep = self.sep
+        return [BOUNDARY if ch == sep else ch for ch in self.text]
+
+    def runs(self) -> Iterator[str]:
         """Yield each maximal run of letters between boundaries."""
-        run: list[str] = []
-        for tok in self.tokens:
-            if tok is BOUNDARY:
-                if run:
-                    yield run
-                    run = []
-            else:
-                run.append(tok)
-        if run:
-            yield run
+        return filter(None, self.text.split(self.sep))
 
-    def letters(self) -> list[str]:
-        return [tok for tok in self.tokens if tok is not BOUNDARY]
+    def letters(self) -> str:
+        return self.text.replace(self.sep, "")
 
 
 def normalize_text(raw: bytes) -> str:
@@ -143,24 +162,30 @@ def normalize_text(raw: bytes) -> str:
     return unicodedata.normalize("NFC", text)
 
 
+@functools.lru_cache(maxsize=16)
+def _scanner(config: AlphabetConfig) -> tuple[re.Pattern, str]:
+    """A pattern matching each maximal run of non-letters, and the separator."""
+    alphabet = config.resolve()
+    sep = choose_separator(alphabet)
+    spans = []  # one class item per run of consecutive code points
+    for _, group in itertools.groupby(enumerate(sorted(map(ord, alphabet))),
+                                      lambda pair: pair[1] - pair[0]):
+        cps = [cp for _, cp in group]
+        lo, hi = re.escape(chr(cps[0])), re.escape(chr(cps[-1]))
+        spans.append(lo if lo == hi else f"{lo}-{hi}")
+    pattern = f"[^{''.join(spans)}]+" if spans else r"[\s\S]+"
+    return re.compile(pattern), sep
+
+
 def tokenize(text: str, config: AlphabetConfig | None = None) -> LetterStream:
     """Split normalized text into a LetterStream under the given alphabet.
 
     Unknown characters never fail; any maximal run of non-alphabet code
-    points becomes one boundary token.
+    points becomes one boundary.
     """
-    if config is None:
-        config = AlphabetConfig()
-    alphabet = config.resolve()
-    tokens: list[str | None] = []
-    count = 0
-    for ch in text:
-        if ch in alphabet:
-            tokens.append(ch)
-            count += 1
-        elif not tokens or tokens[-1] is not BOUNDARY:
-            tokens.append(BOUNDARY)
-    return LetterStream(tokens=tokens, source_bytes=len(text.encode("utf-8")), letter_count=count)
+    boundary, sep = _scanner(config if config is not None else AlphabetConfig())
+    return LetterStream(text=boundary.sub(sep, text), sep=sep,
+                        source_bytes=len(text.encode("utf-8")))
 
 
 def concat_streams(streams: Iterable[LetterStream]) -> LetterStream:
@@ -169,17 +194,19 @@ def concat_streams(streams: Iterable[LetterStream]) -> LetterStream:
     Digraphs therefore never span two source files, and the merged statistics
     do not depend on which file a word came from.
     """
-    merged = LetterStream()
-    for part in streams:
-        if merged.tokens and part.tokens:
-            if merged.tokens[-1] is not BOUNDARY and part.tokens[0] is not BOUNDARY:
-                merged.tokens.append(BOUNDARY)
-            elif merged.tokens[-1] is BOUNDARY and part.tokens[0] is BOUNDARY:
-                merged.tokens.pop()
-        merged.tokens.extend(part.tokens)
-        merged.source_bytes += part.source_bytes
-        merged.letter_count += part.letter_count
-    return merged
+    parts = list(streams)
+    source_bytes = sum(part.source_bytes for part in parts)
+    parts = [part for part in parts if part.text]
+    seps = {part.sep for part in parts}
+    if len(seps) <= 1:
+        sep = seps.pop() if seps else " "
+        texts = [part.text for part in parts]
+    else:
+        sep = choose_separator(set("".join(part.letters() for part in parts)))
+        texts = [part.text.replace(part.sep, sep) for part in parts]
+    # Within a part no two separators touch, so doubles only form at seams.
+    text = re.sub(re.escape(sep) + "{2,}", sep, sep.join(texts))
+    return LetterStream(text=text, sep=sep, source_bytes=source_bytes)
 
 
 def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = None) -> LetterStream:
@@ -197,4 +224,4 @@ def reconstruct_text(stream: LetterStream) -> str:
     Tokenizing the result reproduces the stream, which makes streams
     auditable with ordinary text tools.
     """
-    return "".join(" " if tok is BOUNDARY else tok for tok in stream.tokens)
+    return stream.text.replace(stream.sep, " ")

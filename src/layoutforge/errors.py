@@ -56,5 +56,9 @@ class InvariantViolation(LayoutForgeError):
     """A layout file parses but breaks a structural rule."""
 
 
+class MalformedInput(LayoutForgeError):
+    """A table or report file cannot be read back."""
+
+
 class EmptyInput(LayoutForgeError):
     """A comparison was requested over zero reports."""

@@ -6,9 +6,10 @@ letter sat on the other hand, one hand switch. Letters the layout does
 not place count as not-determined and leave the previous hand untouched;
 word boundaries do the same unless boundary resetting is switched on.
 
-Scoring also exists in a divide-and-conquer form: any split of the
-stream into chunks can be scored independently and merged, and the merge
-is associative, so large corpora can be scored in parallel.
+Scoring also exists in a divide-and-conquer form over the token view of
+a stream: any split of the tokens into chunks can be scored on its own
+and merged, and the merge is associative. It is the token-level oracle
+that the single-pass ``evaluate`` is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from .corpus import BOUNDARY, LetterStream
-from .errors import EmptyInput
+from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
 
 
@@ -96,32 +97,27 @@ def score_chunk(layout: KeyboardLayout, tokens: Sequence,
                       head=head, tail=tail, transparent=not absorbed)
 
 
+_HAND_MARKS = {"left": "<", "right": ">"}
+
+
 def evaluate(layout: KeyboardLayout, stream: LetterStream,
              *, reset_on_boundary: bool = False) -> EvaluationReport:
-    """Score a stream in one pass."""
-    switching = 0
-    loads = {"left": 0, "right": 0}
-    nd = 0
-    prev: str | None = None
-    for token in stream.tokens:
-        if token is BOUNDARY:
-            if reset_on_boundary:
-                prev = None
-            continue
-        hand = layout.hand_of(token)
-        if hand is None:
-            nd += 1
-            continue
-        loads[hand] += 1
-        if prev is not None and prev != hand:
-            switching += 1
-        prev = hand
+    """Score a stream in one pass.
+
+    Every distinct character of the stream maps to a hand marker, to
+    nothing (a letter the layout lacks), or to a reset marker (a boundary,
+    when boundaries reset); switches are then adjacent unlike markers.
+    """
+    marks = {ord(ch): _HAND_MARKS.get(layout.hand_of(ch)) for ch in set(stream.text)}
+    marks[ord(stream.sep)] = "|" if reset_on_boundary else None
+    hands = stream.text.translate(marks)
+    left, right = hands.count("<"), hands.count(">")
     return EvaluationReport(
         layout_name=layout.name,
-        hand_switching=switching,
-        left_load=loads["left"],
-        right_load=loads["right"],
-        not_determined=nd,
+        hand_switching=hands.count("<>") + hands.count("><"),
+        left_load=left,
+        right_load=right,
+        not_determined=stream.letter_count - left - right,
         total_letters=stream.letter_count,
     )
 
@@ -233,7 +229,18 @@ def write_report_json(report: EvaluationReport, path: str | Path,
 
 def read_report_json(path: str | Path) -> EvaluationReport:
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise MalformedInput(f"{path}: not a JSON report: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedInput(f"{path}: a report must be a JSON object")
+    missing = [name for name in _REPORT_FIELDS if name not in doc]
+    if missing:
+        raise MalformedInput(f"{path}: missing report fields {missing}")
+    if not isinstance(doc["layout_name"], str) or not all(
+            type(doc[name]) is int for name in _REPORT_FIELDS[1:]):
+        raise MalformedInput(f"{path}: a report holds a name and integer counts")
     return EvaluationReport(**{name: doc[name] for name in _REPORT_FIELDS})
 
 

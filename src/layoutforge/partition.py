@@ -176,30 +176,41 @@ def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     try:
-        left = list(payload["left"])
-        right = list(payload["right"])
-        trace_rows = payload["trace"]
-        ranking = payload["ranking"]
+        part = HandPartition(left=list(payload["left"]), right=list(payload["right"]),
+                             degenerate=bool(payload.get("degenerate", False)))
+        part.trace = [
+            Decision(
+                letter=row["letter"],
+                left=SideScore(row["left_support"], row["left_confidence"]),
+                right=SideScore(row["right_support"], row["right_confidence"]),
+                hand=row["hand"],
+                rule=row["rule"],
+            )
+            for row in payload["trace"]
+        ]
+        counts = Counter({g: int(c) for g, c in payload["ranking"]})
         total = int(payload["total_letters"])
+        left, right = set(part.left), set(part.right)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc}") from None
-    if set(left) & set(right):
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed partition: {exc}") from None
+    if not all(isinstance(letter, str) and len(letter) == 1 for letter in left | right):
+        raise ConfigError(f"{path}: every placed letter must be one code point")
+    if left & right:
         raise ConfigError(f"{path}: hands are not disjoint")
-    if len(trace_rows) != len(left) + len(right):
+    if len(part.trace) != len(part.left) + len(part.right):
         raise ConfigError(f"{path}: trace length does not match assigned letters")
-    part = HandPartition(left=left, right=right,
-                         degenerate=bool(payload.get("degenerate", False)))
-    for row in trace_rows:
-        part.trace.append(Decision(
-            letter=row["letter"],
-            left=SideScore(row["left_support"], row["left_confidence"]),
-            right=SideScore(row["right_support"], row["right_confidence"]),
-            hand=row["hand"],
-            rule=row["rule"],
-        ))
-    mono = NGramTable(n=1, counts=Counter({g: int(c) for g, c in ranking}),
-                      total_letters=total)
-    return part, mono
+    for decision in part.trace:
+        placed = ("left" if decision.letter in left
+                  else "right" if decision.letter in right else None)
+        if decision.hand != placed:
+            raise ConfigError(f"{path}: trace puts {decision.letter!r} on the"
+                              f" {decision.hand} hand, the hands put it on {placed or 'neither'}")
+    unranked = (left | right) - set(counts)
+    if unranked:
+        raise ConfigError(f"{path}: placed letters missing from the ranking: {sorted(unranked)}")
+    return part, NGramTable(n=1, counts=counts, total_letters=total)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .corpus import LetterStream
-from .errors import EmptyCorpus, NoInvolvement
+from .errors import EmptyCorpus, MalformedInput, NoInvolvement
 
 NGRAM_SIZES = (1, 2, 3)
 
@@ -54,23 +55,42 @@ class SideScore:
     cumulative_confidence: float
 
 
-def count_ngrams(stream: LetterStream, n: int, *, span_boundaries: bool = False) -> NGramTable:
-    """Count every window of n consecutive letters.
+def _fold_prefixes(counts: Counter, n: int) -> Counter:
+    folded: Counter = Counter()
+    for gram, count in counts.items():
+        folded[gram[:n]] += count
+    return folded
+
+
+def count_all(stream: LetterStream, *,
+              span_boundaries: bool = False) -> tuple[NGramTable, NGramTable, NGramTable]:
+    """Count the 1-, 2- and 3-gram tables of a stream in one pass.
 
     Windows never cross a word boundary unless ``span_boundaries`` is set
     (a sensitivity knob; alternation across a space is not meaningful).
+    Trigram windows are counted over the text with two separators
+    appended, so that each position of the text starts exactly one of
+    them; digraphs and monograms are folded from their prefixes, and any
+    gram holding a separator is dropped at the end.
     """
+    sep = stream.sep
+    text = (stream.letters() if span_boundaries else stream.text) + sep + sep
+    trigrams = Counter(map(add, map(add, text, text[1:]), text[2:]))
+    digraphs = _fold_prefixes(trigrams, 2)
+    monograms = _fold_prefixes(digraphs, 1)
+    for counts in (monograms, digraphs, trigrams):
+        for gram in [g for g in counts if sep in g]:
+            del counts[gram]
+    total = stream.letter_count
+    return tuple(NGramTable(n, counts, total)
+                 for n, counts in zip(NGRAM_SIZES, (monograms, digraphs, trigrams)))
+
+
+def count_ngrams(stream: LetterStream, n: int, *, span_boundaries: bool = False) -> NGramTable:
+    """The n-gram table of ``count_all`` for one n."""
     if n not in NGRAM_SIZES:
         raise ValueError(f"n must be one of {NGRAM_SIZES}, got {n}")
-    counts: Counter = Counter()
-    if span_boundaries:
-        sources: Iterable[list[str]] = [stream.letters()]
-    else:
-        sources = stream.runs()
-    for run in sources:
-        for i in range(len(run) - n + 1):
-            counts["".join(run[i:i + n])] += 1
-    return NGramTable(n=n, counts=counts, total_letters=stream.letter_count)
+    return count_all(stream, span_boundaries=span_boundaries)[n - 1]
 
 
 def support(table: NGramTable, gram: str) -> float:
@@ -165,24 +185,28 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     n = None
     total = None
     counts: Counter = Counter()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split("\t")
-                if len(parts) == 2 and parts[0] == "n":
-                    n = int(parts[1])
-                elif len(parts) == 2 and parts[0] == "total_letters":
-                    total = int(parts[1])
-                continue
-            if line.startswith("gram\t"):
-                continue
-            gram, count, _pct = line.split("\t")
-            counts[gram] = int(count)
+    line = ""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    parts = line[1:].strip().split("\t")
+                    if len(parts) == 2 and parts[0] == "n":
+                        n = int(parts[1])
+                    elif len(parts) == 2 and parts[0] == "total_letters":
+                        total = int(parts[1])
+                    continue
+                if line.startswith("gram\t"):
+                    continue
+                gram, count, _pct = line.split("\t")
+                counts[gram] = int(count)
+    except ValueError as exc:  # not UTF-8, a short row, or a count that is no integer
+        raise MalformedInput(f"{path}: bad row {line!r}: {exc}") from None
     if n is None or total is None:
-        raise ValueError(f"{path}: missing '# n' or '# total_letters' header")
+        raise MalformedInput(f"{path}: missing '# n' or '# total_letters' header")
     return NGramTable(n=n, counts=counts, total_letters=total)
 
 
