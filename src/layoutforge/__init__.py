@@ -22,8 +22,8 @@ from .layout import (Geometry, KeyPosition, KeyboardLayout, build_layout,
 from .partition import (Decision, HandPartition, assign, initialize,
                         partition_all, read_partition_json, write_partition_json)
 from .stats import (NGramTable, SideScore, count_all, count_ngrams, digraph_confidence,
-                    involvement_total, ranked_monograms, read_ngram_tsv, side_scores,
-                    support, write_association_tsv, write_ngram_tsv)
+                    involvement_total, involvement_totals, ranked_monograms, read_ngram_tsv,
+                    side_scores, support, write_association_tsv, write_ngram_tsv)
 
 __version__ = "0.1.0"
 
@@ -35,8 +35,8 @@ __all__ = [
     "NoInvolvement", "TooFewLetters", "AlreadyAssigned", "CapacityExceeded",
     "MalformedInput", "MalformedLayout", "InvariantViolation", "EmptyInput",
     "NGramTable", "SideScore", "count_all", "count_ngrams", "support", "involvement_total",
-    "digraph_confidence", "side_scores", "ranked_monograms", "read_ngram_tsv",
-    "write_ngram_tsv", "write_association_tsv",
+    "involvement_totals", "digraph_confidence", "side_scores", "ranked_monograms",
+    "read_ngram_tsv", "write_ngram_tsv", "write_association_tsv",
     "Decision", "HandPartition", "initialize", "assign", "partition_all",
     "read_partition_json", "write_partition_json",
     "Geometry", "KeyPosition", "KeyboardLayout", "build_layout", "load_geometry",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+from .atomic import atomic_open
 from .corpus import (AlphabetConfig, LetterStream, concat_streams, normalize_text,
                      read_corpus, tokenize)
 from .errors import ConfigError, EmptyCorpus, LayoutForgeError
@@ -131,14 +132,14 @@ def _write_stats_files(stream: LetterStream, config: PipelineConfig,
     echo = config.echo()
     tables = count_all(stream, span_boundaries=config.span_boundaries)
     for table, filename in zip(tables, ("monograms.tsv", "digraphs.tsv", "trigrams.tsv")):
-        with open(out / filename, "w", encoding="utf-8") as handle:
+        with atomic_open(out / filename) as handle:
             write_ngram_tsv(table, handle, config_echo=echo)
     summary = {
         "total_letters": stream.letter_count,
         "distinct_letters": len(tables[0].counts),
         "config": echo,
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as handle:
+    with atomic_open(out / "summary.json") as handle:
         json.dump(summary, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
     return tables
@@ -195,7 +196,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary)
         write_report_json(report, out / f"report-{layout.name}.json",
                           config_echo=config.echo())
-        with open(out / f"report-{layout.name}.tsv", "w", encoding="utf-8") as handle:
+        with atomic_open(out / f"report-{layout.name}.tsv") as handle:
             write_report_tsv(report, handle)
     return 0
 
@@ -206,7 +207,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+        with atomic_open(args.out) as handle:
+            handle.write(text)
     return 0
 
 
@@ -228,12 +230,13 @@ def cmd_run_all(args: argparse.Namespace) -> int:
 
     report = evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary)
     write_report_json(report, out / f"report-{layout.name}.json", config_echo=echo)
-    with open(out / f"report-{layout.name}.tsv", "w", encoding="utf-8") as handle:
+    with atomic_open(out / f"report-{layout.name}.tsv") as handle:
         write_report_tsv(report, handle)
 
     text = format_comparison(compare([report]))
     sys.stdout.write(text)
-    (out / "comparison.txt").write_text(text, encoding="utf-8")
+    with atomic_open(out / "comparison.txt") as handle:
+        handle.write(text)
     return 0
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
+from .atomic import atomic_open
 from .corpus import BOUNDARY, LetterStream
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
@@ -222,7 +223,7 @@ def write_report_json(report: EvaluationReport, path: str | Path,
     doc = {name: getattr(report, name) for name in _REPORT_FIELDS}
     if config_echo is not None:
         doc["config"] = config_echo
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         json.dump(doc, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .atomic import atomic_open
 from .corpus import format_codepoint
 from .errors import (CapacityExceeded, ConfigError, InvariantViolation,
                      MalformedLayout)
@@ -277,7 +278,8 @@ def load_layout(path: str | Path) -> KeyboardLayout:
 
 
 def write_layout(layout: KeyboardLayout, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_layout(layout))
+    with atomic_open(path) as handle:
+        handle.write(serialize_layout(layout).decode("utf-8"))
 
 
 def render_grid(layout: KeyboardLayout, layer: str = "base") -> str:

@@ -20,10 +20,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from .atomic import atomic_open
 from .errors import AlreadyAssigned, ConfigError, TooFewLetters
-from .stats import NGramTable, SideScore, ranked_monograms, side_scores
+from .stats import (NGramTable, SideScore, involvement_totals, ranked_monograms,
+                    side_scores)
 
 RULE_SEED = "seed"
 RULE_SEED_DEGENERATE = "seed-degenerate"
@@ -96,16 +98,17 @@ def initialize(ranking: Sequence, *, allow_degenerate: bool = False) -> HandPart
     return part
 
 
-def assign(letter: str, partition: HandPartition, mono: NGramTable,
-           digraphs: NGramTable, *, balance_tiebreak: bool = False) -> HandPartition:
+def assign(letter: str, partition: HandPartition, digraphs: NGramTable,
+           involvement: Mapping[str, int], *, balance_tiebreak: bool = False) -> HandPartition:
     """Place one letter by comparing its cumulative scores against both hands.
 
-    Mutates and returns the partition; the decision is appended to the trace.
+    ``involvement`` is ``involvement_totals(digraphs)``. Mutates and returns
+    the partition; the decision is appended to the trace.
     """
     if letter in partition.left or letter in partition.right:
         raise AlreadyAssigned(f"{letter!r} is already on the {partition.hand_of(letter)} hand")
-    left_score = side_scores(letter, partition.left, mono, digraphs)
-    right_score = side_scores(letter, partition.right, mono, digraphs)
+    left_score = side_scores(letter, partition.left, digraphs, involvement)
+    right_score = side_scores(letter, partition.right, digraphs, involvement)
     if (left_score.cumulative_support > right_score.cumulative_support
             and left_score.cumulative_confidence > right_score.cumulative_confidence):
         hand, rule = "right", RULE_LEFT_TO_RIGHT
@@ -132,8 +135,9 @@ def partition_all(mono: NGramTable, digraphs: NGramTable, *, coverage: int = 1,
             f"need at least 4 distinct letters to seed both hands, got {len(ranking)}"
             + (f" at coverage >= {coverage}" if coverage > 1 else ""))
     part = initialize(ranking)
+    involvement = involvement_totals(digraphs)
     for letter, _count, _pct in ranking[4:]:
-        assign(letter, part, mono, digraphs, balance_tiebreak=balance_tiebreak)
+        assign(letter, part, digraphs, involvement, balance_tiebreak=balance_tiebreak)
     return part
 
 
@@ -165,7 +169,7 @@ def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: s
     }
     if config_echo is not None:
         payload["config"] = config_echo
-    with open(out_path, "w", encoding="utf-8") as handle:
+    with atomic_open(out_path) as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 
@@ -196,7 +200,7 @@ def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
         left, right = set(part.left), set(part.right)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed partition: {exc}") from None
     if not all(isinstance(letter, str) and len(letter) == 1 for letter in left | right):
         raise ConfigError(f"{path}: every placed letter must be one code point")
@@ -204,6 +208,8 @@ def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
         raise ConfigError(f"{path}: hands are not disjoint")
     if len(part.trace) != len(part.left) + len(part.right):
         raise ConfigError(f"{path}: trace length does not match assigned letters")
+    if not all(isinstance(decision.letter, str) for decision in part.trace):
+        raise ConfigError(f"{path}: every trace letter must be a string")
     for decision in part.trace:
         placed = ("left" if decision.letter in left
                   else "right" if decision.letter in right else None)

@@ -3,7 +3,9 @@
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
 total count of every digraph that involves the focus letter in either
-position (a doubled digraph counts once). Side scores accumulate both
+position (a doubled digraph counts once). That involvement is computed for
+every letter in one pass over the digraph table (``involvement_totals``),
+once per table, and handed to ``side_scores``. Side scores accumulate both
 quantities for a candidate letter against the letters already on one hand,
 taking both orientations of each pair.
 """
@@ -15,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 from .corpus import LetterStream
 from .errors import EmptyCorpus, MalformedInput, NoInvolvement
@@ -100,13 +102,25 @@ def support(table: NGramTable, gram: str) -> float:
     return 100.0 * table.counts.get(gram, 0) / table.total_letters
 
 
-def involvement_total(digraphs: NGramTable, letter: str) -> int:
-    """Total occurrences of digraphs containing the letter in either position.
+def involvement_totals(digraphs: NGramTable) -> dict[str, int]:
+    """Every letter's involvement: the total count of the digraphs containing it.
 
-    A doubled digraph (letter twice) contributes its count once. This is the
-    denominator of digraph confidence.
+    One pass over the table; a doubled digraph (letter twice) contributes
+    its count once. This is the denominator of digraph confidence. Letters
+    in no digraph are absent.
     """
-    return sum(c for g, c in digraphs.counts.items() if letter in g)
+    totals: dict[str, int] = {}
+    get = totals.get
+    for (first, second), count in digraphs.counts.items():
+        totals[first] = get(first, 0) + count
+        if second != first:
+            totals[second] = get(second, 0) + count
+    return totals
+
+
+def involvement_total(digraphs: NGramTable, letter: str) -> int:
+    """One letter's entry of ``involvement_totals`` (0 when it is in no digraph)."""
+    return involvement_totals(digraphs).get(letter, 0)
 
 
 def digraph_confidence(digraphs: NGramTable, focus_letter: str, digraph: str) -> float:
@@ -119,8 +133,8 @@ def digraph_confidence(digraphs: NGramTable, focus_letter: str, digraph: str) ->
     return 100.0 * digraphs.counts.get(digraph, 0) / inv
 
 
-def side_scores(focus_letter: str, side: Sequence[str], mono: NGramTable,
-                digraphs: NGramTable) -> SideScore:
+def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
+                involvement: Mapping[str, int]) -> SideScore:
     """Cumulative support/confidence of a candidate letter against one hand.
 
     Both orientations of each pair count (alternation is order-symmetric);
@@ -128,12 +142,11 @@ def side_scores(focus_letter: str, side: Sequence[str], mono: NGramTable,
     once. A focus letter with no digraph involvement scores confidence 0
     rather than failing, so rare letters still partition cleanly.
 
-    ``side`` is consumed in its given order — pass an ordered sequence.
-    ``mono`` is part of the scoring interface but unused by the current
-    arithmetic: digraph supports already carry the corpus letter total.
+    ``involvement`` maps letters to their totals, as ``involvement_totals``
+    returns them for ``digraphs``. ``side`` is consumed in its given order —
+    pass an ordered sequence.
     """
-    del mono
-    inv = involvement_total(digraphs, focus_letter)
+    inv = involvement.get(focus_letter, 0)
     sup = 0.0
     conf = 0.0
     for member in side:
@@ -180,34 +193,49 @@ def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict | None 
         out.write(f"{gram}\t{count}\t{pct:.6f}\n")
 
 
+def _read_comment(line: str, header: dict[str, int]) -> None:
+    parts = line[1:].strip().split("\t")
+    if len(parts) == 2 and parts[0] in ("n", "total_letters"):
+        header[parts[0]] = int(parts[1])
+
+
 def read_ngram_tsv(path: str | Path) -> NGramTable:
-    """Rebuild a table from its TSV export (counts and totals, not percentages)."""
-    n = None
-    total = None
+    """Rebuild a table from its TSV export (counts and totals, not percentages).
+
+    The file is read line by line, never whole. '#' lines carry the header
+    wherever they stand; blank lines and column headers are skipped. A
+    table whose ``n`` is not one of 1-3, or that stores a gram of another
+    length, is malformed.
+    """
+    header: dict[str, int] = {}
     counts: Counter = Counter()
     line = ""
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
-                line = line.rstrip("\n")
-                if not line:
+                if line[0] == "#":
+                    _read_comment(line, header)
                     continue
-                if line.startswith("#"):
-                    parts = line[1:].strip().split("\t")
-                    if len(parts) == 2 and parts[0] == "n":
-                        n = int(parts[1])
-                    elif len(parts) == 2 and parts[0] == "total_letters":
-                        total = int(parts[1])
-                    continue
-                if line.startswith("gram\t"):
-                    continue
-                gram, count, _pct = line.split("\t")
-                counts[gram] = int(count)
+                try:
+                    gram, count, _pct = line.split("\t")
+                    counts[gram] = int(count)
+                except ValueError:
+                    if line != "\n" and not line.startswith("gram\t"):
+                        raise
     except ValueError as exc:  # not UTF-8, a short row, or a count that is no integer
-        raise MalformedInput(f"{path}: bad row {line!r}: {exc}") from None
-    if n is None or total is None:
+        row = line.rstrip("\n")
+        raise MalformedInput(f"{path}: bad row {row!r}: {exc}") from None
+    # a column header whose count field reads as a number is still no row
+    counts.pop("gram", None)
+    if "n" not in header or "total_letters" not in header:
         raise MalformedInput(f"{path}: missing '# n' or '# total_letters' header")
-    return NGramTable(n=n, counts=counts, total_letters=total)
+    n = header["n"]
+    if n not in NGRAM_SIZES:
+        raise MalformedInput(f"{path}: n must be one of {NGRAM_SIZES}, got {n}")
+    if not set(map(len, counts)) <= {n}:
+        wrong = next(gram for gram in counts if len(gram) != n)
+        raise MalformedInput(f"{path}: gram {wrong!r} is not {n} letter(s) long")
+    return NGramTable(n=n, counts=counts, total_letters=header["total_letters"])
 
 
 def write_association_tsv(digraphs: NGramTable, focus_letter: str, out: TextIO,

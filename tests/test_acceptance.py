@@ -21,7 +21,7 @@ from layoutforge.evaluator import (EvaluationReport, compare, evaluate,
 from layoutforge.layout import KeyPosition, KeyboardLayout, build_layout, parse_layout, serialize_layout
 from layoutforge.partition import assign, initialize, partition_all
 from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
-                               ranked_monograms, side_scores, support)
+                               involvement_totals, ranked_monograms, side_scores, support)
 
 from conftest import (INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE, TABLE2_ROWS,
                       make_stream, random_tokens)
@@ -55,13 +55,13 @@ def test_criterion_2_worked_example(paper_mono, paper_digraphs):
     ranking = ranked_monograms(paper_mono)
     part = initialize(ranking[:4])
     ok = part.right == ["া", "ি"] and part.left == ["ে", "র"]
-    left = side_scores(FOCUS, part.left, paper_mono, paper_digraphs)
-    right = side_scores(FOCUS, part.right, paper_mono, paper_digraphs)
+    left = side_scores(FOCUS, part.left, paper_digraphs, involvement_totals(paper_digraphs))
+    right = side_scores(FOCUS, part.right, paper_digraphs, involvement_totals(paper_digraphs))
     ok &= abs(left.cumulative_support - K_LEFT_SCORE[0]) <= 1e-5
     ok &= abs(left.cumulative_confidence - K_LEFT_SCORE[1]) <= 1e-5
     ok &= abs(right.cumulative_support - K_RIGHT_SCORE[0]) <= 1e-5
     ok &= abs(right.cumulative_confidence - K_RIGHT_SCORE[1]) <= 1e-5
-    assign(FOCUS, part, paper_mono, paper_digraphs)
+    assign(FOCUS, part, paper_digraphs, involvement_totals(paper_digraphs))
     ok &= part.right == ["া", "ি", FOCUS]
     verdict(2, "worked fifth-letter decision lands right", ok)
 

@@ -1,0 +1,70 @@
+"""Result files are replaced whole or not at all.
+
+A run that fails while writing keeps the previous run's file intact, and
+no run, failed or not, leaves a temporary file in the output directory.
+"""
+
+import errno
+import json
+from pathlib import Path
+
+import pytest
+
+import layoutforge.cli
+from layoutforge.cli import main
+
+SAMPLE = Path(__file__).resolve().parent.parent / "data" / "bn_sample" / "part1.txt"
+
+RUN_ALL_FILES = ["comparison.txt", "digraphs.tsv", "layout.json", "monograms.tsv",
+                 "partition.json", "report-optimized.json", "report-optimized.tsv",
+                 "summary.json", "trigrams.tsv"]
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_successful_runs_leave_only_results(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run-all", str(SAMPLE), "--out", str(out)]) == 0
+    for argv in (["stats", str(SAMPLE)],
+                 ["partition", "--mono", str(out / "monograms.tsv"),
+                  "--digraphs", str(out / "digraphs.tsv")],
+                 ["layout", str(out / "partition.json")],
+                 ["evaluate", str(out / "layout.json"), "--corpus", str(SAMPLE)]):
+        assert main([*argv, "--out", str(out)]) == 0
+    assert main(["compare", str(out / "report-optimized.json"),
+                 "--out", str(out / "comparison.txt")]) == 0
+    assert sorted(snapshot(out)) == RUN_ALL_FILES
+
+
+def disk_full(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def tsv_header_then_disk_full(table, out, **_kwargs):
+    out.write("# layoutforge ngram table\n")
+    disk_full()
+
+
+def json_start_then_disk_full(doc, handle, **_kwargs):
+    handle.write('{\n  "left": [')
+    disk_full()
+
+
+@pytest.mark.parametrize("argv, target, attribute, writer", [
+    (["stats", str(SAMPLE)], layoutforge.cli, "write_ngram_tsv", tsv_header_then_disk_full),
+    (["partition", str(SAMPLE)], json, "dump", json_start_then_disk_full),
+    (["evaluate", "{out}/layout.json", "--corpus", str(SAMPLE)], json, "dump",
+     json_start_then_disk_full),
+])
+def test_writer_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, capsys,
+                                                       argv, target, attribute, writer):
+    out = tmp_path / "out"
+    assert main(["run-all", str(SAMPLE), "--out", str(out)]) == 0
+    before = snapshot(out)
+    monkeypatch.setattr(target, attribute, writer)
+    argv = [arg.replace("{out}", str(out)) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert snapshot(out) == before

@@ -13,7 +13,7 @@ import pytest
 from layoutforge.errors import AlreadyAssigned, ConfigError, TooFewLetters
 from layoutforge.partition import (HandPartition, assign, initialize, partition_all,
                                    read_partition_json, write_partition_json)
-from layoutforge.stats import NGramTable
+from layoutforge.stats import NGramTable, involvement_totals
 from conftest import K_LEFT_SCORE, K_RIGHT_SCORE, TABLE1_ROWS
 
 
@@ -113,7 +113,7 @@ def test_initialize_degenerate_alternation():
 def test_worked_example_sends_focus_right(paper_mono, paper_digraphs):
     from layoutforge.stats import ranked_monograms
     part = initialize(ranked_monograms(paper_mono)[:4])
-    assign(FOCUS, part, paper_mono, paper_digraphs)
+    assign(FOCUS, part, paper_digraphs, involvement_totals(paper_digraphs))
     assert part.right == ["া", "ি", FOCUS]
     decision = part.trace[-1]
     assert decision.hand == "right"
@@ -128,7 +128,7 @@ def test_zero_scores_default_left():
     mono = NGramTable(1, Counter({"a": 4, "b": 3, "c": 2, "d": 1, "e": 1}), 11)
     dig = NGramTable(2, Counter(), 11)
     part = initialize(["a", "b", "c", "d"])
-    assign("e", part, mono, dig)
+    assign("e", part, dig, involvement_totals(dig))
     assert part.left[-1] == "e"
     assert part.trace[-1].rule == "default-left"
 
@@ -139,7 +139,7 @@ def test_right_association_still_defaults_left():
     mono = NGramTable(1, Counter({"a": 9, "b": 8, "c": 7, "d": 6, "e": 1}), 31)
     dig = NGramTable(2, Counter({"ea": 5, "de": 4}), 31)
     part = initialize(["a", "b", "c", "d"])  # right = a, d
-    assign("e", part, mono, dig)
+    assign("e", part, dig, involvement_totals(dig))
     assert part.left[-1] == "e"
     assert part.trace[-1].rule == "default-left"
 
@@ -148,7 +148,7 @@ def test_balance_tiebreak_mirrors_the_rule():
     mono = NGramTable(1, Counter({"a": 9, "b": 8, "c": 7, "d": 6, "e": 1}), 31)
     dig = NGramTable(2, Counter({"ea": 5, "de": 4}), 31)
     part = initialize(["a", "b", "c", "d"])
-    assign("e", part, mono, dig, balance_tiebreak=True)
+    assign("e", part, dig, involvement_totals(dig), balance_tiebreak=True)
     assert part.left[-1] == "e"
     assert part.trace[-1].rule == "right-association-to-left"
 
@@ -157,17 +157,17 @@ def test_balance_tiebreak_sends_ties_to_lighter_hand():
     mono = NGramTable(1, Counter({"a": 9, "b": 8, "c": 7, "d": 6, "e": 1, "f": 1}), 32)
     dig = NGramTable(2, Counter(), 32)
     part = initialize(["a", "b", "c", "d"])
-    assign("e", part, mono, dig, balance_tiebreak=True)  # 2 vs 2: left wins ties
+    assign("e", part, dig, involvement_totals(dig), balance_tiebreak=True)  # 2 vs 2: left wins ties
     assert part.left[-1] == "e"
     assert part.trace[-1].rule == "balance-to-lighter"
-    assign("f", part, mono, dig, balance_tiebreak=True)  # left 3, right 2
+    assign("f", part, dig, involvement_totals(dig), balance_tiebreak=True)  # left 3, right 2
     assert part.right[-1] == "f"
 
 
 def test_assign_rejects_duplicates(paper_mono, paper_digraphs):
     part = initialize(["া", "ে", "র", "ি"])
     with pytest.raises(AlreadyAssigned):
-        assign("া", part, paper_mono, paper_digraphs)
+        assign("া", part, paper_digraphs, involvement_totals(paper_digraphs))
 
 
 def test_all_zero_digraphs_send_everything_left():

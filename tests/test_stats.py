@@ -14,7 +14,8 @@ import pytest
 from layoutforge.corpus import tokenize
 from layoutforge.errors import EmptyCorpus, NoInvolvement
 from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
-                               involvement_total, ranked_monograms, read_ngram_tsv,
+                               involvement_total, involvement_totals, ranked_monograms,
+                               read_ngram_tsv,
                                side_scores, support, write_association_tsv,
                                write_ngram_tsv)
 from conftest import (FILLER_DIGRAPH, INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE,
@@ -64,8 +65,8 @@ def test_published_monogram_ranking(paper_mono):
 
 
 def test_side_scores_match_worked_example(paper_mono, paper_digraphs):
-    left = side_scores(FOCUS, ["ে", "র"], paper_mono, paper_digraphs)
-    right = side_scores(FOCUS, ["া", "ি"], paper_mono, paper_digraphs)
+    left = side_scores(FOCUS, ["ে", "র"], paper_digraphs, involvement_totals(paper_digraphs))
+    right = side_scores(FOCUS, ["া", "ি"], paper_digraphs, involvement_totals(paper_digraphs))
     assert left.cumulative_support == pytest.approx(K_LEFT_SCORE[0], abs=1e-5)
     assert left.cumulative_confidence == pytest.approx(K_LEFT_SCORE[1], abs=1e-5)
     assert right.cumulative_support == pytest.approx(K_RIGHT_SCORE[0], abs=1e-5)
@@ -77,8 +78,9 @@ def test_filler_digraph_does_not_touch_seed_hands(paper_mono, paper_digraphs,
     # the involvement filler pairs the focus letter with a letter on
     # neither seed hand, so it must change confidence denominators only
     for side in (["ে", "র"], ["া", "ি"]):
-        with_filler = side_scores(FOCUS, side, paper_mono, paper_digraphs)
-        bare = side_scores(FOCUS, side, paper_mono, paper_digraphs_bare)
+        with_filler = side_scores(FOCUS, side, paper_digraphs, involvement_totals(paper_digraphs))
+        bare = side_scores(FOCUS, side, paper_digraphs_bare,
+                           involvement_totals(paper_digraphs_bare))
         assert with_filler.cumulative_support == bare.cumulative_support
     assert FILLER_DIGRAPH[0][1] not in {"ে", "র", "া", "ি"}
 
@@ -247,7 +249,7 @@ def test_merge_rejects_mixed_sizes():
 # side_scores edge cases.
 
 def test_side_scores_empty_side(paper_mono, paper_digraphs):
-    score = side_scores(FOCUS, [], paper_mono, paper_digraphs)
+    score = side_scores(FOCUS, [], paper_digraphs, involvement_totals(paper_digraphs))
     assert (score.cumulative_support, score.cumulative_confidence) == (0.0, 0.0)
 
 
@@ -255,7 +257,7 @@ def test_side_scores_count_both_orientations():
     counts = Counter({"ab": 3, "ba": 2, "ac": 5})
     dig = NGramTable(n=2, counts=counts, total_letters=100)
     mono = NGramTable(n=1, counts=Counter({"a": 10, "b": 5, "c": 5}), total_letters=100)
-    score = side_scores("a", ["b"], mono, dig)
+    score = side_scores("a", ["b"], dig, involvement_totals(dig))
     assert score.cumulative_support == pytest.approx(5.0)          # (3+2)/100
     assert score.cumulative_confidence == pytest.approx(50.0)      # (3+2)/10
 
@@ -263,7 +265,7 @@ def test_side_scores_count_both_orientations():
 def test_side_scores_without_involvement_are_zero_confidence():
     dig = NGramTable(n=2, counts=Counter({"bc": 4}), total_letters=50)
     mono = NGramTable(n=1, counts=Counter({"a": 1, "b": 4, "c": 4}), total_letters=50)
-    score = side_scores("a", ["b", "c"], mono, dig)
+    score = side_scores("a", ["b", "c"], dig, involvement_totals(dig))
     assert score.cumulative_support == 0.0
     assert score.cumulative_confidence == 0.0
 
