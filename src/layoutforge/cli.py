@@ -16,18 +16,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_json_object, write_json
 from .corpus import (AlphabetConfig, LetterStream, concat_streams, normalize_text,
                      read_corpus, tokenize)
 from .errors import ConfigError, EmptyCorpus, LayoutForgeError
-from .evaluator import (compare, evaluate, format_comparison, read_report_json,
-                        write_report_json, write_report_tsv)
-from .layout import Geometry, build_layout, load_geometry, load_layout, write_layout
-from .partition import partition_all, read_partition_json, write_partition_json
+from .evaluator import (EvaluationReport, compare, evaluate, format_comparison,
+                        read_report_json, write_report_json, write_report_tsv)
+from .layout import (Geometry, KeyboardLayout, build_layout, load_geometry, load_layout,
+                     write_layout)
+from .partition import (HandPartition, partition_all, read_partition_json,
+                        write_partition_json)
 from .stats import NGramTable, count_all, read_ngram_tsv, write_ngram_tsv
 # Not called here, but bench/spans.py traces layoutforge.cli.count_ngrams.
 from .stats import count_ngrams  # noqa: F401
@@ -57,31 +59,25 @@ class PipelineConfig:
         out_dir is omitted: it changes where results go, never what
         they contain.
         """
-        return {
-            "alphabet_path": self.alphabet_path,
-            "geometry_path": self.geometry_path,
-            "coverage": self.coverage,
-            "balance_tiebreak": self.balance_tiebreak,
-            "reset_on_boundary": self.reset_on_boundary,
-            "span_boundaries": self.span_boundaries,
-        }
+        doc = asdict(self)
+        del doc["out_dir"]
+        return doc
 
 
 def _env_defaults(environ=os.environ) -> dict:
     path = environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(doc) - known
+    doc = read_json_object(path, ConfigError)
+    hints = get_type_hints(PipelineConfig)
+    unknown = set(doc) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown config fields: {sorted(unknown)}")
+    # exact types: a bool is no coverage, and a string no switch
+    wrong = [name for name, value in doc.items()
+             if type(value) not in (get_args(hints[name]) or (hints[name],))]
+    if wrong:
+        raise ConfigError(f"{path}: wrongly typed config fields: {wrong}")
     return doc
 
 
@@ -139,10 +135,36 @@ def _write_stats_files(stream: LetterStream, config: PipelineConfig,
         "distinct_letters": len(tables[0].counts),
         "config": echo,
     }
-    with atomic_open(out / "summary.json") as handle:
-        json.dump(summary, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(summary, out / "summary.json")
     return tables
+
+
+def _write_partition(mono: NGramTable, digraphs: NGramTable, config: PipelineConfig,
+                     out: Path) -> HandPartition:
+    part = partition_all(mono, digraphs, coverage=config.coverage,
+                         balance_tiebreak=config.balance_tiebreak)
+    write_partition_json(part, mono, out / "partition.json", config_echo=config.echo())
+    return part
+
+
+def _write_report(layout: KeyboardLayout, stream: LetterStream, config: PipelineConfig,
+                  out: Path) -> EvaluationReport:
+    report = evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary)
+    write_report_json(report, out / f"report-{layout.name}.json",
+                      config_echo=config.echo())
+    with atomic_open(out / f"report-{layout.name}.tsv") as handle:
+        write_report_tsv(report, handle)
+    return report
+
+
+def _write_comparison(reports: Sequence[EvaluationReport], path: str | Path | None) -> None:
+    """Print the comparison table, and also write it to ``path`` when one is given."""
+    text = format_comparison(compare(reports))
+    sys.stdout.write(text)
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with atomic_open(path) as handle:
+            handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +193,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         stream = _read_input(args.corpus, _load_alphabet(config))
         _require_letters(stream)
         mono, digraphs, _trigrams = count_all(stream, span_boundaries=config.span_boundaries)
-    part = partition_all(mono, digraphs, coverage=config.coverage,
-                         balance_tiebreak=config.balance_tiebreak)
-    out = _out_dir(config)
-    write_partition_json(part, mono, out / "partition.json", config_echo=config.echo())
+    _write_partition(mono, digraphs, config, _out_dir(config))
     return 0
 
 
@@ -192,51 +211,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _require_letters(stream)
     out = _out_dir(config)
     for layout_path in args.layouts:
-        layout = load_layout(layout_path)
-        report = evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary)
-        write_report_json(report, out / f"report-{layout.name}.json",
-                          config_echo=config.echo())
-        with atomic_open(out / f"report-{layout.name}.tsv") as handle:
-            write_report_tsv(report, handle)
+        _write_report(load_layout(layout_path), stream, config, out)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    reports = [read_report_json(path) for path in args.reports]
-    text = format_comparison(compare(reports))
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(args.out) as handle:
-            handle.write(text)
+    _write_comparison([read_report_json(path) for path in args.reports], args.out)
     return 0
 
 
 def cmd_run_all(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    alphabet = _load_alphabet(config)
-    stream = _read_input(args.corpus, alphabet)
+    stream = _read_input(args.corpus, _load_alphabet(config))
     _require_letters(stream)
     out = _out_dir(config)
-    echo = config.echo()
-
     mono, digraphs, _trigrams = _write_stats_files(stream, config, out)
-    part = partition_all(mono, digraphs, coverage=config.coverage,
-                         balance_tiebreak=config.balance_tiebreak)
-    write_partition_json(part, mono, out / "partition.json", config_echo=echo)
-
+    part = _write_partition(mono, digraphs, config, out)
     layout = build_layout(part, mono, _load_geometry(config), name=args.name)
     write_layout(layout, out / "layout.json")
-
-    report = evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary)
-    write_report_json(report, out / f"report-{layout.name}.json", config_echo=echo)
-    with atomic_open(out / f"report-{layout.name}.tsv") as handle:
-        write_report_tsv(report, handle)
-
-    text = format_comparison(compare([report]))
-    sys.stdout.write(text)
-    with atomic_open(out / "comparison.txt") as handle:
-        handle.write(text)
+    report = _write_report(layout, stream, config, out)
+    _write_comparison([report], out / "comparison.txt")
     return 0
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator
 
+from .atomic import read_json_object
 from .errors import ConfigError, InvalidEncoding
 
 # Bangla defaults: the whole Bengali block minus its digits. The danda
@@ -30,6 +30,8 @@ BANGLA_DIGITS = frozenset(chr(cp) for cp in range(0x09E6, 0x09F0))
 
 def parse_codepoint(text: str) -> str:
     """Accept either a literal single character or a "U+XXXX" spelling."""
+    if not isinstance(text, str):
+        raise ConfigError(f"expected one character or U+XXXX, got {text!r}")
     if text.upper().startswith("U+"):
         try:
             return chr(int(text[2:], 16))
@@ -79,12 +81,17 @@ class AlphabetConfig:
         unknown = set(data) - {"ranges", "include", "exclude"}
         if unknown:
             raise ConfigError(f"unknown alphabet fields: {sorted(unknown)}")
+        lists = {name: data.get(name, []) for name in ("ranges", "include", "exclude")}
+        if not (all(isinstance(value, list) for value in lists.values())
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in lists["ranges"])):
+            raise ConfigError("alphabet ranges, include and exclude must be lists,"
+                              " and each range a pair of code points")
         ranges = tuple(
             (ord(parse_codepoint(lo)), ord(parse_codepoint(hi)))
-            for lo, hi in data.get("ranges", [])
+            for lo, hi in lists["ranges"]
         )
-        include = frozenset(parse_codepoint(c) for c in data.get("include", []))
-        exclude = frozenset(parse_codepoint(c) for c in data.get("exclude", []))
+        include = frozenset(parse_codepoint(c) for c in lists["include"])
+        exclude = frozenset(parse_codepoint(c) for c in lists["exclude"])
         return cls(ranges=ranges, include=include, exclude=exclude)
 
     def to_dict(self) -> dict:
@@ -96,11 +103,7 @@ class AlphabetConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "AlphabetConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_object(path, ConfigError))
 
 
 # A boundary token in the ``tokens`` view of a stream. Letters are

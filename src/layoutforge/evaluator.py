@@ -14,13 +14,12 @@ that the single-pass ``evaluate`` is tested against.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .atomic import atomic_open
+from .atomic import read_json_object, write_json
 from .corpus import BOUNDARY, LetterStream
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
@@ -214,8 +213,7 @@ def format_comparison(comparison: Comparison) -> str:
 # ---------------------------------------------------------------------------
 # Report files.
 
-_REPORT_FIELDS = ("layout_name", "hand_switching", "left_load", "right_load",
-                  "not_determined", "total_letters")
+_REPORT_FIELDS = tuple(f.name for f in fields(EvaluationReport))
 
 
 def write_report_json(report: EvaluationReport, path: str | Path,
@@ -223,19 +221,11 @@ def write_report_json(report: EvaluationReport, path: str | Path,
     doc = {name: getattr(report, name) for name in _REPORT_FIELDS}
     if config_echo is not None:
         doc["config"] = config_echo
-    with atomic_open(path) as handle:
-        json.dump(doc, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(doc, path)
 
 
 def read_report_json(path: str | Path) -> EvaluationReport:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise MalformedInput(f"{path}: not a JSON report: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedInput(f"{path}: a report must be a JSON object")
+    doc = read_json_object(path, MalformedInput)
     missing = [name for name in _REPORT_FIELDS if name not in doc]
     if missing:
         raise MalformedInput(f"{path}: missing report fields {missing}")

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
-from .atomic import atomic_open
+from .atomic import atomic_open, parse_json_object, read_json_object
 from .corpus import format_codepoint
 from .errors import (CapacityExceeded, ConfigError, InvariantViolation,
                      MalformedLayout)
@@ -79,38 +80,50 @@ class Geometry:
             raise ValueError(f"column {column} out of range 1..{self.columns}")
         return "left" if column <= self.columns // 2 else "right"
 
-    def _hand_slots(self, hand: str) -> set[PriorityTriple]:
-        half = self.columns // 2
-        cols = range(1, half + 1) if hand == "left" else range(half + 1, self.columns + 1)
-        return {(layer, row, col)
-                for layer in self.layers for row in range(self.rows) for col in cols}
-
     def _check_priority(self) -> None:
         assert self.priority is not None
         if set(self.priority) != set(HANDS):
             raise ConfigError("priority must map exactly the hands 'left' and 'right'")
+        half = self.columns // 2
+        size = self.rows * half * len(self.layers)
         for hand in HANDS:
             triples = self.priority[hand]
-            expected = self._hand_slots(hand)
-            if len(triples) != len(set(triples)) or set(triples) != expected:
+            cols = range(1, half + 1) if hand == "left" else range(half + 1, self.columns + 1)
+            inside = all(l in self.layers and 0 <= r < self.rows and c in cols
+                         for l, r, c in triples)
+            if not inside or len(triples) != size or len(set(triples)) != size:
                 raise ConfigError(
-                    f"priority for {hand} hand must cover its {len(expected)} slots exactly once")
+                    f"priority for {hand} hand must cover its {size} slots exactly once")
 
     def position_priority(self, hand: str) -> tuple[KeyPosition, ...]:
         """All slots of one hand, best first."""
+        return tuple(self._slots(hand))
+
+    def _slots(self, hand: str) -> Iterator[KeyPosition]:
+        """The slots of one hand, best first, made one at a time.
+
+        Lazy so that placing a few letters on a very large grid costs only
+        the slots they take.
+        """
         if hand not in HANDS:
             raise ValueError(f"hand must be 'left' or 'right', got {hand!r}")
         if self.priority is not None:
-            return tuple(KeyPosition(hand, l, r, c) for l, r, c in self.priority[hand])
-        home = self.home_row
-        row_order = sorted(range(self.rows), key=lambda r: (abs(r - home), r))
+            return (KeyPosition(hand, l, r, c) for l, r, c in self.priority[hand])
         half = self.columns // 2
         if hand == "left":
             col_order = range(half, 0, -1)  # innermost column first
         else:
             col_order = range(half + 1, self.columns + 1)
-        return tuple(KeyPosition(hand, layer, row, col)
-                     for layer in self.layers for row in row_order for col in col_order)
+        return (KeyPosition(hand, layer, row, col)
+                for layer in self.layers for row in self._row_order() for col in col_order)
+
+    def _row_order(self) -> Iterator[int]:
+        """Rows by distance from home, the upper row first on a tie."""
+        home = self.home_row
+        for distance in range(home + 1):  # no row lies further below home than above
+            yield home - distance
+            if distance and home + distance < self.rows:
+                yield home + distance
 
     def to_dict(self) -> dict:
         doc: dict = {"rows": self.rows, "columns": self.columns, "layers": list(self.layers)}
@@ -122,34 +135,32 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Geometry":
+        if not isinstance(doc, Mapping):
+            raise ConfigError(f"a geometry must be a JSON object, got {type(doc).__name__}")
         known = {"rows", "columns", "layers", "position_priority"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown geometry fields: {sorted(unknown)}")
         kwargs: dict = {}
-        if "rows" in doc:
-            kwargs["rows"] = int(doc["rows"])
-        if "columns" in doc:
-            kwargs["columns"] = int(doc["columns"])
-        if "layers" in doc:
-            kwargs["layers"] = tuple(doc["layers"])
-        if "position_priority" in doc:
-            kwargs["priority"] = {
-                hand: tuple((l, r, c) for l, r, c in triples)
-                for hand, triples in doc["position_priority"].items()
-            }
-        return cls(**kwargs)
+        try:
+            if "rows" in doc:
+                kwargs["rows"] = int(doc["rows"])
+            if "columns" in doc:
+                kwargs["columns"] = int(doc["columns"])
+            if "layers" in doc:
+                kwargs["layers"] = tuple(doc["layers"])
+            if "position_priority" in doc:
+                kwargs["priority"] = {
+                    hand: tuple((l, r, c) for l, r, c in triples)
+                    for hand, triples in dict(doc["position_priority"]).items()
+                }
+            return cls(**kwargs)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed geometry: {exc}") from None
 
 
 def load_geometry(path: str | Path) -> Geometry:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: geometry file must hold a JSON object")
-    return Geometry.from_dict(doc)
+    return Geometry.from_dict(read_json_object(path, ConfigError))
 
 
 @dataclass
@@ -173,7 +184,7 @@ def build_layout(partition: HandPartition, mono: NGramTable,
     assignment: dict[str, KeyPosition] = {}
     for hand, letters in (("left", partition.left), ("right", partition.right)):
         ordered = sorted(letters, key=lambda g: (-mono.counts.get(g, 0), g))
-        slots = geometry.position_priority(hand)
+        slots = tuple(islice(geometry._slots(hand), len(ordered)))
         if len(ordered) > len(slots):
             raise CapacityExceeded(hand, len(ordered) - len(slots))
         for letter, slot in zip(ordered, slots):
@@ -215,23 +226,18 @@ def parse_layout(data: bytes | str) -> KeyboardLayout:
     the wrong side of the split, a code point that contradicts its letter)
     raises InvariantViolation.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedLayout(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedLayout("layout document must be a JSON object")
+    doc = parse_json_object(data, MalformedLayout)
     try:
         name = doc["name"]
         geo_doc = doc["geometry"]
         key_docs = doc["keys"]
     except KeyError as exc:
         raise MalformedLayout(f"missing field {exc}") from None
+    if not isinstance(key_docs, list):
+        raise MalformedLayout(f"keys must be a list, got {type(key_docs).__name__}")
     try:
         geometry = Geometry.from_dict(geo_doc)
-    except (ConfigError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise MalformedLayout(f"bad geometry: {exc}") from None
 
     assignment: dict[str, KeyPosition] = {}
@@ -244,7 +250,7 @@ def parse_layout(data: bytes | str) -> KeyboardLayout:
             layer = entry["layer"]
             row = int(entry["row"])
             column = int(entry["column"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedLayout(f"bad key entry {entry!r}: {exc}") from None
         if not isinstance(letter, str) or len(letter) != 1:
             raise InvariantViolation(f"letter must be a single code point, got {letter!r}")

@@ -16,13 +16,12 @@ the lighter hand instead.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .atomic import atomic_open
+from .atomic import read_json_object, write_json
 from .errors import AlreadyAssigned, ConfigError, TooFewLetters
 from .stats import (NGramTable, SideScore, involvement_totals, ranked_monograms,
                     side_scores)
@@ -169,19 +168,13 @@ def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: s
     }
     if config_echo is not None:
         payload["config"] = config_echo
-    with atomic_open(out_path) as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(payload, out_path)
 
 
 def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
     """Load a partition file; returns the partition and its embedded ranking
     as a monogram table."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    payload = read_json_object(path, ConfigError)
     try:
         part = HandPartition(left=list(payload["left"]), right=list(payload["right"]),
                              degenerate=bool(payload.get("degenerate", False)))

@@ -204,8 +204,8 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
 
     The file is read line by line, never whole. '#' lines carry the header
     wherever they stand; blank lines and column headers are skipped. A
-    table whose ``n`` is not one of 1-3, or that stores a gram of another
-    length, is malformed.
+    table whose ``n`` is not one of 1-3, that stores a gram of another
+    length, or that holds a negative count or total, is malformed.
     """
     header: dict[str, int] = {}
     counts: Counter = Counter()
@@ -235,6 +235,11 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     if not set(map(len, counts)) <= {n}:
         wrong = next(gram for gram in counts if len(gram) != n)
         raise MalformedInput(f"{path}: gram {wrong!r} is not {n} letter(s) long")
+    if header["total_letters"] < 0:
+        raise MalformedInput(f"{path}: total_letters {header['total_letters']} is negative")
+    if min(counts.values(), default=0) < 0:
+        wrong = next(gram for gram, count in counts.items() if count < 0)
+        raise MalformedInput(f"{path}: gram {wrong!r} has a negative count {counts[wrong]}")
     return NGramTable(n=n, counts=counts, total_letters=header["total_letters"])
 
 

@@ -1,11 +1,15 @@
-"""Malformed report, table and partition files exit 2, never 1.
+"""Malformed input files exit 2, never 1.
 
-Each file is first written by the pipeline itself and then broken in one
-way, so every case starts from a shape the reader really accepts.
+Report, table, partition and layout files are first written by the
+pipeline itself and then broken in one way, so every case starts from a
+shape the reader really accepts. Alphabet, geometry and LAYOUTFORGE_CONFIG
+files are written by hand, one wrongly typed field at a time.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from layoutforge.cli import main
 
@@ -149,3 +153,142 @@ def test_layout_partition_wrong_shapes_exit_2(tmp_path, capsys):
         assert last_error(capsys)["error"] == "ConfigError"
     partition.write_text("[]", encoding="utf-8")
     assert main(["layout", str(partition), "--out", str(tmp_path / "l")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Every JSON input: bytes that are no JSON object.
+
+NOT_AN_OBJECT = {
+    "not UTF-8": b"\xff\xfe",
+    "a number": b"5",
+    "a list": b"[[1, 2]]",
+    "nested too deep": b"[" * 100_000,
+}
+
+
+def argv_reading(kind, path, tmp_path):
+    """A command line whose only bad input is the JSON file at ``path``."""
+    out = run_all(tmp_path)
+    return {
+        "alphabet": ["stats", str(SAMPLE), "--alphabet", str(path)],
+        "geometry": ["layout", str(out / "partition.json"), "--geometry", str(path)],
+        "layout": ["evaluate", str(path), "--corpus", str(SAMPLE)],
+        "partition": ["layout", str(path)],
+        "report": ["compare", str(path)],
+    }[kind] + ["--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("alphabet", "ConfigError"), ("geometry", "ConfigError"), ("layout", "MalformedLayout"),
+    ("partition", "ConfigError"), ("report", "MalformedInput"), ("config", "ConfigError")])
+@pytest.mark.parametrize("content", NOT_AN_OBJECT.values(), ids=NOT_AN_OBJECT.keys())
+def test_json_input_that_is_no_object_exits_2(tmp_path, capsys, monkeypatch, kind, error,
+                                              content):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(content)
+    if kind == "config":
+        monkeypatch.setenv("LAYOUTFORGE_CONFIG", str(path))
+        argv = ["stats", str(SAMPLE), "--out", str(tmp_path / "o")]
+    else:
+        argv = argv_reading(kind, path, tmp_path)
+    assert main(argv) == 2
+    assert last_error(capsys)["error"] == error
+
+
+# ---------------------------------------------------------------------------
+# Wrongly typed fields.
+
+@pytest.mark.parametrize("alphabet", [
+    {"ranges": 5}, {"include": [5]}, {"ranges": [["a"]]}, {"exclude": "U+09E6"}])
+def test_alphabet_field_of_wrong_type_exits_2(tmp_path, capsys, alphabet):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps(alphabet), encoding="utf-8")
+    assert main(argv_reading("alphabet", path, tmp_path)) == 2
+    assert last_error(capsys)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("geometry", [
+    {"rows": "x"}, {"layers": 5}, {"position_priority": {"left": 5}},
+    {"position_priority": 5}, {"columns": float("inf")}])
+def test_geometry_field_of_wrong_type_exits_2(tmp_path, capsys, geometry):
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps(geometry), encoding="utf-8")
+    assert main(argv_reading("geometry", path, tmp_path)) == 2
+    assert last_error(capsys)["error"] == "ConfigError"
+
+
+def test_huge_geometry_places_only_the_slots_it_needs(tmp_path):
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps({"rows": 10**12, "columns": 10**12}), encoding="utf-8")
+    assert main(argv_reading("geometry", path, tmp_path)) == 0
+    keys = json.loads((tmp_path / "o" / "layout.json").read_text(encoding="utf-8"))["keys"]
+    assert {key["row"] for key in keys} == {10**12 // 2}
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.update(keys=5),
+    lambda doc: doc.update(geometry=[]),
+    lambda doc: doc["keys"][0].update(row="x"),
+    lambda doc: doc["keys"][0].update(column=float("inf")),
+], ids=["keys a number", "geometry a list", "row not a number", "column infinite"])
+def test_layout_field_of_wrong_type_exits_2(tmp_path, capsys, change):
+    layout = edit_json(run_all(tmp_path) / "layout.json", change)
+    assert main(["evaluate", str(layout), "--corpus", str(SAMPLE),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert last_error(capsys)["error"] == "MalformedLayout"
+
+
+@pytest.mark.parametrize("config", [
+    {"coverage": "x"}, {"coverage": None}, {"coverage": True}, {"coverage": 2.0},
+    {"span_boundaries": "yes"}, {"balance_tiebreak": 1}, {"alphabet_path": 5},
+    {"out_dir": None}])
+def test_env_config_field_of_wrong_type_exits_2(tmp_path, capsys, monkeypatch, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setenv("LAYOUTFORGE_CONFIG", str(path))
+    assert main(["partition", str(SAMPLE), "--out", str(tmp_path / "o")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "ConfigError"
+    assert f"wrongly typed config fields: {list(config)}" in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_env_config_of_right_types_is_accepted(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alphabet_path": None, "geometry_path": None,
+                                "coverage": 2, "span_boundaries": True}), encoding="utf-8")
+    monkeypatch.setenv("LAYOUTFORGE_CONFIG", str(path))
+    assert main(["partition", str(SAMPLE), "--out", str(tmp_path / "o")]) == 0
+    config = json.loads((tmp_path / "o" / "partition.json").read_text(encoding="utf-8"))["config"]
+    assert (config["coverage"], config["span_boundaries"]) == (2, True)
+
+
+# ---------------------------------------------------------------------------
+# Negative counts in tables.
+
+def test_partition_tsv_negative_count_exits_2(tmp_path, capsys):
+    out = run_all(tmp_path)
+    table = out / "digraphs.tsv"
+    lines = table.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line[0] != "#" and line[:5] != "gram\t")
+    gram, _count, pct = lines[row].split("\t")
+    lines[row] = f"{gram}\t-40\t{pct}"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["partition", "--mono", str(out / "monograms.tsv"),
+                 "--digraphs", str(table), "--out", str(tmp_path / "p")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "MalformedInput"
+    assert f"gram {gram!r} has a negative count -40" in error["message"]
+
+
+def test_partition_tsv_negative_total_exits_2(tmp_path, capsys):
+    out = run_all(tmp_path)
+    table = out / "monograms.tsv"
+    lines = [("# total_letters\t-5" if line.startswith("# total_letters") else line)
+             for line in table.read_text(encoding="utf-8").splitlines()]
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["partition", "--mono", str(table), "--digraphs", str(out / "digraphs.tsv"),
+                 "--out", str(tmp_path / "p")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "MalformedInput"
+    assert "total_letters -5 is negative" in error["message"]

@@ -1,16 +1,23 @@
-"""The table, partition and report readers: their contract and a fuzz.
+"""Every input reader: its contract and a fuzz.
 
 Exit code 2 means bad input and 1 means a bug, so no input file, however
-broken, may make a subcommand exit 1. The table reader streams its file;
-every table the line-by-line reader it replaced accepted must read back
-the same, and a gram whose length is not the header's ``n`` is malformed.
+broken, may make a subcommand exit 1. The fuzz covers every input kind:
+n-gram tables, partition files, reports, alphabet files, geometry files,
+layout files and the LAYOUTFORGE_CONFIG file. Each is fed as arbitrary
+bytes and as a well-formed file with one part replaced or dropped.
+
+The table reader streams its file; every table the line-by-line reader it
+replaced accepted must read back the same, and a gram whose length is not
+the header's ``n``, a negative count or a negative total is malformed.
 """
 
 import io
 import json
+import os
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +25,7 @@ from hypothesis import strategies as st
 
 from layoutforge.cli import main
 from layoutforge.errors import MalformedInput
+from layoutforge.layout import Geometry
 from layoutforge.stats import read_ngram_tsv
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "bn_sample" / "part1.txt"
@@ -73,7 +81,8 @@ def assert_reads_as_before(path):
         with pytest.raises(MalformedInput):
             read_ngram_tsv(path)
         return
-    if n not in (1, 2, 3) or any(len(gram) != n for gram in counts):
+    if (n not in (1, 2, 3) or any(len(gram) != n for gram in counts)
+            or total < 0 or any(count < 0 for count in counts.values())):
         with pytest.raises(MalformedInput):
             read_ngram_tsv(path)
         return
@@ -223,3 +232,66 @@ def test_fuzzed_reports_never_exit_1(pipeline, tmp_path_factory, data):
         path.write_text(json.dumps(replace_part(doc, data)), encoding="utf-8")
     assert_exit_0_or_2(["compare", path, pipeline / "report-optimized.json",
                         "--out", work / "comparison.txt"])
+
+
+def write_fuzzed_json(path, doc, data):
+    """Arbitrary bytes, or ``doc`` with one part replaced or dropped."""
+    if data.draw(st.booleans()):
+        path.write_bytes(data.draw(st.binary(max_size=300)))
+    else:
+        path.write_text(json.dumps(replace_part(doc, data)), encoding="utf-8")
+    return path
+
+
+ALPHABET = {"ranges": [["U+0980", "U+09FF"], ["a", "z"]], "include": ["U+0964"],
+            "exclude": ["U+09E6", "U+09E7"]}
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_alphabet_files_never_exit_1(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = write_fuzzed_json(work / "alphabet.json", json.loads(json.dumps(ALPHABET)), data)
+    assert_exit_0_or_2(["stats", SAMPLE, "--alphabet", path, "--out", work / "out"])
+
+
+def geometry_doc():
+    """The default geometry, its fill order spelled out."""
+    default = Geometry()
+    priority = {hand: [(p.layer, p.row, p.column) for p in default.position_priority(hand)]
+                for hand in ("left", "right")}
+    return Geometry(priority=priority).to_dict()
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_geometry_files_never_exit_1(pipeline, tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = write_fuzzed_json(work / "geometry.json", geometry_doc(), data)
+    assert_exit_0_or_2(["layout", pipeline / "partition.json", "--geometry", path,
+                        "--out", work / "out"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_layout_files_never_exit_1(pipeline, tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("fuzz")
+    layout = json.loads((pipeline / "layout.json").read_text(encoding="utf-8"))
+    path = write_fuzzed_json(work / "layout.json", layout, data)
+    assert_exit_0_or_2(["evaluate", path, "--corpus", SAMPLE, "--out", work / "out"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_config_files_never_exit_1(pipeline, tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("fuzz")
+    alphabet = work / "alphabet.json"
+    alphabet.write_text(json.dumps(ALPHABET), encoding="utf-8")
+    geometry = work / "geometry.json"
+    geometry.write_text(json.dumps(geometry_doc()), encoding="utf-8")
+    config = {"alphabet_path": str(alphabet), "geometry_path": str(geometry),
+              "out_dir": str(work / "unused"), "coverage": 2, "balance_tiebreak": True,
+              "reset_on_boundary": True, "span_boundaries": False}
+    path = write_fuzzed_json(work / "config.json", config, data)
+    with mock.patch.dict(os.environ, {"LAYOUTFORGE_CONFIG": str(path)}):
+        assert_exit_0_or_2(["run-all", SAMPLE, "--out", work / "out"])
