@@ -6,9 +6,9 @@ across the hands to favor alternation, place each hand's letters on a
 key grid by frequency, then score any layout against a corpus.
 """
 
-from .corpus import (AlphabetConfig, BOUNDARY, LetterStream, choose_separator,
-                     concat_streams, format_codepoint, normalize_text, parse_codepoint,
-                     read_corpus, reconstruct_text, tokenize)
+from .corpus import (AlphabetConfig, LetterStream, choose_separator, concat_streams,
+                     format_codepoint, normalize_text, parse_codepoint, read_corpus,
+                     reconstruct_text, tokenize)
 from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, EmptyCorpus,
                      EmptyInput, InvalidEncoding, InvariantViolation,
                      LayoutForgeError, MalformedInput, MalformedLayout,
@@ -28,7 +28,7 @@ from .stats import (NGramTable, SideScore, count_all, count_ngrams, digraph_conf
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetConfig", "BOUNDARY", "LetterStream", "choose_separator", "concat_streams",
+    "AlphabetConfig", "LetterStream", "choose_separator", "concat_streams",
     "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus",
     "reconstruct_text", "tokenize",
     "LayoutForgeError", "ConfigError", "InvalidEncoding", "EmptyCorpus",

@@ -59,8 +59,13 @@ def read_json_object(path: str | Path, error: type[LayoutForgeError]) -> dict:
         raise error(f"{path}: {exc}") from None
 
 
+def dump_json(doc: dict, handle: TextIO) -> None:
+    """Write ``doc`` to ``handle`` as the text of a JSON document."""
+    json.dump(doc, handle, ensure_ascii=False, indent=2)
+    handle.write("\n")
+
+
 def write_json(doc: dict, path: str | Path) -> None:
-    """Replace ``path`` with ``doc`` as indented UTF-8 JSON and a final newline."""
+    """Replace ``path`` with ``doc`` as a JSON document."""
     with atomic_open(path) as handle:
-        json.dump(doc, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+        dump_json(doc, handle)

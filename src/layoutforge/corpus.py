@@ -106,11 +106,6 @@ class AlphabetConfig:
         return cls.from_dict(read_json_object(path, ConfigError))
 
 
-# A boundary token in the ``tokens`` view of a stream. Letters are
-# single-character strings; None marks the gap between words.
-BOUNDARY = None
-
-
 def choose_separator(letters: AbstractSet[str]) -> str:
     """The character that stands for a boundary in a stream's text.
 
@@ -141,12 +136,6 @@ class LetterStream:
     @property
     def letter_count(self) -> int:
         return len(self.text) - self.text.count(self.sep)
-
-    @property
-    def tokens(self) -> list[str | None]:
-        """The stream as a token list: letters, with BOUNDARY for each ``sep``."""
-        sep = self.sep
-        return [BOUNDARY if ch == sep else ch for ch in self.text]
 
     def runs(self) -> Iterator[str]:
         """Yield each maximal run of letters between boundaries."""

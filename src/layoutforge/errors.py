@@ -49,7 +49,7 @@ class CapacityExceeded(LayoutForgeError):
 
 
 class MalformedLayout(LayoutForgeError):
-    """A layout file cannot be parsed at all."""
+    """A layout file cannot be parsed at all, or a layout name is no file name."""
 
 
 class InvariantViolation(LayoutForgeError):

@@ -1,15 +1,18 @@
 """Layout scoring: hand alternation, per-hand load, unplaced letters.
 
-The score of a letter stream is a single left-to-right fold. Each letter
-on the layout adds to its hand's load and, when the previous determined
-letter sat on the other hand, one hand switch. Letters the layout does
-not place count as not-determined and leave the previous hand untouched;
-word boundaries do the same unless boundary resetting is switched on.
+The score of a letter stream is a left-to-right fold. Each letter on the
+layout adds to its hand's load and, when the previous determined letter
+sat on the other hand, one hand switch. Letters the layout does not place
+count as not-determined and leave the previous hand untouched; word
+boundaries do the same unless boundary resetting is switched on.
 
-Scoring also exists in a divide-and-conquer form over the token view of
-a stream: any split of the tokens into chunks can be scored on its own
-and merged, and the merge is associative. It is the token-level oracle
-that the single-pass ``evaluate`` is tested against.
+``score_chunk`` is the one scorer. It scores any slice of a stream's text
+on its own, and ``ChunkScore.merge`` joins the scores of neighbouring
+slices associatively, so ``evaluate`` (the whole stream as one slice) and
+``evaluate_chunked`` (the stream cut into slices and merged) agree by
+construction. The oracles they are tested against live outside this
+module: a plain per-letter rescan in the tests, and the identity between
+switches and the cross-hand digraph mass of the n-gram tables.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from .atomic import read_json_object, write_json
-from .corpus import BOUNDARY, LetterStream
+from .corpus import LetterStream
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
 
@@ -37,7 +40,7 @@ class EvaluationReport:
 
 @dataclass(frozen=True)
 class ChunkScore:
-    """Score of one contiguous slice of tokens, mergeable with neighbors.
+    """Score of one contiguous slice of a stream, mergeable with neighbors.
 
     ``head`` is the hand of the first determined letter, unless a reset
     comes first; ``tail`` is the running previous-hand state at the end of
@@ -67,59 +70,45 @@ class ChunkScore:
         )
 
 
-def score_chunk(layout: KeyboardLayout, tokens: Sequence,
-                *, reset_on_boundary: bool = False) -> ChunkScore:
-    left = right = nd = switching = 0
-    head: str | None = None
-    tail: str | None = None
-    absorbed = False  # incoming state can no longer influence this slice
-    for token in tokens:
-        if token is BOUNDARY:
-            if reset_on_boundary:
-                tail = None
-                absorbed = True
-            continue
-        hand = layout.hand_of(token)
-        if hand is None:
-            nd += 1
-            continue
-        if tail is not None and tail != hand:
-            switching += 1
-        if not absorbed:
-            head = hand
-            absorbed = True
-        if hand == "left":
-            left += 1
-        else:
-            right += 1
-        tail = hand
-    return ChunkScore(left=left, right=right, not_determined=nd, switching=switching,
-                      head=head, tail=tail, transparent=not absorbed)
-
-
 _HAND_MARKS = {"left": "<", "right": ">"}
+_MARK_HANDS = {mark: hand for hand, mark in _HAND_MARKS.items()}
 
 
-def evaluate(layout: KeyboardLayout, stream: LetterStream,
-             *, reset_on_boundary: bool = False) -> EvaluationReport:
-    """Score a stream in one pass.
+def score_chunk(layout: KeyboardLayout, stream: LetterStream,
+                *, reset_on_boundary: bool = False) -> ChunkScore:
+    """Score a stream, or any slice of one, in a few passes over its text.
 
-    Every distinct character of the stream maps to a hand marker, to
-    nothing (a letter the layout lacks), or to a reset marker (a boundary,
-    when boundaries reset); switches are then adjacent unlike markers.
+    Every distinct character maps to a hand marker, to nothing (a letter
+    the layout lacks), or to a reset marker (a boundary, when boundaries
+    reset); switches are then adjacent unlike markers, and the first and
+    last markers give the slice's head and tail.
     """
     marks = {ord(ch): _HAND_MARKS.get(layout.hand_of(ch)) for ch in set(stream.text)}
     marks[ord(stream.sep)] = "|" if reset_on_boundary else None
     hands = stream.text.translate(marks)
     left, right = hands.count("<"), hands.count(">")
+    return ChunkScore(left=left, right=right,
+                      not_determined=stream.letter_count - left - right,
+                      switching=hands.count("<>") + hands.count("><"),
+                      head=_MARK_HANDS.get(hands[:1]), tail=_MARK_HANDS.get(hands[-1:]),
+                      transparent=not hands)
+
+
+def _report(layout: KeyboardLayout, score: ChunkScore) -> EvaluationReport:
     return EvaluationReport(
         layout_name=layout.name,
-        hand_switching=hands.count("<>") + hands.count("><"),
-        left_load=left,
-        right_load=right,
-        not_determined=stream.letter_count - left - right,
-        total_letters=stream.letter_count,
+        hand_switching=score.switching,
+        left_load=score.left,
+        right_load=score.right,
+        not_determined=score.not_determined,
+        total_letters=score.left + score.right + score.not_determined,
     )
+
+
+def evaluate(layout: KeyboardLayout, stream: LetterStream,
+             *, reset_on_boundary: bool = False) -> EvaluationReport:
+    """Score a whole stream as one slice."""
+    return _report(layout, score_chunk(layout, stream, reset_on_boundary=reset_on_boundary))
 
 
 def evaluate_chunked(layout: KeyboardLayout, stream: LetterStream, *, chunks: int = 4,
@@ -127,21 +116,13 @@ def evaluate_chunked(layout: KeyboardLayout, stream: LetterStream, *, chunks: in
     """Score a stream in independently scored slices; same result as evaluate."""
     if chunks < 1:
         raise ValueError(f"chunks must be positive, got {chunks}")
-    tokens = stream.tokens
-    size = max(1, math.ceil(len(tokens) / chunks)) if tokens else 1
+    text = stream.text
+    size = max(1, math.ceil(len(text) / chunks))
     total = ChunkScore()
-    for start in range(0, len(tokens), size):
-        part = score_chunk(layout, tokens[start:start + size],
-                           reset_on_boundary=reset_on_boundary)
-        total = total.merge(part)
-    return EvaluationReport(
-        layout_name=layout.name,
-        hand_switching=total.switching,
-        left_load=total.left,
-        right_load=total.right,
-        not_determined=total.not_determined,
-        total_letters=stream.letter_count,
-    )
+    for start in range(0, len(text), size):
+        part = LetterStream(text=text[start:start + size], sep=stream.sep)
+        total = total.merge(score_chunk(layout, part, reset_on_boundary=reset_on_boundary))
+    return _report(layout, total)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ an equal object, and serializing again gives identical bytes.
 
 from __future__ import annotations
 
-import json
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
-from .atomic import atomic_open, parse_json_object, read_json_object
+from .atomic import dump_json, parse_json_object, read_json_object, write_json
 from .corpus import format_codepoint
 from .errors import (CapacityExceeded, ConfigError, InvariantViolation,
                      MalformedLayout)
@@ -141,22 +141,24 @@ class Geometry:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown geometry fields: {sorted(unknown)}")
-        kwargs: dict = {}
+        kwargs = {name: doc[name] for name in ("rows", "columns", "layers") if name in doc}
+        layers = kwargs.get("layers", [])
+        if not (all(type(kwargs[name]) is int for name in ("rows", "columns") if name in kwargs)
+                and isinstance(layers, list) and all(type(layer) is str for layer in layers)):
+            raise ConfigError("geometry rows and columns must be integers,"
+                              " and layers a list of strings")
         try:
-            if "rows" in doc:
-                kwargs["rows"] = int(doc["rows"])
-            if "columns" in doc:
-                kwargs["columns"] = int(doc["columns"])
-            if "layers" in doc:
-                kwargs["layers"] = tuple(doc["layers"])
             if "position_priority" in doc:
                 kwargs["priority"] = {
                     hand: tuple((l, r, c) for l, r, c in triples)
                     for hand, triples in dict(doc["position_priority"]).items()
                 }
-            return cls(**kwargs)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed geometry: {exc}") from None
+        if not all(type(l) is str and type(r) is int and type(c) is int
+                   for triples in kwargs.get("priority", {}).values() for l, r, c in triples):
+            raise ConfigError("position_priority triples must be a layer name and two integers")
+        return cls(**kwargs)
 
 
 def load_geometry(path: str | Path) -> Geometry:
@@ -170,6 +172,13 @@ class KeyboardLayout:
     name: str
     geometry: Geometry
     assignment: dict[str, KeyPosition] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # The name becomes part of report file names, so it must name one file.
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise MalformedLayout(f"a layout name must be a file name without '/' or NUL,"
+                                  f" got {name!r}")
 
     def hand_of(self, letter: str) -> str | None:
         """The hand that types the letter, or None if the layout lacks it."""
@@ -196,11 +205,11 @@ def build_layout(partition: HandPartition, mono: NGramTable,
 # Canonical JSON form. Keys are listed layer by layer, then row, then column,
 # so equal layouts always produce identical bytes.
 
-def serialize_layout(layout: KeyboardLayout) -> bytes:
+def _layout_doc(layout: KeyboardLayout) -> dict:
     layer_index = {layer: i for i, layer in enumerate(layout.geometry.layers)}
     keys = sorted(layout.assignment.items(),
                   key=lambda kv: (layer_index[kv[1].layer], kv[1].row, kv[1].column))
-    doc = {
+    return {
         "name": layout.name,
         "geometry": layout.geometry.to_dict(),
         "keys": [
@@ -215,7 +224,12 @@ def serialize_layout(layout: KeyboardLayout) -> bytes:
             for letter, pos in keys
         ],
     }
-    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+def serialize_layout(layout: KeyboardLayout) -> bytes:
+    text = io.StringIO()
+    dump_json(_layout_doc(layout), text)
+    return text.getvalue().encode("utf-8")
 
 
 def parse_layout(data: bytes | str) -> KeyboardLayout:
@@ -248,10 +262,12 @@ def parse_layout(data: bytes | str) -> KeyboardLayout:
             code_point = entry["code_point"]
             hand = entry["hand"]
             layer = entry["layer"]
-            row = int(entry["row"])
-            column = int(entry["column"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            row = entry["row"]
+            column = entry["column"]
+        except (KeyError, TypeError) as exc:
             raise MalformedLayout(f"bad key entry {entry!r}: {exc}") from None
+        if type(row) is not int or type(column) is not int:
+            raise MalformedLayout(f"bad key entry {entry!r}: row and column must be integers")
         if not isinstance(letter, str) or len(letter) != 1:
             raise InvariantViolation(f"letter must be a single code point, got {letter!r}")
         if format_codepoint(letter) != code_point:
@@ -275,7 +291,7 @@ def parse_layout(data: bytes | str) -> KeyboardLayout:
             raise InvariantViolation(f"letter {letter!r} assigned twice")
         seen_slots.add(slot)
         assignment[letter] = KeyPosition(hand, layer, row, column)
-    return KeyboardLayout(name=str(name), geometry=geometry, assignment=assignment)
+    return KeyboardLayout(name=name, geometry=geometry, assignment=assignment)
 
 
 def load_layout(path: str | Path) -> KeyboardLayout:
@@ -284,8 +300,7 @@ def load_layout(path: str | Path) -> KeyboardLayout:
 
 
 def write_layout(layout: KeyboardLayout, path: str | Path) -> None:
-    with atomic_open(path) as handle:
-        handle.write(serialize_layout(layout).decode("utf-8"))
+    write_json(_layout_doc(layout), path)
 
 
 def render_grid(layout: KeyboardLayout, layer: str = "base") -> str:

@@ -5,7 +5,7 @@ import unicodedata
 
 import pytest
 
-from layoutforge.corpus import (AlphabetConfig, BOUNDARY, concat_streams,
+from layoutforge.corpus import (AlphabetConfig, concat_streams,
                                 format_codepoint, normalize_text, parse_codepoint,
                                 read_corpus, reconstruct_text, tokenize)
 from layoutforge.errors import ConfigError, InvalidEncoding
@@ -39,43 +39,43 @@ def test_invalid_utf8_reports_offset():
 
 def test_tokenize_empty():
     stream = tokenize("")
-    assert stream.tokens == []
+    assert stream.text == ""
     assert stream.letter_count == 0
 
 
 def test_tokenize_boundary_collapse():
     stream = tokenize("ক খ")
-    assert stream.tokens == ["ক", BOUNDARY, "খ"]
+    assert stream.text == "ক খ"
     assert stream.letter_count == 2
 
 
 def test_tokenize_run_of_nonletters_is_one_boundary():
     stream = tokenize("ক ,;\t খ")
-    assert stream.tokens == ["ক", BOUNDARY, "খ"]
+    assert stream.text == "ক খ"
 
 
 def test_tokenize_excluded_digits_are_boundaries():
     # Bangla digits are excluded by default; ASCII digits are simply
     # outside the alphabet. Both act as boundaries.
-    assert tokenize("ক১২খ").tokens == ["ক", BOUNDARY, "খ"]
-    assert tokenize("ক12খ").tokens == ["ক", BOUNDARY, "খ"]
+    assert tokenize("ক১২খ").text == "ক খ"
+    assert tokenize("ক12খ").text == "ক খ"
 
 
 def test_tokenize_keeps_edge_boundaries_single():
     stream = tokenize("  ক  ")
-    assert stream.tokens == [BOUNDARY, "ক", BOUNDARY]
+    assert stream.text == " ক "
     assert stream.letter_count == 1
 
 
 def test_virama_is_a_letter_by_default():
     stream = tokenize("ক্ত")  # conjunct spelled out
     assert stream.letter_count == 3
-    assert BOUNDARY not in stream.tokens
+    assert stream.sep not in stream.text
 
 
 def test_danda_is_a_boundary_by_default():
     stream = tokenize("ক।খ")  # danda is outside the block
-    assert stream.tokens == ["ক", BOUNDARY, "খ"]
+    assert stream.text == "ক খ"
 
 
 def test_letter_count_matches_brute_scan():
@@ -88,7 +88,7 @@ def test_letter_count_matches_brute_scan():
         stream = tokenize(text, config)
         expected = sum(1 for ch in text if ch in config.resolve())
         assert stream.letter_count == expected
-        assert stream.letter_count == sum(1 for t in stream.tokens if t is not None)
+        assert stream.letter_count == sum(1 for ch in stream.text if ch != stream.sep)
 
 
 def test_no_consecutive_boundaries_property():
@@ -96,9 +96,8 @@ def test_no_consecutive_boundaries_property():
     pool = ["ক", "খ", " ", ",", "1"]
     for _ in range(100):
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 60)))
-        tokens = tokenize(text).tokens
-        for a, b in zip(tokens, tokens[1:]):
-            assert not (a is BOUNDARY and b is BOUNDARY)
+        stream = tokenize(text)
+        assert stream.sep * 2 not in stream.text
 
 
 def test_concatenation_letter_counts_add():
@@ -111,7 +110,7 @@ def test_concat_streams_inserts_seam_boundary():
     a = tokenize("কা")
     b = tokenize("খ")
     merged = concat_streams([a, b])
-    assert merged.tokens == ["ক", "া", BOUNDARY, "খ"]
+    assert merged.text == "কা খ"
     assert merged.letter_count == 3
     assert merged.source_bytes == a.source_bytes + b.source_bytes
 
@@ -120,13 +119,13 @@ def test_concat_streams_collapses_edge_boundaries():
     a = tokenize("ক ")
     b = tokenize(" খ")
     merged = concat_streams([a, b])
-    assert merged.tokens == ["ক", BOUNDARY, "খ"]
+    assert merged.text == "ক খ"
 
 
 def test_concat_skips_empty_parts():
     a = tokenize("ক")
     merged = concat_streams([a, tokenize(""), tokenize("খ")])
-    assert merged.tokens == ["ক", BOUNDARY, "খ"]
+    assert merged.text == "ক খ"
 
 
 def test_round_trip_stability():
@@ -137,7 +136,7 @@ def test_round_trip_stability():
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 120)))
         once = tokenize(normalize_text(text.encode("utf-8")))
         twice = tokenize(reconstruct_text(once))
-        assert twice.tokens == once.tokens
+        assert (twice.text, twice.sep) == (once.text, once.sep)
         assert twice.letter_count == once.letter_count
 
 
@@ -147,7 +146,7 @@ def test_read_corpus_joins_files_with_boundary(tmp_path):
     p1.write_text("কা", encoding="utf-8")
     p2.write_text("খ", encoding="utf-8")
     stream = read_corpus([p1, p2], AlphabetConfig())
-    assert stream.tokens == ["ক", "া", BOUNDARY, "খ"]
+    assert stream.text == "কা খ"
 
 
 def test_codepoint_parsing():
@@ -203,5 +202,5 @@ def test_same_input_same_stream():
     text = "কা খিক"
     first = tokenize(text)
     second = tokenize(text)
-    assert first.tokens == second.tokens
+    assert (first.text, first.sep) == (second.text, second.sep)
     assert first.source_bytes == second.source_bytes

@@ -191,12 +191,49 @@ def test_chunked_equals_sequential():
         assert chunked == sequential
 
 
+def test_chunked_matches_rescan_at_every_chunk_count():
+    """Every chunk count from 1 to one past the text length, against the rescan.
+
+    The streams may start or end on a boundary, and x and y are letters the
+    layout lacks, so slices that start or end on a boundary, slices that
+    are only boundaries, and slices of only unplaced letters all occur.
+    """
+    rng = random.Random(89)
+    alphabet = list("abcdxy")
+    hand_of = {"a": "left", "b": "left", "c": "right", "d": "right"}
+    layout = layout_from_hands("ab", "cd")
+    seen = set()
+    for _ in range(60):
+        tokens = random_tokens(rng, alphabet, rng.randrange(0, 25))
+        if tokens and rng.random() < 0.5:
+            tokens = [None] + tokens
+        if tokens and rng.random() < 0.5:
+            tokens = tokens + [None]
+        stream = make_stream(tokens)
+        text, sep = stream.text, stream.sep
+        for chunks in range(1, len(text) + 2):
+            size = max(1, math.ceil(len(text) / chunks))
+            for start in range(0, len(text), size):
+                piece = text[start:start + size]
+                seen.add("edge boundary" if sep in (piece[0], piece[-1]) else None)
+                seen.add("only boundaries" if set(piece) == {sep} else None)
+                seen.add("only unplaced" if set(piece) <= {"x", "y"} else None)
+            for reset in (False, True):
+                report = evaluate_chunked(layout, stream, chunks=chunks,
+                                          reset_on_boundary=reset)
+                assert (report.left_load, report.right_load, report.not_determined,
+                        report.hand_switching) == rescan(hand_of, tokens, reset)
+                assert report.total_letters == stream.letter_count
+    assert seen >= {"edge boundary", "only boundaries", "only unplaced"}
+
+
 def test_chunk_merge_is_associative():
     rng = random.Random(83)
     alphabet = list("abcd")
     layout = layout_from_hands("ab", "cd")
     for _ in range(50):
-        parts = [score_chunk(layout, random_tokens(rng, alphabet, rng.randrange(0, 40)),
+        parts = [score_chunk(layout, make_stream(random_tokens(rng, alphabet,
+                                                               rng.randrange(0, 40))),
                              reset_on_boundary=rng.random() < 0.5)
                  for _ in range(3)]
         a, b, c = parts
@@ -205,7 +242,7 @@ def test_chunk_merge_is_associative():
 
 def test_chunk_merge_identity():
     layout = layout_from_hands("a", "b")
-    chunk = score_chunk(layout, ["a", "b", None, "a"])
+    chunk = score_chunk(layout, make_stream(["a", "b", None, "a"]))
     empty = ChunkScore()
     assert empty.merge(chunk) == chunk
     assert chunk.merge(empty) == chunk

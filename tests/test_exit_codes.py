@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from layoutforge.cli import main
+from layoutforge.layout import Geometry
 
 from test_cli import last_error
 
@@ -292,3 +293,84 @@ def test_partition_tsv_negative_total_exits_2(tmp_path, capsys):
     error = last_error(capsys)
     assert error["error"] == "MalformedInput"
     assert "total_letters -5 is negative" in error["message"]
+
+
+# ---------------------------------------------------------------------------
+# Layout names become file names, so each must name one file inside --out.
+
+BAD_NAMES = {"empty": "", "dot": ".", "dot dot": "..", "slash": "x/../../escaped",
+             "NUL": "a\0b"}
+
+
+@pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+def test_layout_name_flag_that_is_no_file_name_exits_2(tmp_path, capsys, name):
+    partition = run_all(tmp_path) / "partition.json"
+    assert main(["layout", str(partition), "--name", name, "--out", str(tmp_path / "o")]) == 2
+    assert last_error(capsys)["error"] == "MalformedLayout"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_all_name_flag_that_is_no_file_name_exits_2(tmp_path, capsys, monkeypatch):
+    (tmp_path / "ok" / "report-x").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "ok")
+    assert main(["run-all", str(SAMPLE), "--name", "x/../escaped"]) == 2
+    assert last_error(capsys)["error"] == "MalformedLayout"
+    assert not list(tmp_path.rglob("*escaped*"))
+
+
+@pytest.mark.parametrize("name", [5, *BAD_NAMES.values()], ids=["a number", *BAD_NAMES])
+def test_layout_file_name_that_is_no_file_name_exits_2(tmp_path, capsys, monkeypatch, name):
+    out = run_all(tmp_path)
+    (out / "report-x").mkdir()
+    layout = edit_json(out / "layout.json", lambda doc: doc.update(name=name))
+    monkeypatch.chdir(out)
+    assert main(["evaluate", str(layout), "--corpus", str(SAMPLE), "--out", str(out)]) == 2
+    assert last_error(capsys)["error"] == "MalformedLayout"
+    assert not list(tmp_path.rglob("*escaped*"))
+    assert sorted(path.name for path in out.glob("report-*")) == [
+        "report-optimized.json", "report-optimized.tsv", "report-x"]
+
+
+# ---------------------------------------------------------------------------
+# Numbers and layer lists of exactly the JSON type they stand for.
+
+def default_priority_geometry():
+    default = Geometry()
+    return Geometry(priority={hand: [(p.layer, p.row, p.column)
+                                     for p in default.position_priority(hand)]
+                              for hand in ("left", "right")}).to_dict()
+
+
+def retype_first_priority_row(kind):
+    doc = default_priority_geometry()
+    layer, row, column = doc["position_priority"]["left"][0]
+    doc["position_priority"]["left"][0] = [layer, kind(row), column]
+    return doc
+
+
+@pytest.mark.parametrize("geometry", [
+    {"rows": 4.9}, {"columns": "10"}, {"columns": 10.0},
+    {"layers": "abc"}, {"layers": ["base", 5]}, {"layers": {"base": 1, "shift": 2, "ctrl": 3}},
+    retype_first_priority_row(str), retype_first_priority_row(float),
+    retype_first_priority_row(bool),
+], ids=["rows 4.9", "columns a string", "columns 10.0", "layers a string",
+        "a layer a number", "layers an object", "priority row a string",
+        "priority row a float", "priority row a bool"])
+def test_geometry_number_or_layers_of_inexact_type_exits_2(tmp_path, capsys, geometry):
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps(geometry), encoding="utf-8")
+    assert main(argv_reading("geometry", path, tmp_path)) == 2
+    assert last_error(capsys)["error"] == "ConfigError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, retype", [
+    ("row", str), ("row", lambda row: row + 0.5), ("row", float), ("column", str),
+    ("column", float)], ids=["row a string", "row plus a half", "row a float",
+                             "column a string", "column a float"])
+def test_layout_key_number_of_inexact_type_exits_2(tmp_path, capsys, field, retype):
+    layout = edit_json(run_all(tmp_path) / "layout.json",
+                       lambda doc: doc["keys"][0].update({field: retype(doc["keys"][0][field])}))
+    assert main(["evaluate", str(layout), "--corpus", str(SAMPLE),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert last_error(capsys)["error"] == "MalformedLayout"
