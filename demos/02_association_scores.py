@@ -11,14 +11,14 @@ import sys
 from pathlib import Path
 
 from layoutforge import (AlphabetConfig, count_ngrams, digraph_confidence,
-                         involvement_total, read_corpus, support)
+                         involvement_totals, read_corpus, support)
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
 digraphs = count_ngrams(stream, 2)
 
 focus = sys.argv[1] if len(sys.argv) > 1 else "ক"  # ক unless told otherwise
-involvement = involvement_total(digraphs, focus)
+involvement = involvement_totals(digraphs).get(focus, 0)
 print(f"focus letter {focus} (U+{ord(focus):04X}): "
       f"involved in {involvement} digraph occurrences\n")
 

@@ -18,16 +18,16 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence, get_args, get_type_hints
+from typing import Sequence, get_type_hints
 
-from .atomic import atomic_open, read_json_object, write_json
+from .atomic import OptionalField, atomic_open, read_json_object, write_json
 from .corpus import (AlphabetConfig, LetterStream, concat_streams, normalize_text,
                      read_corpus, tokenize)
 from .errors import ConfigError, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, format_comparison,
                         read_report_json, write_report_json, write_report_tsv)
-from .layout import (Geometry, KeyboardLayout, build_layout, load_geometry, load_layout,
-                     write_layout)
+from .layout import (Geometry, KeyboardLayout, build_layout, check_layout_name, load_geometry,
+                     load_layout, write_layout)
 from .partition import (HandPartition, partition_all, read_partition_json,
                         write_partition_json)
 from .stats import NGramTable, count_all, read_ngram_tsv, write_ngram_tsv
@@ -64,21 +64,13 @@ class PipelineConfig:
         return doc
 
 
+# Every field may be left out; the env file sets only the ones it names.
+CONFIG_SHAPE = {name: OptionalField(hint) for name, hint in get_type_hints(PipelineConfig).items()}
+
+
 def _env_defaults(environ=os.environ) -> dict:
     path = environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    doc = read_json_object(path, ConfigError)
-    hints = get_type_hints(PipelineConfig)
-    unknown = set(doc) - set(hints)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config fields: {sorted(unknown)}")
-    # exact types: a bool is no coverage, and a string no switch
-    wrong = [name for name, value in doc.items()
-             if type(value) not in (get_args(hints[name]) or (hints[name],))]
-    if wrong:
-        raise ConfigError(f"{path}: wrongly typed config fields: {wrong}")
-    return doc
+    return read_json_object(path, ConfigError, "config", CONFIG_SHAPE) if path else {}
 
 
 def resolve_config(args: argparse.Namespace, environ=os.environ) -> PipelineConfig:
@@ -221,6 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_run_all(args: argparse.Namespace) -> int:
+    check_layout_name(args.name)  # before anything is written to --out
     config = resolve_config(args)
     stream = _read_input(args.corpus, _load_alphabet(config))
     _require_letters(stream)

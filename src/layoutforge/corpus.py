@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator
 
-from .atomic import read_json_object
+from .atomic import OptionalField, check_shape, read_json_object
 from .errors import ConfigError, InvalidEncoding
 
 # Bangla defaults: the whole Bengali block minus its digits. The danda
@@ -27,11 +27,16 @@ from .errors import ConfigError, InvalidEncoding
 BANGLA_BLOCK = (0x0980, 0x09FF)
 BANGLA_DIGITS = frozenset(chr(cp) for cp in range(0x09E6, 0x09F0))
 
+# '#' starts a comment line of an n-gram table, and TAB, LF and CR split
+# its rows, so no table could carry these letters.
+NOT_TABLE_LETTERS = frozenset("#\t\n\r")
+
+ALPHABET_SHAPE = {"ranges": OptionalField([(str, str)]), "include": OptionalField([str]),
+                  "exclude": OptionalField([str])}
+
 
 def parse_codepoint(text: str) -> str:
     """Accept either a literal single character or a "U+XXXX" spelling."""
-    if not isinstance(text, str):
-        raise ConfigError(f"expected one character or U+XXXX, got {text!r}")
     if text.upper().startswith("U+"):
         try:
             return chr(int(text[2:], 16))
@@ -68,6 +73,11 @@ class AlphabetConfig:
         if clash:
             listed = ", ".join(sorted(format_codepoint(c) for c in clash))
             raise ConfigError(f"include and exclude overlap: {listed}")
+        untabled = sorted(format_codepoint(c) for c in NOT_TABLE_LETTERS - self.exclude
+                          if c in self.include or any(lo <= ord(c) <= hi for lo, hi in self.ranges))
+        if untabled:
+            raise ConfigError(f"n-gram tables cannot hold the letters {', '.join(untabled)};"
+                              " exclude them from the alphabet")
 
     def resolve(self) -> frozenset[str]:
         """The concrete letter set this config denotes."""
@@ -78,20 +88,12 @@ class AlphabetConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlphabetConfig":
-        unknown = set(data) - {"ranges", "include", "exclude"}
-        if unknown:
-            raise ConfigError(f"unknown alphabet fields: {sorted(unknown)}")
-        lists = {name: data.get(name, []) for name in ("ranges", "include", "exclude")}
-        if not (all(isinstance(value, list) for value in lists.values())
-                and all(isinstance(pair, list) and len(pair) == 2 for pair in lists["ranges"])):
-            raise ConfigError("alphabet ranges, include and exclude must be lists,"
-                              " and each range a pair of code points")
-        ranges = tuple(
-            (ord(parse_codepoint(lo)), ord(parse_codepoint(hi)))
-            for lo, hi in lists["ranges"]
-        )
-        include = frozenset(parse_codepoint(c) for c in lists["include"])
-        exclude = frozenset(parse_codepoint(c) for c in lists["exclude"])
+        """The config an alphabet document describes; its shape is checked here."""
+        check_shape(data, ConfigError, "alphabet", ALPHABET_SHAPE)
+        ranges = tuple((ord(parse_codepoint(lo)), ord(parse_codepoint(hi)))
+                       for lo, hi in data.get("ranges", []))
+        include = frozenset(map(parse_codepoint, data.get("include", [])))
+        exclude = frozenset(map(parse_codepoint, data.get("exclude", [])))
         return cls(ranges=ranges, include=include, exclude=exclude)
 
     def to_dict(self) -> dict:
@@ -103,7 +105,7 @@ class AlphabetConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "AlphabetConfig":
-        return cls.from_dict(read_json_object(path, ConfigError))
+        return cls.from_dict(read_json_object(path, ConfigError, "alphabet", ALPHABET_SHAPE))
 
 
 def choose_separator(letters: AbstractSet[str]) -> str:
@@ -205,8 +207,11 @@ def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = Non
     """Tokenize each file and concatenate the streams in the given order."""
     parts = []
     for path in paths:
-        raw = Path(path).read_bytes()
-        parts.append(tokenize(normalize_text(raw), config))
+        try:
+            text = normalize_text(Path(path).read_bytes())
+        except InvalidEncoding as exc:
+            raise InvalidEncoding(exc.position, path) from None
+        parts.append(tokenize(text, config))
     return concat_streams(parts)
 
 

@@ -18,8 +18,9 @@ class ConfigError(LayoutForgeError):
 class InvalidEncoding(LayoutForgeError):
     """Input bytes are not valid UTF-8."""
 
-    def __init__(self, position: int):
-        super().__init__(f"invalid UTF-8 at byte offset {position}")
+    def __init__(self, position: int, path=None):
+        where = f"{path}: " if path is not None else ""
+        super().__init__(f"{where}invalid UTF-8 at byte offset {position}")
         self.position = position
 
 

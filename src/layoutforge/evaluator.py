@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence, TextIO, get_type_hints
 
-from .atomic import read_json_object, write_json
+from .atomic import OptionalField, read_json_object, write_json
 from .corpus import LetterStream
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
@@ -195,6 +195,7 @@ def format_comparison(comparison: Comparison) -> str:
 # Report files.
 
 _REPORT_FIELDS = tuple(f.name for f in fields(EvaluationReport))
+REPORT_SHAPE = {**get_type_hints(EvaluationReport), "config": OptionalField(dict)}
 
 
 def write_report_json(report: EvaluationReport, path: str | Path,
@@ -206,13 +207,7 @@ def write_report_json(report: EvaluationReport, path: str | Path,
 
 
 def read_report_json(path: str | Path) -> EvaluationReport:
-    doc = read_json_object(path, MalformedInput)
-    missing = [name for name in _REPORT_FIELDS if name not in doc]
-    if missing:
-        raise MalformedInput(f"{path}: missing report fields {missing}")
-    if not isinstance(doc["layout_name"], str) or not all(
-            type(doc[name]) is int for name in _REPORT_FIELDS[1:]):
-        raise MalformedInput(f"{path}: a report holds a name and integer counts")
+    doc = read_json_object(path, MalformedInput, "report", REPORT_SHAPE)
     return EvaluationReport(**{name: doc[name] for name in _REPORT_FIELDS})
 
 

@@ -14,12 +14,13 @@ an equal object, and serializing again gives identical bytes.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
-from .atomic import dump_json, parse_json_object, read_json_object, write_json
+from .atomic import OptionalField, dump_json, parse_json_object, read_json_object, write_json
 from .corpus import format_codepoint
 from .errors import (CapacityExceeded, ConfigError, InvariantViolation,
                      MalformedLayout)
@@ -41,6 +42,15 @@ class KeyPosition:
 
 
 PriorityTriple = tuple[str, int, int]  # (layer, row, column)
+
+_PRIORITY_SHAPE = [(str, int, int)]
+GEOMETRY_SHAPE = {
+    "rows": OptionalField(int), "columns": OptionalField(int), "layers": OptionalField([str]),
+    "position_priority": OptionalField({"left": _PRIORITY_SHAPE, "right": _PRIORITY_SHAPE}),
+}
+LAYOUT_SHAPE = {"name": str, "geometry": GEOMETRY_SHAPE,
+                "keys": [{"letter": str, "code_point": str, "hand": str, "layer": str,
+                          "row": int, "column": int}]}
 
 
 @dataclass
@@ -65,10 +75,8 @@ class Geometry:
         if not self.layers or len(set(self.layers)) != len(self.layers):
             raise ConfigError(f"layers must be distinct and nonempty, got {self.layers!r}")
         if self.priority is not None:
-            self.priority = {
-                hand: tuple((str(l), int(r), int(c)) for l, r, c in triples)
-                for hand, triples in self.priority.items()
-            }
+            self.priority = {hand: tuple(map(tuple, triples))
+                             for hand, triples in self.priority.items()}
             self._check_priority()
 
     @property
@@ -135,34 +143,27 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Geometry":
-        if not isinstance(doc, Mapping):
-            raise ConfigError(f"a geometry must be a JSON object, got {type(doc).__name__}")
-        known = {"rows", "columns", "layers", "position_priority"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown geometry fields: {sorted(unknown)}")
+        """The geometry a document of ``GEOMETRY_SHAPE`` describes."""
         kwargs = {name: doc[name] for name in ("rows", "columns", "layers") if name in doc}
-        layers = kwargs.get("layers", [])
-        if not (all(type(kwargs[name]) is int for name in ("rows", "columns") if name in kwargs)
-                and isinstance(layers, list) and all(type(layer) is str for layer in layers)):
-            raise ConfigError("geometry rows and columns must be integers,"
-                              " and layers a list of strings")
-        try:
-            if "position_priority" in doc:
-                kwargs["priority"] = {
-                    hand: tuple((l, r, c) for l, r, c in triples)
-                    for hand, triples in dict(doc["position_priority"]).items()
-                }
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed geometry: {exc}") from None
-        if not all(type(l) is str and type(r) is int and type(c) is int
-                   for triples in kwargs.get("priority", {}).values() for l, r, c in triples):
-            raise ConfigError("position_priority triples must be a layer name and two integers")
-        return cls(**kwargs)
+        return cls(**kwargs, priority=doc.get("position_priority"))
 
 
 def load_geometry(path: str | Path) -> Geometry:
-    return Geometry.from_dict(read_json_object(path, ConfigError))
+    return Geometry.from_dict(read_json_object(path, ConfigError, "geometry", GEOMETRY_SHAPE))
+
+
+_NOT_IN_NAMES = re.compile(r"[/\x00-\x1f\x7f]")
+
+
+def check_layout_name(name: str) -> None:
+    """Refuse a layout name that is not one plain file name.
+
+    The name becomes part of report file names and a field of the report
+    TSV, so it must name one file and hold no control character.
+    """
+    if not isinstance(name, str) or name in ("", ".", "..") or _NOT_IN_NAMES.search(name):
+        raise MalformedLayout(f"a layout name must be a file name without '/' or control"
+                              f" characters, got {name!r}")
 
 
 @dataclass
@@ -174,11 +175,7 @@ class KeyboardLayout:
     assignment: dict[str, KeyPosition] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # The name becomes part of report file names, so it must name one file.
-        name = self.name
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
-            raise MalformedLayout(f"a layout name must be a file name without '/' or NUL,"
-                                  f" got {name!r}")
+        check_layout_name(self.name)
 
     def hand_of(self, letter: str) -> str | None:
         """The hand that types the letter, or None if the layout lacks it."""
@@ -240,35 +237,18 @@ def parse_layout(data: bytes | str) -> KeyboardLayout:
     the wrong side of the split, a code point that contradicts its letter)
     raises InvariantViolation.
     """
-    doc = parse_json_object(data, MalformedLayout)
+    doc = parse_json_object(data, MalformedLayout, "layout", LAYOUT_SHAPE)
     try:
-        name = doc["name"]
-        geo_doc = doc["geometry"]
-        key_docs = doc["keys"]
-    except KeyError as exc:
-        raise MalformedLayout(f"missing field {exc}") from None
-    if not isinstance(key_docs, list):
-        raise MalformedLayout(f"keys must be a list, got {type(key_docs).__name__}")
-    try:
-        geometry = Geometry.from_dict(geo_doc)
+        geometry = Geometry.from_dict(doc["geometry"])
     except ConfigError as exc:
         raise MalformedLayout(f"bad geometry: {exc}") from None
 
     assignment: dict[str, KeyPosition] = {}
     seen_slots: set[tuple[str, int, int]] = set()
-    for entry in key_docs:
-        try:
-            letter = entry["letter"]
-            code_point = entry["code_point"]
-            hand = entry["hand"]
-            layer = entry["layer"]
-            row = entry["row"]
-            column = entry["column"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedLayout(f"bad key entry {entry!r}: {exc}") from None
-        if type(row) is not int or type(column) is not int:
-            raise MalformedLayout(f"bad key entry {entry!r}: row and column must be integers")
-        if not isinstance(letter, str) or len(letter) != 1:
+    for entry in doc["keys"]:
+        letter, code_point, hand, layer, row, column = (
+            entry[name] for name in ("letter", "code_point", "hand", "layer", "row", "column"))
+        if len(letter) != 1:
             raise InvariantViolation(f"letter must be a single code point, got {letter!r}")
         if format_codepoint(letter) != code_point:
             raise InvariantViolation(
@@ -291,7 +271,7 @@ def parse_layout(data: bytes | str) -> KeyboardLayout:
             raise InvariantViolation(f"letter {letter!r} assigned twice")
         seen_slots.add(slot)
         assignment[letter] = KeyPosition(hand, layer, row, column)
-    return KeyboardLayout(name=name, geometry=geometry, assignment=assignment)
+    return KeyboardLayout(name=doc["name"], geometry=geometry, assignment=assignment)
 
 
 def load_layout(path: str | Path) -> KeyboardLayout:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .atomic import read_json_object, write_json
+from .atomic import OptionalField, read_json_object, write_json
 from .errors import AlreadyAssigned, ConfigError, TooFewLetters
 from .stats import (NGramTable, SideScore, involvement_totals, ranked_monograms,
                     side_scores)
@@ -144,6 +144,14 @@ def partition_all(mono: NGramTable, digraphs: NGramTable, *, coverage: int = 1,
 # JSON import/export. The file embeds the frequency ranking it was derived
 # from, so downstream steps (layout building) can run from the file alone.
 
+PARTITION_SHAPE = {
+    "left": [str], "right": [str], "degenerate": OptionalField(bool), "total_letters": int,
+    "ranking": [(str, int)], "config": OptionalField(dict),
+    "trace": [{"letter": str, "left_support": float, "left_confidence": float,
+               "right_support": float, "right_confidence": float, "hand": str, "rule": str}],
+}
+
+
 def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: str | Path,
                          *, config_echo: dict | None = None) -> None:
     ranking = ranked_monograms(mono)
@@ -174,35 +182,24 @@ def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: s
 def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
     """Load a partition file; returns the partition and its embedded ranking
     as a monogram table."""
-    payload = read_json_object(path, ConfigError)
-    try:
-        part = HandPartition(left=list(payload["left"]), right=list(payload["right"]),
-                             degenerate=bool(payload.get("degenerate", False)))
-        part.trace = [
-            Decision(
-                letter=row["letter"],
-                left=SideScore(row["left_support"], row["left_confidence"]),
-                right=SideScore(row["right_support"], row["right_confidence"]),
-                hand=row["hand"],
-                rule=row["rule"],
-            )
-            for row in payload["trace"]
-        ]
-        counts = Counter({g: int(c) for g, c in payload["ranking"]})
-        total = int(payload["total_letters"])
-        left, right = set(part.left), set(part.right)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: malformed partition: {exc}") from None
-    if not all(isinstance(letter, str) and len(letter) == 1 for letter in left | right):
+    payload = read_json_object(path, ConfigError, "partition", PARTITION_SHAPE)
+    part = HandPartition(left=payload["left"], right=payload["right"],
+                         degenerate=payload.get("degenerate", False))
+    part.trace = [Decision(row["letter"], SideScore(row["left_support"], row["left_confidence"]),
+                           SideScore(row["right_support"], row["right_confidence"]),
+                           row["hand"], row["rule"])
+                  for row in payload["trace"]]
+    counts = Counter(dict(payload["ranking"]))
+    total = payload["total_letters"]
+    left, right = set(part.left), set(part.right)
+    if not all(len(letter) == 1 for letter in left | right):
         raise ConfigError(f"{path}: every placed letter must be one code point")
+    if total < 0 or min(counts.values(), default=0) < 0:
+        raise ConfigError(f"{path}: total_letters and ranking counts must not be negative")
     if left & right:
         raise ConfigError(f"{path}: hands are not disjoint")
     if len(part.trace) != len(part.left) + len(part.right):
         raise ConfigError(f"{path}: trace length does not match assigned letters")
-    if not all(isinstance(decision.letter, str) for decision in part.trace):
-        raise ConfigError(f"{path}: every trace letter must be a string")
     for decision in part.trace:
         placed = ("left" if decision.letter in left
                   else "right" if decision.letter in right else None)

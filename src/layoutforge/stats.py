@@ -118,16 +118,11 @@ def involvement_totals(digraphs: NGramTable) -> dict[str, int]:
     return totals
 
 
-def involvement_total(digraphs: NGramTable, letter: str) -> int:
-    """One letter's entry of ``involvement_totals`` (0 when it is in no digraph)."""
-    return involvement_totals(digraphs).get(letter, 0)
-
-
 def digraph_confidence(digraphs: NGramTable, focus_letter: str, digraph: str) -> float:
     """The digraph's share, in percent, of all digraphs involving the focus letter."""
     if focus_letter not in digraph:
         raise ValueError(f"digraph {digraph!r} does not contain {focus_letter!r}")
-    inv = involvement_total(digraphs, focus_letter)
+    inv = involvement_totals(digraphs).get(focus_letter, 0)
     if inv == 0:
         raise NoInvolvement(f"{focus_letter!r} occurs in no digraph")
     return 100.0 * digraphs.counts.get(digraph, 0) / inv
@@ -242,19 +237,3 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
         raise MalformedInput(f"{path}: gram {wrong!r} has a negative count {counts[wrong]}")
     return NGramTable(n=n, counts=counts, total_letters=header["total_letters"])
 
-
-def write_association_tsv(digraphs: NGramTable, focus_letter: str, out: TextIO,
-                          *, config_echo: dict | None = None) -> None:
-    """Export every digraph involving one letter with its support and confidence."""
-    rows = [(g, c) for g, c in digraphs.counts.items() if focus_letter in g]
-    rows.sort(key=lambda kv: (-kv[1], kv[0]))
-    out.write(f"# layoutforge digraph associations for {focus_letter}\n")
-    out.write(f"# total_letters\t{digraphs.total_letters}\n")
-    if config_echo is not None:
-        out.write(f"# config\t{json.dumps(config_echo, sort_keys=True, ensure_ascii=False)}\n")
-    out.write("digraph\tcount\tsupport\tconfidence\n")
-    inv = involvement_total(digraphs, focus_letter)
-    for gram, count in rows:
-        sup = support(digraphs, gram)
-        conf = 100.0 * count / inv if inv else 0.0
-        out.write(f"{gram}\t{count}\t{sup:.6f}\t{conf:.6f}\n")

@@ -88,6 +88,36 @@ def test_stats_invalid_utf8_exits_2(tmp_path, capsys):
     assert last_error(capsys)["error"] == "InvalidEncoding"
 
 
+def test_stats_invalid_utf8_names_the_file(tmp_path, capsys):
+    good = write_corpus(tmp_path, "কখ", name="good.txt")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("কখ".encode("utf-8") + "ক".encode("utf-8")[:2])
+    assert main(["stats", good, str(bad), "--out", str(tmp_path / "out")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "InvalidEncoding"
+    assert error["message"] == f"{bad}: invalid UTF-8 at byte offset 6"
+
+
+@pytest.mark.parametrize("alphabet, refused", [
+    ({"ranges": [["a", "z"]], "include": ["#"]}, "U+0023"),
+    ({"ranges": [["U+0000", "U+007F"]]}, "U+0009, U+000A, U+000D, U+0023"),
+    ({"ranges": [["U+0000", "U+007F"]], "exclude": ["#", "U+0009", "U+000A", "U+000D"]},
+     None),
+])
+def test_alphabet_letters_no_table_can_hold_exit_2(tmp_path, capsys, alphabet, refused):
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps(alphabet), encoding="utf-8")
+    corpus = write_corpus(tmp_path, "ab #c")
+    code = main(["stats", corpus, "--alphabet", str(alpha), "--out", str(tmp_path / "out")])
+    if refused is None:
+        assert code == 0
+        return
+    assert code == 2
+    error = last_error(capsys)
+    assert error["error"] == "ConfigError"
+    assert f"cannot hold the letters {refused}; exclude them" in error["message"]
+
+
 def test_stats_custom_alphabet(tmp_path):
     alpha = tmp_path / "alpha.json"
     alpha.write_text('{"ranges": [["U+0061", "U+007A"]], "exclude": []}',

@@ -299,7 +299,7 @@ def test_partition_tsv_negative_total_exits_2(tmp_path, capsys):
 # Layout names become file names, so each must name one file inside --out.
 
 BAD_NAMES = {"empty": "", "dot": ".", "dot dot": "..", "slash": "x/../../escaped",
-             "NUL": "a\0b"}
+             "NUL": "a\0b", "tab": "x\ty", "DEL": "x\x7fy"}
 
 
 @pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES.keys())
@@ -316,6 +316,13 @@ def test_run_all_name_flag_that_is_no_file_name_exits_2(tmp_path, capsys, monkey
     assert main(["run-all", str(SAMPLE), "--name", "x/../escaped"]) == 2
     assert last_error(capsys)["error"] == "MalformedLayout"
     assert not list(tmp_path.rglob("*escaped*"))
+
+
+@pytest.mark.parametrize("name", ["x\ty", "a/b"], ids=["tab", "slash"])
+def test_run_all_refuses_a_bad_name_before_writing(tmp_path, capsys, name):
+    assert main(["run-all", str(SAMPLE), "--name", name, "--out", str(tmp_path / "o")]) == 2
+    assert last_error(capsys)["error"] == "MalformedLayout"
+    assert not list(tmp_path.glob("o/*"))
 
 
 @pytest.mark.parametrize("name", [5, *BAD_NAMES.values()], ids=["a number", *BAD_NAMES])
@@ -374,3 +381,58 @@ def test_layout_key_number_of_inexact_type_exits_2(tmp_path, capsys, field, rety
     assert main(["evaluate", str(layout), "--corpus", str(SAMPLE),
                  "--out", str(tmp_path / "o")]) == 2
     assert last_error(capsys)["error"] == "MalformedLayout"
+
+
+# ---------------------------------------------------------------------------
+# Every field of partition, layout and report files, by exact type, and no
+# field the reader does not know.
+
+def set_first(key, index, value):
+    return lambda doc: doc[key][0].__setitem__(index, value)
+
+
+DOCUMENT_EDITS = {
+    "total 12.7": ("partition", lambda doc: doc.update(total_letters=12.7),
+                   "wrongly typed partition fields: ['total_letters']"),
+    "total true": ("partition", lambda doc: doc.update(total_letters=True),
+                   "wrongly typed partition fields: ['total_letters']"),
+    "total a string": ("partition", lambda doc: doc.update(total_letters="12"),
+                       "wrongly typed partition fields: ['total_letters']"),
+    "ranking count 3.9": ("partition", set_first("ranking", 1, 3.9),
+                          "wrongly typed partition fields: ['ranking']"),
+    "left a string": ("partition", lambda doc: doc.update(left="".join(doc["left"])),
+                      "wrongly typed partition fields: ['left']"),
+    "degenerate a string": ("partition", lambda doc: doc.update(degenerate="no"),
+                            "wrongly typed partition fields: ['degenerate']"),
+    "trace score a string": ("partition", set_first("trace", "left_support", "x"),
+                             "wrongly typed partition fields: ['trace.left_support']"),
+    "negative ranking count": ("partition", set_first("ranking", 1, -3),
+                               "ranking counts must not be negative"),
+    "negative total": ("partition", lambda doc: doc.update(total_letters=-3),
+                       "total_letters and ranking counts must not be negative"),
+    "partition unknown field": ("partition", lambda doc: doc.update(extra=1),
+                                "unknown partition fields: ['extra']"),
+    "layout unknown field": ("layout", lambda doc: doc.update(extra=1),
+                             "unknown layout fields: ['extra']"),
+    "key unknown field": ("layout", lambda doc: doc["keys"][0].update(extra=1),
+                          "unknown layout fields: ['keys.extra']"),
+    "report unknown field": ("report", lambda doc: doc.update(extra=1),
+                             "unknown report fields: ['extra']"),
+}
+ERRORS = {"partition": "ConfigError", "layout": "MalformedLayout", "report": "MalformedInput"}
+FILES = {"partition": "partition.json", "layout": "layout.json",
+         "report": "report-optimized.json"}
+
+
+@pytest.mark.parametrize("kind, change, message", DOCUMENT_EDITS.values(),
+                         ids=DOCUMENT_EDITS.keys())
+def test_document_edit_exits_2(tmp_path, capsys, kind, change, message):
+    path = edit_json(run_all(tmp_path) / FILES[kind], change)
+    argv = {"partition": ["layout", str(path)],
+            "layout": ["evaluate", str(path), "--corpus", str(SAMPLE)],
+            "report": ["compare", str(path)]}[kind]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == ERRORS[kind]
+    assert message in error["message"]
+    assert not list(tmp_path.glob("o/*"))

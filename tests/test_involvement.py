@@ -9,7 +9,7 @@ import random
 from collections import Counter
 
 from layoutforge.partition import partition_all
-from layoutforge.stats import NGramTable, involvement_total, involvement_totals
+from layoutforge.stats import NGramTable, involvement_totals
 
 
 def scanned_trace(mono_counts, digraph_counts, total, coverage, balance):
@@ -75,7 +75,6 @@ def test_involvement_totals_match_a_scan_per_letter():
         for letter in set(mono.counts) | set("".join(digraphs.counts)) | {"z"}:
             scanned = sum(c for g, c in digraphs.counts.items() if letter in g)
             assert totals.get(letter, 0) == scanned
-            assert involvement_total(digraphs, letter) == scanned
         assert not isolated & set(totals)
         assert all(totals.values())
 

@@ -14,10 +14,8 @@ import pytest
 from layoutforge.corpus import tokenize
 from layoutforge.errors import EmptyCorpus, NoInvolvement
 from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
-                               involvement_total, involvement_totals, ranked_monograms,
-                               read_ngram_tsv,
-                               side_scores, support, write_association_tsv,
-                               write_ngram_tsv)
+                               involvement_totals, ranked_monograms, read_ngram_tsv,
+                               side_scores, support, write_ngram_tsv)
 from conftest import (FILLER_DIGRAPH, INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE,
                       TABLE1_ROWS, TABLE2_ROWS, make_stream, random_tokens)
 
@@ -49,9 +47,9 @@ def test_published_confidences(paper_digraphs):
 
 
 def test_involvement_of_focus_letter(paper_digraphs, paper_digraphs_bare):
-    assert involvement_total(paper_digraphs_bare, FOCUS) == 27990
-    assert involvement_total(paper_digraphs, FOCUS) == INVOLVEMENT_K
-    assert involvement_total(paper_digraphs, "ভ") == 0  # unseen letter
+    assert involvement_totals(paper_digraphs_bare).get(FOCUS, 0) == 27990
+    assert involvement_totals(paper_digraphs).get(FOCUS, 0) == INVOLVEMENT_K
+    assert involvement_totals(paper_digraphs).get("ভ", 0) == 0  # unseen letter
 
 
 def test_published_monogram_ranking(paper_mono):
@@ -191,7 +189,7 @@ def test_per_letter_confidence_totals_100():
         tokens = random_tokens(rng, alphabet, rng.randrange(2, 400))
         dig = count_ngrams(make_stream(tokens), 2)
         for letter in alphabet:
-            if involvement_total(dig, letter) == 0:
+            if involvement_totals(dig).get(letter, 0) == 0:
                 continue
             total = sum(digraph_confidence(dig, letter, g)
                         for g in dig.counts if letter in g)
@@ -207,7 +205,7 @@ def test_involvement_bounded_by_twice_monogram_count():
         mono = count_ngrams(stream, 1)
         dig = count_ngrams(stream, 2)
         for letter in alphabet:
-            assert involvement_total(dig, letter) <= 2 * mono.counts.get(letter, 0)
+            assert involvement_totals(dig).get(letter, 0) <= 2 * mono.counts.get(letter, 0)
 
 
 def test_statistics_invariant_under_file_order():
@@ -307,17 +305,3 @@ def test_ngram_tsv_shape():
     assert lines[0].startswith("#")
     assert "gram\tcount\tpercentage" in lines
     assert lines[-1] == "ক\t3\t100.000000"
-
-
-def test_association_tsv_shape(paper_digraphs):
-    out = io.StringIO()
-    write_association_tsv(paper_digraphs, FOCUS, out)
-    lines = [l for l in out.getvalue().splitlines() if not l.startswith("#")]
-    assert lines[0] == "digraph\tcount\tsupport\tconfidence"
-    top = lines[1].split("\t")
-    assert top[0] == FILLER_DIGRAPH[0]  # largest count first
-    ke = next(l for l in lines if l.startswith("কে"))
-    fields = ke.split("\t")
-    assert fields[1] == "8316"
-    assert float(fields[2]) == pytest.approx(1.011785, abs=1e-5)
-    assert float(fields[3]) == pytest.approx(21.717897, abs=1e-4)
