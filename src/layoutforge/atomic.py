@@ -2,7 +2,8 @@
 
 Every result file is written to a temporary name in its own directory and
 renamed over the target once the writer has finished, so a run that fails
-half way never leaves a truncated file that a later stage might read.
+half way never leaves a truncated file that a later stage might read. Only
+the writer makes a missing output directory, so it appears with its first file.
 
 Every JSON document the pipeline reads or writes (configuration, alphabet,
 geometry, layout, partition, report, summary) is one JSON object in UTF-8.
@@ -14,7 +15,8 @@ and ``{field: shape}`` an object with exactly those fields, of which those
 declared ``OptionalField`` may be left out. Any failure raises the error
 class its caller names, with the path of each bad field
 (``trace.left_support``), so each document kind keeps its own error and
-the CLI maps all of them to exit code 2. The writer indents by two, keeps
+the CLI maps all of them to exit code 2; so does any error of the caller's
+builder, and both name the file. The writer indents by two, keeps
 non-ASCII letters as they are and ends with a newline.
 """
 
@@ -25,19 +27,22 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, TextIO, get_args
+from typing import Callable, Iterator, TextIO, TypeVar, get_args
 
 from .errors import LayoutForgeError
+
+T = TypeVar("T")
 
 
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[TextIO]:
     """A UTF-8 text handle whose contents replace ``path`` when the block ends.
 
-    If the block raises, ``path`` keeps its old contents (or stays absent)
-    and the temporary file is removed.
+    A missing directory is made. If the block raises, ``path`` keeps its
+    old contents (or stays absent) and the temporary file is removed.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8") as handle:
@@ -99,12 +104,17 @@ def parse_json_object(data: bytes | str, error: type[LayoutForgeError], name: st
 
 
 def read_json_object(path: str | Path, error: type[LayoutForgeError], name: str,
-                     shape: dict) -> dict:
-    """The JSON object of ``shape`` in the file at ``path``; ``error``, naming the file, if not."""
+                     shape: dict, build: Callable[[dict], T] = dict) -> T:
+    """What ``build`` makes of the JSON object of ``shape`` in the file at ``path``.
+
+    ``error`` if there is no such object; it, or any error ``build`` raises,
+    keeps its class and gains the path in front of its message.
+    """
     try:
-        return parse_json_object(Path(path).read_bytes(), error, name, shape)
-    except error as exc:
-        raise error(f"{path}: {exc}") from None
+        return build(parse_json_object(Path(path).read_bytes(), error, name, shape))
+    except LayoutForgeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def dump_json(doc: dict, handle: TextIO) -> None:

@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
-from .corpus import (AlphabetConfig, LetterStream, concat_streams, normalize_text,
-                     read_corpus, tokenize)
+from .corpus import AlphabetConfig, LetterStream, normalize_text, read_corpus, tokenize
 from .errors import ConfigError, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, format_comparison,
                         read_report_json, write_report_json, write_report_tsv)
@@ -83,67 +82,55 @@ def resolve_config(args: argparse.Namespace, environ=os.environ) -> PipelineConf
     return config
 
 
-def _load_alphabet(config: PipelineConfig) -> AlphabetConfig:
-    if config.alphabet_path:
-        return AlphabetConfig.load(config.alphabet_path)
-    return AlphabetConfig()
+def _read_letters(paths: Sequence[str], config: PipelineConfig) -> LetterStream:
+    """The corpus files, or stdin when none are named, under the configured alphabet.
+
+    A corpus without a letter of the alphabet is refused.
+    """
+    path = config.alphabet_path
+    alphabet = AlphabetConfig.load(path) if path else AlphabetConfig()
+    if paths:
+        stream = read_corpus(paths, alphabet)
+    else:
+        stream = tokenize(normalize_text(sys.stdin.buffer.read()), alphabet)
+    if stream.letter_count == 0:
+        raise EmptyCorpus("empty corpus: input contains no alphabet letters")
+    return stream
 
 
 def _load_geometry(config: PipelineConfig) -> Geometry:
-    if config.geometry_path:
-        return load_geometry(config.geometry_path)
-    return Geometry()
+    return load_geometry(config.geometry_path) if config.geometry_path else Geometry()
 
 
-def _read_input(paths: Sequence[str], alphabet: AlphabetConfig) -> LetterStream:
-    """Corpus files, or stdin when none are named."""
-    if paths:
-        return read_corpus(paths, alphabet)
-    text = normalize_text(sys.stdin.buffer.read())
-    return tokenize(text, alphabet)
+def _count(stream: LetterStream, config: PipelineConfig) -> tuple[NGramTable, ...]:
+    return count_all(stream, span_boundaries=config.span_boundaries)
 
 
-def _require_letters(stream: LetterStream) -> None:
-    if stream.letter_count == 0:
-        raise EmptyCorpus("empty corpus: input contains no alphabet letters")
+def _partition(mono: NGramTable, digraphs: NGramTable, config: PipelineConfig) -> HandPartition:
+    return partition_all(mono, digraphs, coverage=config.coverage,
+                         balance_tiebreak=config.balance_tiebreak)
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_stats_files(stream: LetterStream, config: PipelineConfig,
-                       out: Path) -> tuple[NGramTable, NGramTable, NGramTable]:
-    """Write the three n-gram tables and the summary; return the tables."""
-    echo = config.echo()
-    tables = count_all(stream, span_boundaries=config.span_boundaries)
+def _write_stats_files(tables: Sequence[NGramTable], config: PipelineConfig) -> None:
+    """Write the three n-gram tables and the summary."""
+    echo, out = config.echo(), Path(config.out_dir)
     for table, filename in zip(tables, ("monograms.tsv", "digraphs.tsv", "trigrams.tsv")):
         with atomic_open(out / filename) as handle:
             write_ngram_tsv(table, handle, config_echo=echo)
-    summary = {
-        "total_letters": stream.letter_count,
-        "distinct_letters": len(tables[0].counts),
-        "config": echo,
-    }
-    write_json(summary, out / "summary.json")
-    return tables
+    write_json({"total_letters": tables[0].total_letters,
+                "distinct_letters": len(tables[0].counts), "config": echo}, out / "summary.json")
 
 
-def _write_partition(mono: NGramTable, digraphs: NGramTable, config: PipelineConfig,
-                     out: Path) -> HandPartition:
-    part = partition_all(mono, digraphs, coverage=config.coverage,
-                         balance_tiebreak=config.balance_tiebreak)
-    write_partition_json(part, mono, out / "partition.json", config_echo=config.echo())
-    return part
+def _write_partition(part: HandPartition, mono: NGramTable, config: PipelineConfig) -> None:
+    write_partition_json(part, mono, Path(config.out_dir) / "partition.json",
+                         config_echo=config.echo())
 
 
-def _write_report(layout: KeyboardLayout, stream: LetterStream, config: PipelineConfig,
-                  out: Path) -> EvaluationReport:
+def _write_report(layout: KeyboardLayout, stream: LetterStream,
+                  config: PipelineConfig) -> EvaluationReport:
     report = evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary)
-    write_report_json(report, out / f"report-{layout.name}.json",
-                      config_echo=config.echo())
+    out = Path(config.out_dir)
+    write_report_json(report, out / f"report-{layout.name}.json", config_echo=config.echo())
     with atomic_open(out / f"report-{layout.name}.tsv") as handle:
         write_report_tsv(report, handle)
     return report
@@ -154,19 +141,18 @@ def _write_comparison(reports: Sequence[EvaluationReport], path: str | Path | No
     text = format_comparison(compare(reports))
     sys.stdout.write(text)
     if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with atomic_open(path) as handle:
             handle.write(text)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands. Each takes the parsed namespace and returns an exit code.
+# Subcommands. Each takes the parsed namespace and returns an exit code. Each
+# reads all of its inputs and computes every stage that can refuse before its
+# first write, so a refused command writes no file and makes no directory.
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    stream = _read_input(args.corpus, _load_alphabet(config))
-    _require_letters(stream)
-    _write_stats_files(stream, config, _out_dir(config))
+    _write_stats_files(_count(_read_letters(args.corpus, config), config), config)
     return 0
 
 
@@ -182,10 +168,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         if mono.n != 1 or digraphs.n != 2:
             raise ConfigError("--mono must be a 1-gram table and --digraphs a 2-gram table")
     else:
-        stream = _read_input(args.corpus, _load_alphabet(config))
-        _require_letters(stream)
-        mono, digraphs, _trigrams = count_all(stream, span_boundaries=config.span_boundaries)
-    _write_partition(mono, digraphs, config, _out_dir(config))
+        mono, digraphs, _trigrams = _count(_read_letters(args.corpus, config), config)
+    _write_partition(_partition(mono, digraphs, config), mono, config)
     return 0
 
 
@@ -193,17 +177,16 @@ def cmd_layout(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     part, mono = read_partition_json(args.partition)
     layout = build_layout(part, mono, _load_geometry(config), name=args.name)
-    write_layout(layout, _out_dir(config) / "layout.json")
+    write_layout(layout, Path(config.out_dir) / "layout.json")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    stream = read_corpus(args.corpus, _load_alphabet(config))
-    _require_letters(stream)
-    out = _out_dir(config)
-    for layout_path in args.layouts:
-        _write_report(load_layout(layout_path), stream, config, out)
+    layouts = [load_layout(path) for path in args.layouts]
+    stream = _read_letters(args.corpus, config)
+    for layout in layouts:
+        _write_report(layout, stream, config)
     return 0
 
 
@@ -213,16 +196,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_run_all(args: argparse.Namespace) -> int:
-    check_layout_name(args.name)  # before anything is written to --out
+    check_layout_name(args.name)  # before the corpus is read
     config = resolve_config(args)
-    stream = _read_input(args.corpus, _load_alphabet(config))
-    _require_letters(stream)
-    out = _out_dir(config)
-    mono, digraphs, _trigrams = _write_stats_files(stream, config, out)
-    part = _write_partition(mono, digraphs, config, out)
-    layout = build_layout(part, mono, _load_geometry(config), name=args.name)
+    stream = _read_letters(args.corpus, config)
+    geometry = _load_geometry(config)
+    tables = _count(stream, config)
+    mono, digraphs, _trigrams = tables
+    part = _partition(mono, digraphs, config)
+    layout = build_layout(part, mono, geometry, name=args.name)
+    out = Path(config.out_dir)
+    _write_stats_files(tables, config)
+    _write_partition(part, mono, config)
     write_layout(layout, out / "layout.json")
-    report = _write_report(layout, stream, config, out)
+    report = _write_report(layout, stream, config)
     _write_comparison([report], out / "comparison.txt")
     return 0
 
@@ -319,10 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except LayoutForgeError as exc:
-        _report_error(exc)
-        return 2
-    except OSError as exc:
+    except (LayoutForgeError, OSError) as exc:
         _report_error(exc)
         return 2
     except Exception as exc:  # a bug, not a usage problem

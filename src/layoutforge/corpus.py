@@ -105,7 +105,7 @@ class AlphabetConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "AlphabetConfig":
-        return cls.from_dict(read_json_object(path, ConfigError, "alphabet", ALPHABET_SHAPE))
+        return read_json_object(path, ConfigError, "alphabet", ALPHABET_SHAPE, cls.from_dict)
 
 
 def choose_separator(letters: AbstractSet[str]) -> str:
@@ -186,20 +186,18 @@ def concat_streams(streams: Iterable[LetterStream]) -> LetterStream:
     """Join streams with an implicit boundary between parts.
 
     Digraphs therefore never span two source files, and the merged statistics
-    do not depend on which file a word came from.
+    do not depend on which file a word came from. Every nonempty part must
+    use the same separator, as streams tokenized under one alphabet do.
     """
     parts = list(streams)
     source_bytes = sum(part.source_bytes for part in parts)
     parts = [part for part in parts if part.text]
     seps = {part.sep for part in parts}
-    if len(seps) <= 1:
-        sep = seps.pop() if seps else " "
-        texts = [part.text for part in parts]
-    else:
-        sep = choose_separator(set("".join(part.letters() for part in parts)))
-        texts = [part.text.replace(part.sep, sep) for part in parts]
+    if len(seps) > 1:
+        raise ValueError(f"cannot join streams with different separators {sorted(seps)}")
+    sep = seps.pop() if seps else " "
     # Within a part no two separators touch, so doubles only form at seams.
-    text = re.sub(re.escape(sep) + "{2,}", sep, sep.join(texts))
+    text = re.sub(re.escape(sep) + "{2,}", sep, sep.join(part.text for part in parts))
     return LetterStream(text=text, sep=sep, source_bytes=source_bytes)
 
 

@@ -25,7 +25,7 @@ from .corpus import format_codepoint
 from .errors import (CapacityExceeded, ConfigError, InvariantViolation,
                      MalformedLayout)
 from .partition import HandPartition
-from .stats import NGramTable
+from .stats import NGramTable, frequency_order
 
 DEFAULT_LAYERS = ("base", "shift", "ctrl")
 HANDS = ("left", "right")
@@ -149,7 +149,7 @@ class Geometry:
 
 
 def load_geometry(path: str | Path) -> Geometry:
-    return Geometry.from_dict(read_json_object(path, ConfigError, "geometry", GEOMETRY_SHAPE))
+    return read_json_object(path, ConfigError, "geometry", GEOMETRY_SHAPE, Geometry.from_dict)
 
 
 _NOT_IN_NAMES = re.compile(r"[/\x00-\x1f\x7f]")
@@ -189,7 +189,7 @@ def build_layout(partition: HandPartition, mono: NGramTable,
     geometry = geometry if geometry is not None else Geometry()
     assignment: dict[str, KeyPosition] = {}
     for hand, letters in (("left", partition.left), ("right", partition.right)):
-        ordered = sorted(letters, key=lambda g: (-mono.counts.get(g, 0), g))
+        ordered = [g for g, _ in frequency_order({g: mono.counts.get(g, 0) for g in letters})]
         slots = tuple(islice(geometry._slots(hand), len(ordered)))
         if len(ordered) > len(slots):
             raise CapacityExceeded(hand, len(ordered) - len(slots))
@@ -229,20 +229,12 @@ def serialize_layout(layout: KeyboardLayout) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
-def parse_layout(data: bytes | str) -> KeyboardLayout:
-    """Parse and validate a layout document.
-
-    Structural problems (bad JSON, missing fields) raise MalformedLayout;
-    an internally inconsistent layout (two letters on one slot, a hand on
-    the wrong side of the split, a code point that contradicts its letter)
-    raises InvariantViolation.
-    """
-    doc = parse_json_object(data, MalformedLayout, "layout", LAYOUT_SHAPE)
+def _layout_from_doc(doc: Mapping) -> KeyboardLayout:
+    """The layout a document of ``LAYOUT_SHAPE`` describes, once its invariants hold."""
     try:
         geometry = Geometry.from_dict(doc["geometry"])
     except ConfigError as exc:
         raise MalformedLayout(f"bad geometry: {exc}") from None
-
     assignment: dict[str, KeyPosition] = {}
     seen_slots: set[tuple[str, int, int]] = set()
     for entry in doc["keys"]:
@@ -274,9 +266,19 @@ def parse_layout(data: bytes | str) -> KeyboardLayout:
     return KeyboardLayout(name=doc["name"], geometry=geometry, assignment=assignment)
 
 
+def parse_layout(data: bytes | str) -> KeyboardLayout:
+    """Parse and validate a layout document.
+
+    Structural problems (bad JSON, missing fields) raise MalformedLayout;
+    an internally inconsistent layout (two letters on one slot, a hand on
+    the wrong side of the split, a code point that contradicts its letter)
+    raises InvariantViolation.
+    """
+    return _layout_from_doc(parse_json_object(data, MalformedLayout, "layout", LAYOUT_SHAPE))
+
+
 def load_layout(path: str | Path) -> KeyboardLayout:
-    with open(path, "rb") as handle:
-        return parse_layout(handle.read())
+    return read_json_object(path, MalformedLayout, "layout", LAYOUT_SHAPE, _layout_from_doc)
 
 
 def write_layout(layout: KeyboardLayout, path: str | Path) -> None:

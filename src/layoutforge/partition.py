@@ -182,7 +182,10 @@ def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: s
 def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
     """Load a partition file; returns the partition and its embedded ranking
     as a monogram table."""
-    payload = read_json_object(path, ConfigError, "partition", PARTITION_SHAPE)
+    return read_json_object(path, ConfigError, "partition", PARTITION_SHAPE, _partition_from_doc)
+
+
+def _partition_from_doc(payload: dict) -> tuple[HandPartition, NGramTable]:
     part = HandPartition(left=payload["left"], right=payload["right"],
                          degenerate=payload.get("degenerate", False))
     part.trace = [Decision(row["letter"], SideScore(row["left_support"], row["left_confidence"]),
@@ -193,20 +196,20 @@ def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
     total = payload["total_letters"]
     left, right = set(part.left), set(part.right)
     if not all(len(letter) == 1 for letter in left | right):
-        raise ConfigError(f"{path}: every placed letter must be one code point")
+        raise ConfigError("every placed letter must be one code point")
     if total < 0 or min(counts.values(), default=0) < 0:
-        raise ConfigError(f"{path}: total_letters and ranking counts must not be negative")
+        raise ConfigError("total_letters and ranking counts must not be negative")
     if left & right:
-        raise ConfigError(f"{path}: hands are not disjoint")
+        raise ConfigError("hands are not disjoint")
     if len(part.trace) != len(part.left) + len(part.right):
-        raise ConfigError(f"{path}: trace length does not match assigned letters")
+        raise ConfigError("trace length does not match assigned letters")
     for decision in part.trace:
         placed = ("left" if decision.letter in left
                   else "right" if decision.letter in right else None)
         if decision.hand != placed:
-            raise ConfigError(f"{path}: trace puts {decision.letter!r} on the"
-                              f" {decision.hand} hand, the hands put it on {placed or 'neither'}")
+            raise ConfigError(f"trace puts {decision.letter!r} on the {decision.hand} hand,"
+                              f" the hands put it on {placed or 'neither'}")
     unranked = (left | right) - set(counts)
     if unranked:
-        raise ConfigError(f"{path}: placed letters missing from the ranking: {sorted(unranked)}")
+        raise ConfigError(f"placed letters missing from the ranking: {sorted(unranked)}")
     return part, NGramTable(n=1, counts=counts, total_letters=total)

@@ -156,25 +156,28 @@ def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
     return SideScore(cumulative_support=sup, cumulative_confidence=conf)
 
 
-def ranked_monograms(mono: NGramTable) -> list[tuple[str, int, float]]:
-    """Letters by descending count; ties broken by ascending code point.
+def frequency_order(counts: Mapping[str, int]) -> list[tuple[str, int]]:
+    """(gram, count) pairs by descending count, then ascending code point.
 
-    Returns (letter, count, percentage) triples, percentage being support.
+    The order of table rows, of the partition's ranking and of key placement.
+    """
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def ranked_monograms(mono: NGramTable) -> list[tuple[str, int, float]]:
+    """Letters in ``frequency_order`` as (letter, count, percentage) triples.
+
+    The percentage is the letter's support.
     """
     if not mono.counts or mono.total_letters == 0:
         raise EmptyCorpus("empty corpus: nothing to rank")
-    ordered = sorted(mono.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(g, c, 100.0 * c / mono.total_letters) for g, c in ordered]
+    return [(g, c, 100.0 * c / mono.total_letters) for g, c in frequency_order(mono.counts)]
 
 
 # ---------------------------------------------------------------------------
 # TSV import/export. The table files are self-describing: leading '#' lines
 # carry n, the letter total, and the config echo, so a table file alone is
 # enough to rebuild the NGramTable it came from.
-
-def _sorted_rows(table: NGramTable) -> list[tuple[str, int]]:
-    return sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
 
 def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict | None = None) -> None:
     out.write("# layoutforge ngram table\n")
@@ -183,7 +186,7 @@ def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict | None 
     if config_echo is not None:
         out.write(f"# config\t{json.dumps(config_echo, sort_keys=True, ensure_ascii=False)}\n")
     out.write("gram\tcount\tpercentage\n")
-    for gram, count in _sorted_rows(table):
+    for gram, count in frequency_order(table.counts):
         pct = 100.0 * count / table.total_letters if table.total_letters else 0.0
         out.write(f"{gram}\t{count}\t{pct:.6f}\n")
 

@@ -2,6 +2,7 @@
 
 A run that fails while writing keeps the previous run's file intact, and
 no run, failed or not, leaves a temporary file in the output directory.
+A run refused for its inputs writes nothing at all: no file, no directory.
 """
 
 import errno
@@ -13,7 +14,10 @@ import pytest
 import layoutforge.cli
 from layoutforge.cli import main
 
+from test_cli import last_error
+
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "bn_sample" / "part1.txt"
+OTHER = SAMPLE.with_name("part2.txt")
 
 RUN_ALL_FILES = ["comparison.txt", "digraphs.tsv", "layout.json", "monograms.tsv",
                  "partition.json", "report-optimized.json", "report-optimized.tsv",
@@ -68,3 +72,43 @@ def test_writer_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, ca
     assert main([*argv, "--out", str(out)]) == 2
     assert "No space left" in capsys.readouterr().err
     assert snapshot(out) == before
+
+
+# Each refusal reads inputs from {inputs}: a geometry without rows, one too
+# small for the alphabet, a corpus of one letter and a layout with two keys
+# on one slot. Run on another corpus than the filled --out was made from, a
+# write that slipped through would change its bytes.
+REFUSALS = {
+    "run-all, no rows": (["run-all", str(OTHER), "--geometry", "{inputs}/no_rows.json"],
+                         "ConfigError"),
+    "run-all, too few slots": (["run-all", str(OTHER), "--geometry", "{inputs}/tiny.json"],
+                               "CapacityExceeded"),
+    "run-all, one letter": (["run-all", "{inputs}/one.txt"], "TooFewLetters"),
+    "evaluate, bad layout": (["evaluate", "{inputs}/bad.json", "--corpus", str(OTHER)],
+                             "InvariantViolation"),
+    "partition, one letter": (["partition", "{inputs}/one.txt"], "TooFewLetters"),
+}
+
+
+@pytest.mark.parametrize("argv, error", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_run_writes_nothing(tmp_path, capsys, argv, error):
+    filled = tmp_path / "filled"
+    assert main(["run-all", str(SAMPLE), "--out", str(filled)]) == 0
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "no_rows.json").write_text('{"rows": 0}', encoding="utf-8")
+    (inputs / "tiny.json").write_text('{"rows": 1, "columns": 2, "layers": ["base"]}',
+                                      encoding="utf-8")
+    (inputs / "one.txt").write_text("ককক কক", encoding="utf-8")
+    layout = json.loads((filled / "layout.json").read_text(encoding="utf-8"))
+    layout["keys"][1].update({field: layout["keys"][0][field]
+                              for field in ("hand", "layer", "row", "column")})
+    (inputs / "bad.json").write_text(json.dumps(layout, ensure_ascii=False), encoding="utf-8")
+    before = snapshot(filled)
+    argv = [arg.replace("{inputs}", str(inputs)) for arg in argv]
+    fresh = tmp_path / "fresh" / "out"
+    for out in (fresh, filled):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert last_error(capsys)["error"] == error
+    assert not (tmp_path / "fresh").exists()
+    assert snapshot(filled) == before

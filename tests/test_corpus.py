@@ -128,6 +128,16 @@ def test_concat_skips_empty_parts():
     assert merged.text == "ক খ"
 
 
+def test_concat_refuses_streams_with_different_separators():
+    spaced = AlphabetConfig(ranges=((ord("a"), ord("z")),), exclude=frozenset())
+    unspaced = AlphabetConfig(ranges=((ord("a"), ord("z")),), include=frozenset(" "),
+                              exclude=frozenset())
+    a, b = tokenize("ab cd", spaced), tokenize("ef.gh", unspaced)
+    assert a.sep != b.sep
+    with pytest.raises(ValueError, match="different separators"):
+        concat_streams([a, b])
+
+
 def test_round_trip_stability():
     rng = random.Random(3)
     alphabet = sorted(AlphabetConfig().resolve())[:15]

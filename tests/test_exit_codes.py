@@ -436,3 +436,51 @@ def test_document_edit_exits_2(tmp_path, capsys, kind, change, message):
     assert error["error"] == ERRORS[kind]
     assert message in error["message"]
     assert not list(tmp_path.glob("o/*"))
+
+
+# ---------------------------------------------------------------------------
+# Every JSON loader puts the file's path in front of its message, once, also
+# for what the builder refuses after the shape check has passed.
+
+def slot_twice(out):
+    return edit_json(out / "layout.json", lambda doc: doc["keys"][1].update(
+        {field: doc["keys"][0][field] for field in ("hand", "layer", "row", "column")}))
+
+
+def hands_overlap(out):
+    return edit_json(out / "partition.json", lambda doc: doc["left"].append(doc["right"][0]))
+
+
+def written(name, doc):
+    def write(out):
+        path = out.parent / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+    return write
+
+
+LOADERS = {
+    "layout": (slot_twice, lambda path, out: ["evaluate", path, "--corpus", str(SAMPLE)],
+               "InvariantViolation", "assigned twice"),
+    "geometry": (written("geometry.json", {"rows": 0}),
+                 lambda path, out: ["layout", str(out / "partition.json"), "--geometry", path],
+                 "ConfigError", "rows must be positive, got 0"),
+    "alphabet": (written("alphabet.json", {"ranges": [["a", "z"]], "include": ["a"],
+                                           "exclude": ["a"]}),
+                 lambda path, out: ["stats", str(SAMPLE), "--alphabet", path],
+                 "ConfigError", "include and exclude overlap: U+0061"),
+    "partition": (hands_overlap, lambda path, out: ["layout", path],
+                  "ConfigError", "hands are not disjoint"),
+}
+
+
+@pytest.mark.parametrize("make, argv, error, message", LOADERS.values(), ids=LOADERS.keys())
+def test_json_loader_error_names_the_file_once(tmp_path, capsys, make, argv, error, message):
+    out = run_all(tmp_path)
+    path = str(make(out))
+    assert main([*argv(path, out), "--out", str(tmp_path / "o")]) == 2
+    reported = last_error(capsys)
+    assert reported["error"] == error
+    assert reported["message"].startswith(f"{path}: ")
+    assert reported["message"].count(path) == 1
+    assert message in reported["message"]
