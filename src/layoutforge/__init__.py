@@ -15,7 +15,7 @@ from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, EmptyCorpus
                      NoInvolvement, TooFewLetters)
 from .evaluator import (ChunkScore, Comparison, ComparisonRow, EvaluationReport,
                         compare, evaluate, evaluate_chunked, format_comparison,
-                        score_chunk)
+                        score_chunk, score_tables)
 from .layout import (Geometry, KeyPosition, KeyboardLayout, build_layout,
                      load_geometry, load_layout, parse_layout, render_grid,
                      serialize_layout, write_layout)
@@ -41,6 +41,7 @@ __all__ = [
     "read_partition_json", "write_partition_json",
     "Geometry", "KeyPosition", "KeyboardLayout", "build_layout", "load_geometry",
     "load_layout", "parse_layout", "serialize_layout", "write_layout", "render_grid",
-    "EvaluationReport", "ChunkScore", "score_chunk", "evaluate", "evaluate_chunked",
+    "EvaluationReport", "ChunkScore", "score_chunk", "score_tables", "evaluate",
+    "evaluate_chunked",
     "Comparison", "ComparisonRow", "compare", "format_comparison",
 ]

@@ -24,7 +24,7 @@ from .atomic import OptionalField, atomic_open, read_json_object, write_json
 from .corpus import AlphabetConfig, LetterStream, normalize_text, read_corpus, tokenize
 from .errors import ConfigError, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, format_comparison,
-                        read_report_json, write_report_json, write_report_tsv)
+                        read_report_json, score_tables, write_report_json, write_report_tsv)
 from .layout import (Geometry, KeyboardLayout, build_layout, check_layout_name, load_geometry,
                      load_layout, write_layout)
 from .partition import (HandPartition, partition_all, read_partition_json,
@@ -126,14 +126,29 @@ def _write_partition(part: HandPartition, mono: NGramTable, config: PipelineConf
                          config_echo=config.echo())
 
 
-def _write_report(layout: KeyboardLayout, stream: LetterStream,
-                  config: PipelineConfig) -> EvaluationReport:
-    report = evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary)
+def _score_counted(layout: KeyboardLayout, stream: LetterStream,
+                   tables: Sequence[NGramTable], config: PipelineConfig) -> EvaluationReport:
+    """Score a layout against a stream whose tables ``_count`` gave.
+
+    The tables give the replay's report exactly when the layout places
+    every counted letter, unless boundaries both span and reset: resets
+    need the digraphs within runs, and a spanning count has none of its
+    own. Elsewhere, as when ``--coverage`` leaves letters out, the stream
+    is replayed.
+    """
+    mono, digraphs, _trigrams, junctions = tables
+    reset = config.reset_on_boundary
+    if all(map(layout.hand_of, mono.counts)) and not (config.span_boundaries and reset):
+        return score_tables(layout, mono, digraphs, junctions, reset_on_boundary=reset)
+    return evaluate(layout, stream, reset_on_boundary=reset)
+
+
+def _write_report(report: EvaluationReport, config: PipelineConfig) -> None:
     out = Path(config.out_dir)
-    write_report_json(report, out / f"report-{layout.name}.json", config_echo=config.echo())
-    with atomic_open(out / f"report-{layout.name}.tsv") as handle:
+    name = report.layout_name
+    write_report_json(report, out / f"report-{name}.json", config_echo=config.echo())
+    with atomic_open(out / f"report-{name}.tsv") as handle:
         write_report_tsv(report, handle)
-    return report
 
 
 def _write_comparison(reports: Sequence[EvaluationReport], path: str | Path | None) -> None:
@@ -168,7 +183,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         if mono.n != 1 or digraphs.n != 2:
             raise ConfigError("--mono must be a 1-gram table and --digraphs a 2-gram table")
     else:
-        mono, digraphs, _trigrams = _count(_read_letters(args.corpus, config), config)
+        mono, digraphs = _count(_read_letters(args.corpus, config), config)[:2]
     _write_partition(_partition(mono, digraphs, config), mono, config)
     return 0
 
@@ -184,9 +199,16 @@ def cmd_layout(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     layouts = [load_layout(path) for path in args.layouts]
+    named: dict[str, str] = {}
+    for path, layout in zip(args.layouts, layouts):
+        if layout.name in named:
+            raise ConfigError(f"{named[layout.name]} and {path} both name their layout"
+                              f" {layout.name!r}; their reports would overwrite each other")
+        named[layout.name] = path
     stream = _read_letters(args.corpus, config)
     for layout in layouts:
-        _write_report(layout, stream, config)
+        _write_report(evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary),
+                      config)
     return 0
 
 
@@ -201,14 +223,15 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     stream = _read_letters(args.corpus, config)
     geometry = _load_geometry(config)
     tables = _count(stream, config)
-    mono, digraphs, _trigrams = tables
+    mono, digraphs = tables[:2]
     part = _partition(mono, digraphs, config)
     layout = build_layout(part, mono, geometry, name=args.name)
+    report = _score_counted(layout, stream, tables, config)
     out = Path(config.out_dir)
     _write_stats_files(tables, config)
     _write_partition(part, mono, config)
     write_layout(layout, out / "layout.json")
-    report = _write_report(layout, stream, config)
+    _write_report(report, config)
     _write_comparison([report], out / "comparison.txt")
     return 0
 

@@ -6,13 +6,18 @@ sat on the other hand, one hand switch. Letters the layout does not place
 count as not-determined and leave the previous hand untouched; word
 boundaries do the same unless boundary resetting is switched on.
 
-``score_chunk`` is the one scorer. It scores any slice of a stream's text
-on its own, and ``ChunkScore.merge`` joins the scores of neighbouring
-slices associatively, so ``evaluate`` (the whole stream as one slice) and
-``evaluate_chunked`` (the stream cut into slices and merged) agree by
-construction. The oracles they are tested against live outside this
-module: a plain per-letter rescan in the tests, and the identity between
-switches and the cross-hand digraph mass of the n-gram tables.
+A score comes by one of two routes. ``score_chunk`` replays a stream: it
+scores any slice of a stream's text on its own, and ``ChunkScore.merge``
+joins the scores of neighbouring slices associatively, so ``evaluate``
+(the whole stream as one slice) and ``evaluate_chunked`` (the stream cut
+into slices and merged) agree by construction. ``score_tables`` reads the
+same report off the tables of ``stats.count_all`` when the layout places
+every counted letter: the loads are monogram sums and the switches the
+cross-hand mass of the letter pairs the fold sees. ``run-all`` takes the
+table route wherever it is exact; ``evaluate`` replays, and so does
+``run-all`` for a layout that leaves letters out or when boundaries both
+span and reset. The replay is tested against a plain per-letter rescan,
+and the tables against the replay.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .atomic import OptionalField, read_json_object, write_json
 from .corpus import LetterStream
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
+from .stats import NGramTable
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,45 @@ def evaluate_chunked(layout: KeyboardLayout, stream: LetterStream, *, chunks: in
         part = LetterStream(text=text[start:start + size], sep=stream.sep)
         total = total.merge(score_chunk(layout, part, reset_on_boundary=reset_on_boundary))
     return _report(layout, total)
+
+
+def _cross_hand_mass(layout: KeyboardLayout, pairs: NGramTable) -> int:
+    total = 0
+    for (first, second), count in pairs.counts.items():
+        hand, other = layout.hand_of(first), layout.hand_of(second)
+        if hand and other and hand != other:
+            total += count
+    return total
+
+
+def score_tables(layout: KeyboardLayout, mono: NGramTable, digraphs: NGramTable,
+                 junctions: NGramTable, *, reset_on_boundary: bool) -> EvaluationReport:
+    """Score from the monogram, digraph and junction tables ``count_all`` returns.
+
+    The loads are the per-hand monogram sums and the rest of the letters
+    are not determined. The switches are the cross-hand mass of
+    ``digraphs``, plus that of ``junctions`` (the pairs that meet across
+    one boundary) unless boundaries reset. This equals ``evaluate`` on the
+    counted stream when the layout places every letter of ``mono``, and
+    the tables were counted within runs or, when boundaries do not reset,
+    across them.
+    """
+    loads = {"left": 0, "right": 0}
+    for letter, count in mono.counts.items():
+        hand = layout.hand_of(letter)
+        if hand:
+            loads[hand] += count
+    switching = _cross_hand_mass(layout, digraphs)
+    if not reset_on_boundary:
+        switching += _cross_hand_mass(layout, junctions)
+    return EvaluationReport(
+        layout_name=layout.name,
+        hand_switching=switching,
+        left_load=loads["left"],
+        right_load=loads["right"],
+        not_determined=mono.total_letters - loads["left"] - loads["right"],
+        total_letters=mono.total_letters,
+    )
 
 
 # ---------------------------------------------------------------------------

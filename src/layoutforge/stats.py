@@ -64,9 +64,9 @@ def _fold_prefixes(counts: Counter, n: int) -> Counter:
     return folded
 
 
-def count_all(stream: LetterStream, *,
-              span_boundaries: bool = False) -> tuple[NGramTable, NGramTable, NGramTable]:
-    """Count the 1-, 2- and 3-gram tables of a stream in one pass.
+def count_all(stream: LetterStream, *, span_boundaries: bool = False
+              ) -> tuple[NGramTable, NGramTable, NGramTable, NGramTable]:
+    """Count the 1-, 2- and 3-gram tables of a stream in one pass, plus its junctions.
 
     Windows never cross a word boundary unless ``span_boundaries`` is set
     (a sensitivity knob; alternation across a space is not meaningful).
@@ -74,18 +74,28 @@ def count_all(stream: LetterStream, *,
     appended, so that each position of the text starts exactly one of
     them; digraphs and monograms are folded from their prefixes, and any
     gram holding a separator is dropped at the end.
+
+    The fourth table, of 2-grams, holds the junctions: the letter pairs
+    that meet across one word boundary, folded from the dropped windows
+    ``x·sep·y``. Run-only digraphs plus junctions are the digraphs counted
+    with ``span_boundaries``; under ``span_boundaries`` the junction table
+    is empty, since the digraphs already hold those pairs. No file carries
+    it: it serves scoring from the tables (``evaluator.score_tables``).
     """
     sep = stream.sep
     text = (stream.letters() if span_boundaries else stream.text) + sep + sep
     trigrams = Counter(map(add, map(add, text, text[1:]), text[2:]))
     digraphs = _fold_prefixes(trigrams, 2)
     monograms = _fold_prefixes(digraphs, 1)
+    junctions: Counter = Counter()
     for counts in (monograms, digraphs, trigrams):
         for gram in [g for g in counts if sep in g]:
-            del counts[gram]
+            count = counts.pop(gram)
+            if len(gram) == 3 and gram[1] == sep and gram.count(sep) == 1:
+                junctions[gram[0] + gram[2]] = count
     total = stream.letter_count
-    return tuple(NGramTable(n, counts, total)
-                 for n, counts in zip(NGRAM_SIZES, (monograms, digraphs, trigrams)))
+    return (NGramTable(1, monograms, total), NGramTable(2, digraphs, total),
+            NGramTable(3, trigrams, total), NGramTable(2, junctions, total))
 
 
 def count_ngrams(stream: LetterStream, n: int, *, span_boundaries: bool = False) -> NGramTable:

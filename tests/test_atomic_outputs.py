@@ -75,9 +75,10 @@ def test_writer_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, ca
 
 
 # Each refusal reads inputs from {inputs}: a geometry without rows, one too
-# small for the alphabet, a corpus of one letter and a layout with two keys
-# on one slot. Run on another corpus than the filled --out was made from, a
-# write that slipped through would change its bytes.
+# small for the alphabet, a corpus of one letter, a layout with two keys on
+# one slot and a copy of the filled run's layout, whose name repeats. Run on
+# another corpus than the filled --out was made from, a write that slipped
+# through would change its bytes.
 REFUSALS = {
     "run-all, no rows": (["run-all", str(OTHER), "--geometry", "{inputs}/no_rows.json"],
                          "ConfigError"),
@@ -87,6 +88,9 @@ REFUSALS = {
     "evaluate, bad layout": (["evaluate", "{inputs}/bad.json", "--corpus", str(OTHER)],
                              "InvariantViolation"),
     "partition, one letter": (["partition", "{inputs}/one.txt"], "TooFewLetters"),
+    "evaluate, repeated name": (["evaluate", "{inputs}/../filled/layout.json",
+                                 "{inputs}/layout.json", "--corpus", str(OTHER)],
+                                "ConfigError"),
 }
 
 
@@ -104,6 +108,7 @@ def test_refused_run_writes_nothing(tmp_path, capsys, argv, error):
     layout["keys"][1].update({field: layout["keys"][0][field]
                               for field in ("hand", "layer", "row", "column")})
     (inputs / "bad.json").write_text(json.dumps(layout, ensure_ascii=False), encoding="utf-8")
+    (inputs / "layout.json").write_bytes((filled / "layout.json").read_bytes())
     before = snapshot(filled)
     argv = [arg.replace("{inputs}", str(inputs)) for arg in argv]
     fresh = tmp_path / "fresh" / "out"

@@ -249,6 +249,19 @@ def test_evaluate_multiple_layouts(tmp_path):
     assert (out / "report-variant.json").exists()
 
 
+def test_evaluate_refuses_a_repeated_layout_name(tmp_path, capsys):
+    corpus, out = pipeline_to_layout(tmp_path, "কাক খিগা")
+    first = out / "layout.json"
+    second = tmp_path / "other" / "layout.json"
+    second.parent.mkdir()
+    second.write_bytes(first.read_bytes())
+    assert main(["evaluate", str(first), str(second), "--corpus", corpus,
+                 "--out", str(out)]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "ConfigError"
+    assert str(first) in error["message"] and str(second) in error["message"]
+
+
 def test_compare_prints_ranked_table(tmp_path, capsys):
     corpus, out = pipeline_to_layout(tmp_path, "কাক খিগা")
     assert main(["evaluate", str(out / "layout.json"), "--corpus", corpus,

@@ -3,6 +3,8 @@
 The oracle never looks at a LetterStream: it splits the original text
 into letter runs with a plain character loop and slides a window over
 each run (or, when windows span boundaries, over all letters in order).
+Its junctions pair the last letter of each run with the first of the
+next; when windows span boundaries there are none.
 """
 
 import random
@@ -24,6 +26,7 @@ def naive_tables(text, alphabet, span_boundaries):
         runs.append(run)
     if span_boundaries:
         runs = [[ch for r in runs for ch in r]]
+    junctions = Counter(a[-1] + b[0] for a, b in zip(runs, runs[1:]))
     tables = []
     for n in NGRAM_SIZES:
         counts = Counter()
@@ -31,7 +34,7 @@ def naive_tables(text, alphabet, span_boundaries):
             for i in range(len(r) - n + 1):
                 counts["".join(r[i:i + n])] += 1
         tables.append(counts)
-    return tables
+    return tables + [junctions]
 
 
 def letter_config(letters):
@@ -48,11 +51,12 @@ def check_against_oracle(rng, letters, others, rounds):
         for span in (False, True):
             tables = count_all(stream, span_boundaries=span)
             expected = naive_tables(text, config.resolve(), span)
-            for n, table, counts in zip(NGRAM_SIZES, tables, expected):
+            for n, table, counts in zip((*NGRAM_SIZES, 2), tables, expected):
                 assert table.n == n
                 assert table.counts == counts
                 assert table.total_letters == sum(expected[0].values())
-                assert count_ngrams(stream, n, span_boundaries=span).counts == counts
+            for n in NGRAM_SIZES:
+                assert count_ngrams(stream, n, span_boundaries=span).counts == expected[n - 1]
 
 
 def test_count_all_matches_naive_windows():

@@ -1,0 +1,106 @@
+"""run-all scores its layout as evaluate would, and writes what it always wrote.
+
+run-all scores from its n-gram tables where they give the replay's report
+exactly and replays the corpus elsewhere; evaluate always replays. Under
+each flag set below, run-all takes the route named for it, and evaluating
+run-all's own layout over the same corpus must reproduce run-all's
+report. The golden digests pin the bytes of a default and a resetting
+run-all over the bundled sample as they were before the table route
+existed.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from layoutforge import cli
+from layoutforge.cli import main
+from layoutforge.evaluator import evaluate
+
+SAMPLE = [str(p) for p in sorted(
+    (Path(__file__).resolve().parent.parent / "data" / "bn_sample").glob("*.txt"))]
+
+# Flag sets, and whether run-all replays the corpus under them: a spanning
+# count has no run-only digraphs to score resets from, and coverage 50
+# leaves letters off the layout.
+FLAG_SETS = {
+    "defaults": [],
+    "reset": ["--reset-on-boundary"],
+    "span": ["--span-boundaries"],
+    "span and reset": ["--span-boundaries", "--reset-on-boundary"],
+    "coverage 50": ["--coverage", "50"],
+}
+REPLAYED = {"span and reset", "coverage 50"}
+SCORING_FLAGS = {"--reset-on-boundary"}
+
+GOLDEN = {
+    "defaults": {
+        "stdout": "e81c001af0083b9b1598190130f9f3fa1f046a437e9d633b2acae3ef11bcc028",
+        "comparison.txt": "e81c001af0083b9b1598190130f9f3fa1f046a437e9d633b2acae3ef11bcc028",
+        "digraphs.tsv": "68c7899a904a2a8530445f62c531d5e6bcf6e2a9e9289efd09deeda5593152c6",
+        "layout.json": "07ff00cca14d6a8410ab069ab3dcca99a249d1b38c78f1a24f0649c1c0b6ec3f",
+        "monograms.tsv": "a7e75a0e7d22ec289544352ff6d5e8b3b8c4bba01258fbd46633b28a5321b253",
+        "partition.json": "23b0b5dca8558dcbac8e8a5bd7946dac87ecbfc314290d97d941017e58d32eb0",
+        "report-optimized.json":
+            "1fb5bebdd75944eb22616ac5f0592e23481ab7cd338bc90ef6f5c310e67dc8c5",
+        "report-optimized.tsv":
+            "bb68bb91d76193bcb268c47efc02dbc86acab02cfeebb2e60f2fded0cb41a153",
+        "summary.json": "01bb134a7aaf7b71d01345da0f57467ba19e6cfb7567fa44d5b1936d444e06c6",
+        "trigrams.tsv": "117c75ba9212993dd83fcdbd5d6aaea416e76668c90b215f99e1f5b30a0dba9d",
+    },
+    "reset": {
+        "stdout": "4c6a583a134241c8863dfc1c2127bc7339bfc58378ee149fd4b2a0835f7a8c2b",
+        "comparison.txt": "4c6a583a134241c8863dfc1c2127bc7339bfc58378ee149fd4b2a0835f7a8c2b",
+        "digraphs.tsv": "af3487f5bb03223a056c411135c85bb8ad8c525d20c6e9752f9a0230d3717550",
+        "layout.json": "07ff00cca14d6a8410ab069ab3dcca99a249d1b38c78f1a24f0649c1c0b6ec3f",
+        "monograms.tsv": "656067f919f2af60cb95921f3364264202401b111b2a6deed0ec7818b48bcb91",
+        "partition.json": "b8d12981912a89960851e00d9279de9412e216d6693de289cec674b7deadceb8",
+        "report-optimized.json":
+            "533aa1204b9a9260aa427e51757a57ecc5ba3cb522b2c1dd873ec096e8719c41",
+        "report-optimized.tsv":
+            "d117496cea9705cbbf01e9e7faeb1ba0516c041c4fade567318a2518e73b5bd8",
+        "summary.json": "9aba09b5e621304ca70e8a3f3a00436be91df3e8dd5efd3e7b6ba387489cbcd0",
+        "trigrams.tsv": "68ccc4ef9e40c93f98dd7806efc633473f6a73c094833cc0d5becd24a61bcc37",
+    },
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("key", FLAG_SETS)
+def test_run_all_report_is_what_evaluate_gives(tmp_path, capsys, monkeypatch, key):
+    flags = FLAG_SETS[key]
+    run, scored = tmp_path / "run", tmp_path / "evaluate"
+    replays = []
+
+    def replay(*args, **kwargs):
+        replays.append(args)
+        return evaluate(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "evaluate", replay)
+        assert main(["run-all", *SAMPLE, "--out", str(run), *flags]) == 0
+    assert len(replays) == (key in REPLAYED)
+    assert main(["evaluate", str(run / "layout.json"), "--corpus", *SAMPLE,
+                 "--out", str(scored), *[f for f in flags if f in SCORING_FLAGS]]) == 0
+    capsys.readouterr()
+    assert ((run / "report-optimized.tsv").read_bytes()
+            == (scored / "report-optimized.tsv").read_bytes())
+    reports = [json.loads((out / "report-optimized.json").read_text(encoding="utf-8"))
+               for out in (run, scored)]
+    for report in reports:
+        del report["config"]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("key", GOLDEN)
+def test_run_all_writes_the_golden_bytes(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    assert main(["run-all", *SAMPLE, "--out", str(out), *FLAG_SETS[key]]) == 0
+    digests = {"stdout": sha256(capsys.readouterr().out.encode("utf-8"))}
+    digests.update((path.name, sha256(path.read_bytes())) for path in out.iterdir())
+    assert digests == GOLDEN[key]
