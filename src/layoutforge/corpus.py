@@ -196,9 +196,19 @@ def concat_streams(streams: Iterable[LetterStream]) -> LetterStream:
     if len(seps) > 1:
         raise ValueError(f"cannot join streams with different separators {sorted(seps)}")
     sep = seps.pop() if seps else " "
-    # Within a part no two separators touch, so doubles only form at seams.
-    text = re.sub(re.escape(sep) + "{2,}", sep, sep.join(part.text for part in parts))
-    return LetterStream(text=text, sep=sep, source_bytes=source_bytes)
+    # Within a part no two separators touch, so each seam needs exactly one.
+    pieces: list[str] = []
+    for part in parts:
+        text = part.text
+        if pieces:
+            seam_seps = pieces[-1].endswith(sep) + text.startswith(sep)
+            if seam_seps == 0:
+                pieces.append(sep)
+            elif seam_seps == 2:
+                text = text[1:]
+        if text:
+            pieces.append(text)
+    return LetterStream(text="".join(pieces), sep=sep, source_bytes=source_bytes)
 
 
 def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = None) -> LetterStream:

@@ -1,5 +1,12 @@
 """N-gram counting plus support, confidence, and cumulative side scores.
 
+Counting (``count_all``) keys every trigram window of a stream by one int
+that packs its three code points, 21 bits each. The keys are built and
+counted in C, a block of windows at a time so that no temporary buffer
+grows with the corpus. One loop over the distinct keys then folds them
+into the monogram, digraph, trigram and junction tables, decoding only
+the grams that hold no separator.
+
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
 total count of every digraph that involves the focus letter in either
@@ -13,9 +20,9 @@ taking both orientations of each pair.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
@@ -57,11 +64,39 @@ class SideScore:
     cumulative_confidence: float
 
 
-def _fold_prefixes(counts: Counter, n: int) -> Counter:
-    folded: Counter = Counter()
-    for gram, count in counts.items():
-        folded[gram[:n]] += count
-    return folded
+# A trigram window is one int key: each code point takes 21 bits, the
+# window's first letter the lowest.
+_CODE_MASK = (1 << 21) - 1
+# Windows packed at once. A block's buffers (its 8-byte slots, their int and
+# its shifts) then stay around a megabyte, whatever the length of the text.
+_BLOCK = 1 << 16
+
+
+def _count_windows(text: str, sep: str) -> Counter:
+    """Count the trigram windows of ``text + sep + sep``, keyed by packed code points.
+
+    The window at position i is keyed ``c[i] | c[i+1] << 21 | c[i+2] << 42``.
+    Blocks of ``_BLOCK`` windows overlap by two characters, and only the
+    last one is extended by the two separators. Each block is packed in C:
+    its code points fill the low halves of 8-byte little-endian slots, the
+    slots read as one int ``x``, and ``x | (x >> 64) << 21 | (x >> 128) << 42``
+    holds the key of the window that starts in each slot. Its first
+    ``size - 2`` slots are then counted by ``Counter.update``.
+    """
+    windows: Counter = Counter()
+    for start in range(0, len(text), _BLOCK):
+        size = min(_BLOCK, len(text) - start) + 2  # characters, two more than windows
+        chunk = text[start:start + size]
+        if len(chunk) < size:
+            chunk = (chunk + sep + sep)[:size]
+        slots = bytearray(8 * size)
+        memoryview(slots).cast("I")[0::2] = memoryview(chunk.encode("utf-32-le")).cast("I")
+        x = int.from_bytes(slots, "little")
+        keys = memoryview((x | (x >> 64) << 21 | (x >> 128) << 42)
+                          .to_bytes(8 * size, sys.byteorder)).cast("Q")
+        # A big-endian machine lists the slots last one first.
+        windows.update(keys[:size - 2] if sys.byteorder == "little" else keys[:1:-1])
+    return windows
 
 
 def count_all(stream: LetterStream, *, span_boundaries: bool = False
@@ -70,29 +105,46 @@ def count_all(stream: LetterStream, *, span_boundaries: bool = False
 
     Windows never cross a word boundary unless ``span_boundaries`` is set
     (a sensitivity knob; alternation across a space is not meaningful).
-    Trigram windows are counted over the text with two separators
-    appended, so that each position of the text starts exactly one of
-    them; digraphs and monograms are folded from their prefixes, and any
-    gram holding a separator is dropped at the end.
+    Every trigram window of the text with two separators appended is
+    counted under one int key that packs its three code points
+    (``_count_windows``), so each position of the text starts exactly one
+    window. One loop over the distinct keys then folds the tables: a
+    window that starts with a separator is dropped; any other adds its
+    first letter to the monograms, its first two letters to the digraphs
+    unless the second is a separator, and itself to the trigrams unless
+    it holds a separator. Only these surviving grams are decoded to
+    strings. Each table lists its grams in order of first occurrence.
 
     The fourth table, of 2-grams, holds the junctions: the letter pairs
-    that meet across one word boundary, folded from the dropped windows
+    that meet across one word boundary, folded from the windows
     ``x·sep·y``. Run-only digraphs plus junctions are the digraphs counted
     with ``span_boundaries``; under ``span_boundaries`` the junction table
     is empty, since the digraphs already hold those pairs. No file carries
     it: it serves scoring from the tables (``evaluator.score_tables``).
     """
-    sep = stream.sep
-    text = (stream.letters() if span_boundaries else stream.text) + sep + sep
-    trigrams = Counter(map(add, map(add, text, text[1:]), text[2:]))
-    digraphs = _fold_prefixes(trigrams, 2)
-    monograms = _fold_prefixes(digraphs, 1)
+    sep = ord(stream.sep)  # compared with the code points a key unpacks to
+    text = stream.letters() if span_boundaries else stream.text
+    monograms: Counter = Counter()
+    digraphs: Counter = Counter()
+    trigrams: Counter = Counter()
     junctions: Counter = Counter()
-    for counts in (monograms, digraphs, trigrams):
-        for gram in [g for g in counts if sep in g]:
-            count = counts.pop(gram)
-            if len(gram) == 3 and gram[1] == sep and gram.count(sep) == 1:
-                junctions[gram[0] + gram[2]] = count
+    mono_get, di_get = monograms.get, digraphs.get
+    for key, count in _count_windows(text, stream.sep).items():
+        first = key & _CODE_MASK
+        if first == sep:
+            continue
+        second = key >> 21 & _CODE_MASK
+        third = key >> 42
+        gram = chr(first)
+        monograms[gram] = mono_get(gram, 0) + count
+        if second == sep:
+            if third != sep:
+                junctions[gram + chr(third)] = count
+            continue
+        gram += chr(second)
+        digraphs[gram] = di_get(gram, 0) + count
+        if third != sep:
+            trigrams[gram + chr(third)] = count
     total = stream.letter_count
     return (NGramTable(1, monograms, total), NGramTable(2, digraphs, total),
             NGramTable(3, trigrams, total), NGramTable(2, junctions, total))

@@ -120,6 +120,9 @@ def test_concat_streams_collapses_edge_boundaries():
     b = tokenize(" খ")
     merged = concat_streams([a, b])
     assert merged.text == "ক খ"
+    # A part without letters is one boundary, shared with its neighbours.
+    assert concat_streams([a, tokenize("."), b]).text == "ক খ"
+    assert concat_streams([tokenize("."), tokenize(".")]).text == " "
 
 
 def test_concat_skips_empty_parts():

@@ -10,6 +10,9 @@ next; when windows span boundaries there are none.
 import random
 from collections import Counter
 
+import pytest
+
+from layoutforge import stats
 from layoutforge.corpus import AlphabetConfig, choose_separator, concat_streams, tokenize
 from layoutforge.stats import NGRAM_SIZES, count_all, count_ngrams
 
@@ -73,6 +76,31 @@ def test_count_all_with_space_as_a_letter():
 
 def test_count_all_with_regex_special_letters():
     check_against_oracle(random.Random(22), "]-^\\[a", " z", 200)
+
+
+def test_count_all_with_astral_letters():
+    # Letters up to the top of the code space pin the 21-bit packing of
+    # window keys; NUL is no letter, so it becomes a boundary like the rest.
+    check_against_oracle(random.Random(24), "a\u0995\U00010000\U0001F600\U0010FFFF",
+                         " \x00.", 200)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_count_all_across_block_seams(monkeypatch, block):
+    # Blocks this short put a seam inside trigram windows and junctions alike.
+    monkeypatch.setattr(stats, "_BLOCK", block)
+    check_against_oracle(random.Random(25 + block), "abcdef", " .,\n", 100)
+
+
+def test_count_all_over_several_blocks():
+    rng = random.Random(30)
+    config = letter_config("abcdefgh")
+    text = "".join(rng.choices("abcdefgh  .", k=5 * stats._BLOCK))
+    stream = tokenize(text, config)
+    assert len(stream.letters()) > 3 * stats._BLOCK
+    for span in (False, True):
+        expected = naive_tables(text, config.resolve(), span)
+        assert [t.counts for t in count_all(stream, span_boundaries=span)] == expected
 
 
 def test_count_all_over_concatenated_streams():

@@ -4,9 +4,10 @@ run-all scores from its n-gram tables where they give the replay's report
 exactly and replays the corpus elsewhere; evaluate always replays. Under
 each flag set below, run-all takes the route named for it, and evaluating
 run-all's own layout over the same corpus must reproduce run-all's
-report. The golden digests pin the bytes of a default and a resetting
-run-all over the bundled sample as they were before the table route
-existed.
+report. The golden digests pin the bytes of a default, a resetting and a
+spanning run-all over the bundled sample: the first two as they were
+before the table route existed, the spanning one as it was before the
+counter keyed its windows by packed code points.
 """
 
 import hashlib
@@ -63,6 +64,20 @@ GOLDEN = {
             "d117496cea9705cbbf01e9e7faeb1ba0516c041c4fade567318a2518e73b5bd8",
         "summary.json": "9aba09b5e621304ca70e8a3f3a00436be91df3e8dd5efd3e7b6ba387489cbcd0",
         "trigrams.tsv": "68ccc4ef9e40c93f98dd7806efc633473f6a73c094833cc0d5becd24a61bcc37",
+    },
+    "span": {
+        "stdout": "688aad60edc19831f9284344bc5b6fc06b9d64608863c66e1d7b0aba4d066e97",
+        "comparison.txt": "688aad60edc19831f9284344bc5b6fc06b9d64608863c66e1d7b0aba4d066e97",
+        "digraphs.tsv": "97b158988fdb9b96de1cc380f63ea629046a072b75a3542df8231e84540a0fda",
+        "layout.json": "7baf3f0f9b5c079b97904fdb0e904fccd955f6447cd7c457869ceb06189ab43a",
+        "monograms.tsv": "8391488f49c9ce780bac4024338b2f558aed5b32a3faf43943722bd5ec935f9b",
+        "partition.json": "662844a1ecefcd54be23bd06a6cad5f1fce861a433ae6bed5e70bb7fa26f9693",
+        "report-optimized.json":
+            "065f7d2f1b85866fc41b6948eb3e4b0e1e35aa49431fccf6cf0080efc50e088f",
+        "report-optimized.tsv":
+            "719f4d5b9bdad5addbbd3af03b2751b7dc1b3931a5c74c954ad855364188aeab",
+        "summary.json": "d07aba89d9692765bc90a7facb0eb9e62602683d2e1e0771687145237bfb66db",
+        "trigrams.tsv": "992dd9d77a532b562e0dc8b9f06b77f9a70478351a91a40e2b7d4bea065e35ee",
     },
 }
 
