@@ -182,6 +182,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
         digraphs = read_ngram_tsv(args.digraphs)
         if mono.n != 1 or digraphs.n != 2:
             raise ConfigError("--mono must be a 1-gram table and --digraphs a 2-gram table")
+        if mono.total_letters != digraphs.total_letters:
+            raise ConfigError(f"--mono counts {mono.total_letters} letters and --digraphs"
+                              f" {digraphs.total_letters}; the tables come from different corpora")
     else:
         mono, digraphs = _count(_read_letters(args.corpus, config), config)[:2]
     _write_partition(_partition(mono, digraphs, config), mono, config)

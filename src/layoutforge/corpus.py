@@ -111,14 +111,11 @@ class AlphabetConfig:
 def choose_separator(letters: AbstractSet[str]) -> str:
     """The character that stands for a boundary in a stream's text.
 
-    A space, unless the letter set claims it; then the lowest code point
-    the letter set leaves free. Never a backslash, so the separator can
-    stand as its own replacement template in ``re.sub``.
+    A space, unless the letter set claims it; then LF, which no alphabet
+    can hold (see ``NOT_TABLE_LETTERS``). Neither is a backslash, so the
+    separator stands as its own replacement template in ``re.sub``.
     """
-    for cp in itertools.chain((0x20,), range(0x110000)):
-        if cp != 0x5C and chr(cp) not in letters:
-            return chr(cp)
-    raise ConfigError("the alphabet covers every code point; no boundary character is left")
+    return "\n" if " " in letters else " "
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ and the tables against the replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence, TextIO, get_type_hints
 
@@ -48,36 +48,33 @@ class EvaluationReport:
 class ChunkScore:
     """Score of one contiguous slice of a stream, mergeable with neighbors.
 
-    ``head`` is the hand of the first determined letter, unless a reset
-    comes first; ``tail`` is the running previous-hand state at the end of
-    the slice. ``transparent`` slices (no determined letter, no reset)
-    pass the previous-hand state straight through.
+    ``first`` and ``last`` are the slice's first and last markers: ``<``
+    or ``>`` for a letter on the left or right hand, ``|`` for a reset,
+    ``""`` when the slice has neither. Two slices meet in a switch when
+    the left one ends on one hand and the right one starts on the other;
+    a slice with no marker passes its neighbors' ends straight through.
     """
 
     left: int = 0
     right: int = 0
     not_determined: int = 0
     switching: int = 0
-    head: str | None = None
-    tail: str | None = None
-    transparent: bool = True
+    first: str = ""
+    last: str = ""
 
     def merge(self, other: "ChunkScore") -> "ChunkScore":
-        junction = int(self.tail is not None and other.head is not None
-                       and self.tail != other.head)
+        junction = int(self.last + other.first in ("<>", "><"))
         return ChunkScore(
             left=self.left + other.left,
             right=self.right + other.right,
             not_determined=self.not_determined + other.not_determined,
             switching=self.switching + other.switching + junction,
-            head=self.head if not self.transparent else other.head,
-            tail=other.tail if not other.transparent else self.tail,
-            transparent=self.transparent and other.transparent,
+            first=self.first or other.first,
+            last=other.last or self.last,
         )
 
 
 _HAND_MARKS = {"left": "<", "right": ">"}
-_MARK_HANDS = {mark: hand for hand, mark in _HAND_MARKS.items()}
 
 
 def score_chunk(layout: KeyboardLayout, stream: LetterStream,
@@ -87,7 +84,7 @@ def score_chunk(layout: KeyboardLayout, stream: LetterStream,
     Every distinct character maps to a hand marker, to nothing (a letter
     the layout lacks), or to a reset marker (a boundary, when boundaries
     reset); switches are then adjacent unlike markers, and the first and
-    last markers give the slice's head and tail.
+    last markers are the slice's ends.
     """
     marks = {ord(ch): _HAND_MARKS.get(layout.hand_of(ch)) for ch in set(stream.text)}
     marks[ord(stream.sep)] = "|" if reset_on_boundary else None
@@ -96,8 +93,7 @@ def score_chunk(layout: KeyboardLayout, stream: LetterStream,
     return ChunkScore(left=left, right=right,
                       not_determined=stream.letter_count - left - right,
                       switching=hands.count("<>") + hands.count("><"),
-                      head=_MARK_HANDS.get(hands[:1]), tail=_MARK_HANDS.get(hands[-1:]),
-                      transparent=not hands)
+                      first=hands[:1], last=hands[-1:])
 
 
 def _report(layout: KeyboardLayout, score: ChunkScore) -> EvaluationReport:
@@ -160,27 +156,16 @@ def score_tables(layout: KeyboardLayout, mono: NGramTable, digraphs: NGramTable,
     switching = _cross_hand_mass(layout, digraphs)
     if not reset_on_boundary:
         switching += _cross_hand_mass(layout, junctions)
-    return EvaluationReport(
-        layout_name=layout.name,
-        hand_switching=switching,
-        left_load=loads["left"],
-        right_load=loads["right"],
-        not_determined=mono.total_letters - loads["left"] - loads["right"],
-        total_letters=mono.total_letters,
-    )
+    return _report(layout, ChunkScore(
+        left=loads["left"], right=loads["right"], switching=switching,
+        not_determined=mono.total_letters - loads["left"] - loads["right"]))
 
 
 # ---------------------------------------------------------------------------
 # Comparison of several reports over the same corpus.
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    layout_name: str
-    hand_switching: int
-    left_load: int
-    right_load: int
-    not_determined: int
-    total_letters: int
+class ComparisonRow(EvaluationReport):
     switching_per_determined: float
     load_ratio: float
 
@@ -199,12 +184,7 @@ def compare(reports: Sequence[EvaluationReport]) -> Comparison:
     for rep in sorted(reports, key=lambda r: (-r.hand_switching, r.layout_name)):
         determined = rep.left_load + rep.right_load
         rows.append(ComparisonRow(
-            layout_name=rep.layout_name,
-            hand_switching=rep.hand_switching,
-            left_load=rep.left_load,
-            right_load=rep.right_load,
-            not_determined=rep.not_determined,
-            total_letters=rep.total_letters,
+            **asdict(rep),
             switching_per_determined=rep.hand_switching / determined if determined else 0.0,
             load_ratio=rep.left_load / rep.right_load if rep.right_load else math.inf,
         ))
@@ -252,7 +232,15 @@ def write_report_json(report: EvaluationReport, path: str | Path,
 
 
 def read_report_json(path: str | Path) -> EvaluationReport:
-    doc = read_json_object(path, MalformedInput, "report", REPORT_SHAPE)
+    return read_json_object(path, MalformedInput, "report", REPORT_SHAPE, _report_from_doc)
+
+
+def _report_from_doc(doc: dict) -> EvaluationReport:
+    negative = [name for name in _REPORT_FIELDS if REPORT_SHAPE[name] is int and doc[name] < 0]
+    if negative:
+        raise MalformedInput(f"negative report counts: {negative}")
+    if doc["left_load"] + doc["right_load"] + doc["not_determined"] != doc["total_letters"]:
+        raise MalformedInput("left_load + right_load + not_determined != total_letters")
     return EvaluationReport(**{name: doc[name] for name in _REPORT_FIELDS})
 
 

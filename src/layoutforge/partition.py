@@ -27,7 +27,6 @@ from .stats import (NGramTable, SideScore, involvement_totals, ranked_monograms,
                     side_scores)
 
 RULE_SEED = "seed"
-RULE_SEED_DEGENERATE = "seed-degenerate"
 RULE_LEFT_TO_RIGHT = "left-association-to-right"
 RULE_RIGHT_TO_LEFT = "right-association-to-left"
 RULE_DEFAULT_LEFT = "default-left"
@@ -52,7 +51,6 @@ class HandPartition:
     left: list[str] = field(default_factory=list)
     right: list[str] = field(default_factory=list)
     trace: list[Decision] = field(default_factory=list)
-    degenerate: bool = False
 
     def hand_of(self, letter: str) -> str:
         if letter in self.left:
@@ -69,27 +67,18 @@ def _letter_of(entry) -> str:
     return entry if isinstance(entry, str) else entry[0]
 
 
-def initialize(ranking: Sequence, *, allow_degenerate: bool = False) -> HandPartition:
+def initialize(ranking: Sequence) -> HandPartition:
     """Seed the hands from the top four letters of a frequency ranking.
 
     ``ranking`` entries may be bare letters or (letter, ...) tuples as
     produced by ranked_monograms. Ranks one and four go right, two and
-    three left. Fewer than four letters is refused unless
-    ``allow_degenerate`` is set, in which case the letters alternate
-    right, left, ... and the partition is flagged degenerate.
+    three left. Fewer than four letters is refused.
     """
     letters = [_letter_of(e) for e in ranking[:4]]
-    zero = SideScore(0.0, 0.0)
     if len(letters) < 4:
-        if not allow_degenerate:
-            raise TooFewLetters(
-                f"need at least 4 distinct letters to seed both hands, got {len(letters)}")
-        part = HandPartition(degenerate=True)
-        for i, letter in enumerate(letters):
-            hand = "right" if i % 2 == 0 else "left"
-            getattr(part, hand).append(letter)
-            part.trace.append(Decision(letter, zero, zero, hand, RULE_SEED_DEGENERATE))
-        return part
+        raise TooFewLetters(
+            f"need at least 4 distinct letters to seed both hands, got {len(letters)}")
+    zero = SideScore(0.0, 0.0)
     part = HandPartition()
     for letter, hand in zip(letters, ("right", "left", "left", "right")):
         getattr(part, hand).append(letter)
@@ -158,7 +147,7 @@ def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: s
     payload = {
         "left": list(partition.left),
         "right": list(partition.right),
-        "degenerate": partition.degenerate,
+        "degenerate": False,  # kept for file compatibility: partition_all seeds 4 letters
         "total_letters": mono.total_letters,
         "ranking": [[letter, count] for letter, count, _pct in ranking],
         "trace": [
@@ -186,8 +175,7 @@ def read_partition_json(path: str | Path) -> tuple[HandPartition, NGramTable]:
 
 
 def _partition_from_doc(payload: dict) -> tuple[HandPartition, NGramTable]:
-    part = HandPartition(left=payload["left"], right=payload["right"],
-                         degenerate=payload.get("degenerate", False))
+    part = HandPartition(left=payload["left"], right=payload["right"])
     part.trace = [Decision(row["letter"], SideScore(row["left_support"], row["left_confidence"]),
                            SideScore(row["right_support"], row["right_confidence"]),
                            row["hand"], row["rule"])
@@ -195,8 +183,13 @@ def _partition_from_doc(payload: dict) -> tuple[HandPartition, NGramTable]:
     counts = Counter(dict(payload["ranking"]))
     total = payload["total_letters"]
     left, right = set(part.left), set(part.right)
-    if not all(len(letter) == 1 for letter in left | right):
-        raise ConfigError("every placed letter must be one code point")
+    if not all(len(letter) == 1 for letter in left | right | set(counts)):
+        raise ConfigError("every placed and ranked letter must be one code point")
+    ranked = [letter for letter, _count in payload["ranking"]]
+    for where, listed in ("left hand", part.left), ("right hand", part.right), ("ranking", ranked):
+        twice = sorted(letter for letter, seen in Counter(listed).items() if seen > 1)
+        if twice:
+            raise ConfigError(f"the {where} lists {twice} more than once")
     if total < 0 or min(counts.values(), default=0) < 0:
         raise ConfigError("total_letters and ranking counts must not be negative")
     if left & right:

@@ -178,6 +178,18 @@ def test_partition_rejects_wrong_table_order(tmp_path, capsys):
     assert "1-gram" in last_error(capsys)["message"]
 
 
+def test_partition_rejects_tables_of_two_corpora(tmp_path, capsys):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["stats", write_corpus(tmp_path, "কাকি খাগিক"), "--out", str(one)]) == 0
+    assert main(["stats", write_corpus(tmp_path, "কাকি খ", "other.txt"), "--out", str(two)]) == 0
+    assert main(["partition", "--mono", str(one / "monograms.tsv"),
+                 "--digraphs", str(two / "digraphs.tsv"), "--out", str(tmp_path / "out")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "ConfigError"
+    assert "--mono counts 9 letters and --digraphs 5" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_partition_trace_is_auditable(tmp_path):
     corpus = write_corpus(tmp_path, "কাক খিগ")
     out = tmp_path / "out"

@@ -391,6 +391,13 @@ def set_first(key, index, value):
     return lambda doc: doc[key][0].__setitem__(index, value)
 
 
+def left_letter_twice(doc):
+    """The first left letter placed again, with a trace row that agrees."""
+    letter = doc["left"][0]
+    doc["left"].append(letter)
+    doc["trace"].append(next(row for row in doc["trace"] if row["letter"] == letter))
+
+
 DOCUMENT_EDITS = {
     "total 12.7": ("partition", lambda doc: doc.update(total_letters=12.7),
                    "wrongly typed partition fields: ['total_letters']"),
@@ -418,6 +425,18 @@ DOCUMENT_EDITS = {
                           "unknown layout fields: ['keys.extra']"),
     "report unknown field": ("report", lambda doc: doc.update(extra=1),
                              "unknown report fields: ['extra']"),
+    "letter twice on a hand": ("partition", left_letter_twice,
+                               "the left hand lists ["),
+    "ranking letter twice": ("partition",
+                             lambda doc: doc["ranking"].append([doc["ranking"][0][0], 1]),
+                             "the ranking lists ["),
+    "ranking letter of two code points": ("partition", set_first("ranking", 0, "কা"),
+                                          "every placed and ranked letter must be one code point"),
+    "negative report count": ("report", lambda doc: doc.update(left_load=-5, right_load=0),
+                              "negative report counts: ['left_load']"),
+    "report loads do not add up": ("report",
+                                   lambda doc: doc.update(total_letters=doc["total_letters"] + 1),
+                                   "left_load + right_load + not_determined != total_letters"),
 }
 ERRORS = {"partition": "ConfigError", "layout": "MalformedLayout", "report": "MalformedInput"}
 FILES = {"partition": "partition.json", "layout": "layout.json",

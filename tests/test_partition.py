@@ -80,7 +80,6 @@ def test_initialize_from_published_ranking(paper_mono):
     assert part.right == ["া", "ি"]
     assert part.left == ["ে", "র"]
     assert [d.rule for d in part.trace] == ["seed"] * 4
-    assert not part.degenerate
 
 
 def test_initialize_rank_rule():
@@ -97,14 +96,6 @@ def test_initialize_accepts_ranking_tuples():
 def test_initialize_refuses_short_ranking():
     with pytest.raises(TooFewLetters):
         initialize(["a", "b", "c"])
-
-
-def test_initialize_degenerate_alternation():
-    part = initialize(["a", "b", "c"], allow_degenerate=True)
-    assert part.degenerate
-    assert part.right == ["a", "c"]
-    assert part.left == ["b"]
-    assert all(d.rule == "seed-degenerate" for d in part.trace)
 
 
 # ---------------------------------------------------------------------------
