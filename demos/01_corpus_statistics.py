@@ -16,7 +16,7 @@ files = sorted(data_dir.glob("*.txt"))
 # The default alphabet is the Bangla block without its digits; anything
 # else in the files (spaces, danda, newlines) becomes a word boundary.
 stream = read_corpus(files, AlphabetConfig())
-print(f"{len(files)} files, {stream.source_bytes} bytes")
+print(f"{len(files)} files, {sum(path.stat().st_size for path in files)} bytes")
 print(f"{stream.letter_count} letters, "
       f"{sum(1 for _ in stream.runs())} words, "
       f"{len(set(stream.letters()))} distinct letters")

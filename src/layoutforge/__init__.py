@@ -6,9 +6,8 @@ across the hands to favor alternation, place each hand's letters on a
 key grid by frequency, then score any layout against a corpus.
 """
 
-from .corpus import (AlphabetConfig, LetterStream, choose_separator, concat_streams,
-                     format_codepoint, normalize_text, parse_codepoint, read_corpus,
-                     reconstruct_text, tokenize)
+from .corpus import (BOUNDARY, AlphabetConfig, LetterStream, concat_streams,
+                     format_codepoint, normalize_text, parse_codepoint, read_corpus, tokenize)
 from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, EmptyCorpus,
                      EmptyInput, InvalidEncoding, InvariantViolation,
                      LayoutForgeError, MalformedInput, MalformedLayout,
@@ -28,9 +27,8 @@ from .stats import (NGramTable, SideScore, count_all, count_ngrams, digraph_conf
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetConfig", "LetterStream", "choose_separator", "concat_streams",
-    "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus",
-    "reconstruct_text", "tokenize",
+    "BOUNDARY", "AlphabetConfig", "LetterStream", "concat_streams",
+    "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus", "tokenize",
     "LayoutForgeError", "ConfigError", "InvalidEncoding", "EmptyCorpus",
     "NoInvolvement", "TooFewLetters", "AlreadyAssigned", "CapacityExceeded",
     "MalformedInput", "MalformedLayout", "InvariantViolation", "EmptyInput",

@@ -13,6 +13,7 @@ Errors are reported as a single JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,7 +42,8 @@ class PipelineConfig:
     """Every knob the pipeline accepts, with its resting default.
 
     Values come from three layers, strongest last: built-in defaults,
-    the JSON file named by LAYOUTFORGE_CONFIG, command line flags.
+    the JSON file named by LAYOUTFORGE_CONFIG, command line flags. The
+    alphabet and geometry files are each read once, when first needed.
     """
 
     alphabet_path: str | None = None
@@ -52,14 +54,28 @@ class PipelineConfig:
     reset_on_boundary: bool = False
     span_boundaries: bool = False
 
+    @functools.cached_property
+    def alphabet(self) -> AlphabetConfig:
+        return AlphabetConfig.load(self.alphabet_path) if self.alphabet_path else AlphabetConfig()
+
+    @functools.cached_property
+    def geometry(self) -> Geometry:
+        return load_geometry(self.geometry_path) if self.geometry_path else Geometry()
+
     def echo(self) -> dict:
         """The fields worth stamping into output files.
 
         out_dir is omitted: it changes where results go, never what
-        they contain.
+        they contain. A named alphabet or geometry file is echoed as the
+        document it resolves to, not as its path, so that the same
+        settings give the same files wherever they are kept.
         """
         doc = asdict(self)
         del doc["out_dir"]
+        if self.alphabet_path:
+            doc["alphabet_path"] = self.alphabet.to_dict()
+        if self.geometry_path:
+            doc["geometry_path"] = self.geometry.to_dict()
         return doc
 
 
@@ -87,19 +103,13 @@ def _read_letters(paths: Sequence[str], config: PipelineConfig) -> LetterStream:
 
     A corpus without a letter of the alphabet is refused.
     """
-    path = config.alphabet_path
-    alphabet = AlphabetConfig.load(path) if path else AlphabetConfig()
     if paths:
-        stream = read_corpus(paths, alphabet)
+        stream = read_corpus(paths, config.alphabet)
     else:
-        stream = tokenize(normalize_text(sys.stdin.buffer.read()), alphabet)
+        stream = tokenize(normalize_text(sys.stdin.buffer.read()), config.alphabet)
     if stream.letter_count == 0:
         raise EmptyCorpus("empty corpus: input contains no alphabet letters")
     return stream
-
-
-def _load_geometry(config: PipelineConfig) -> Geometry:
-    return load_geometry(config.geometry_path) if config.geometry_path else Geometry()
 
 
 def _count(stream: LetterStream, config: PipelineConfig) -> tuple[NGramTable, ...]:
@@ -194,7 +204,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def cmd_layout(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     part, mono = read_partition_json(args.partition)
-    layout = build_layout(part, mono, _load_geometry(config), name=args.name)
+    layout = build_layout(part, mono, config.geometry, name=args.name)
     write_layout(layout, Path(config.out_dir) / "layout.json")
     return 0
 
@@ -224,7 +234,7 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     check_layout_name(args.name)  # before the corpus is read
     config = resolve_config(args)
     stream = _read_letters(args.corpus, config)
-    geometry = _load_geometry(config)
+    geometry = config.geometry
     tables = _count(stream, config)
     mono, digraphs = tables[:2]
     part = _partition(mono, digraphs, config)

@@ -1,11 +1,13 @@
 """Text ingestion: UTF-8 decoding, NFC normalization, letter-stream tokenization.
 
 A corpus is reduced to one string of letters in which each word boundary
-is a single separator character. What counts as a letter is driven
-entirely by an AlphabetConfig; every other code point becomes a boundary,
-and consecutive boundaries collapse into one. The letter unit is a single
-code point, so dependent vowel signs (matras) and the virama are letters
-in their own right.
+is a single LF (``BOUNDARY``). What counts as a letter is driven entirely
+by an AlphabetConfig; every other code point becomes a boundary, and
+consecutive boundaries collapse into one. LF is the boundary under every
+alphabet because no alphabet can hold it: it splits the rows of an n-gram
+table (``NOT_TABLE_LETTERS``). The letter unit is a single code point, so
+dependent vowel signs (matras) and the virama are letters in their own
+right.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .atomic import OptionalField, check_shape, read_json_object
 from .errors import ConfigError, InvalidEncoding
@@ -30,6 +32,11 @@ BANGLA_DIGITS = frozenset(chr(cp) for cp in range(0x09E6, 0x09F0))
 # '#' starts a comment line of an n-gram table, and TAB, LF and CR split
 # its rows, so no table could carry these letters.
 NOT_TABLE_LETTERS = frozenset("#\t\n\r")
+
+# The one character that stands for a word boundary in a stream's text. It
+# is in NOT_TABLE_LETTERS, so it is never a letter, and it is no backslash,
+# so it stands as its own replacement template in ``re.sub``.
+BOUNDARY = "\n"
 
 ALPHABET_SHAPE = {"ranges": OptionalField([(str, str)]), "include": OptionalField([str]),
                   "exclude": OptionalField([str])}
@@ -108,40 +115,29 @@ class AlphabetConfig:
         return read_json_object(path, ConfigError, "alphabet", ALPHABET_SHAPE, cls.from_dict)
 
 
-def choose_separator(letters: AbstractSet[str]) -> str:
-    """The character that stands for a boundary in a stream's text.
-
-    A space, unless the letter set claims it; then LF, which no alphabet
-    can hold (see ``NOT_TABLE_LETTERS``). Neither is a backslash, so the
-    separator stands as its own replacement template in ``re.sub``.
-    """
-    return "\n" if " " in letters else " "
-
-
 @dataclass(frozen=True)
 class LetterStream:
     """Ordered letters with collapsed word boundaries, held as one string.
 
     ``text`` keeps the letters in order and writes each boundary as one
-    ``sep`` character, including a boundary at either end; no two ``sep``
-    characters are ever adjacent, and ``sep`` is never a letter.
-    ``source_bytes`` is the UTF-8 length of the text the stream came from.
+    ``BOUNDARY`` (LF), including a boundary at either end; no two LFs are
+    ever adjacent. No alphabet can hold LF, so the text also renders the
+    stream: tokenizing it under the alphabet it was read with gives the
+    stream back.
     """
 
     text: str = ""
-    sep: str = " "
-    source_bytes: int = 0
 
     @property
     def letter_count(self) -> int:
-        return len(self.text) - self.text.count(self.sep)
+        return len(self.text) - self.text.count(BOUNDARY)
 
     def runs(self) -> Iterator[str]:
         """Yield each maximal run of letters between boundaries."""
-        return filter(None, self.text.split(self.sep))
+        return filter(None, self.text.split(BOUNDARY))
 
     def letters(self) -> str:
-        return self.text.replace(self.sep, "")
+        return self.text.replace(BOUNDARY, "")
 
 
 def normalize_text(raw: bytes) -> str:
@@ -154,10 +150,9 @@ def normalize_text(raw: bytes) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _scanner(config: AlphabetConfig) -> tuple[re.Pattern, str]:
-    """A pattern matching each maximal run of non-letters, and the separator."""
+def _scanner(config: AlphabetConfig) -> re.Pattern:
+    """A pattern matching each maximal run of non-letters."""
     alphabet = config.resolve()
-    sep = choose_separator(alphabet)
     spans = []  # one class item per run of consecutive code points
     for _, group in itertools.groupby(enumerate(sorted(map(ord, alphabet))),
                                       lambda pair: pair[1] - pair[0]):
@@ -165,7 +160,7 @@ def _scanner(config: AlphabetConfig) -> tuple[re.Pattern, str]:
         lo, hi = re.escape(chr(cps[0])), re.escape(chr(cps[-1]))
         spans.append(lo if lo == hi else f"{lo}-{hi}")
     pattern = f"[^{''.join(spans)}]+" if spans else r"[\s\S]+"
-    return re.compile(pattern), sep
+    return re.compile(pattern)
 
 
 def tokenize(text: str, config: AlphabetConfig | None = None) -> LetterStream:
@@ -174,38 +169,29 @@ def tokenize(text: str, config: AlphabetConfig | None = None) -> LetterStream:
     Unknown characters never fail; any maximal run of non-alphabet code
     points becomes one boundary.
     """
-    boundary, sep = _scanner(config if config is not None else AlphabetConfig())
-    return LetterStream(text=boundary.sub(sep, text), sep=sep,
-                        source_bytes=len(text.encode("utf-8")))
+    nonletters = _scanner(config if config is not None else AlphabetConfig())
+    return LetterStream(text=nonletters.sub(BOUNDARY, text))
 
 
 def concat_streams(streams: Iterable[LetterStream]) -> LetterStream:
     """Join streams with an implicit boundary between parts.
 
     Digraphs therefore never span two source files, and the merged statistics
-    do not depend on which file a word came from. Every nonempty part must
-    use the same separator, as streams tokenized under one alphabet do.
+    do not depend on which file a word came from.
     """
-    parts = list(streams)
-    source_bytes = sum(part.source_bytes for part in parts)
-    parts = [part for part in parts if part.text]
-    seps = {part.sep for part in parts}
-    if len(seps) > 1:
-        raise ValueError(f"cannot join streams with different separators {sorted(seps)}")
-    sep = seps.pop() if seps else " "
-    # Within a part no two separators touch, so each seam needs exactly one.
+    # Within a part no two boundaries touch, so each seam needs exactly one.
     pieces: list[str] = []
-    for part in parts:
+    for part in streams:
         text = part.text
-        if pieces:
-            seam_seps = pieces[-1].endswith(sep) + text.startswith(sep)
-            if seam_seps == 0:
-                pieces.append(sep)
-            elif seam_seps == 2:
+        if pieces and text:
+            seam = pieces[-1].endswith(BOUNDARY) + text.startswith(BOUNDARY)
+            if seam == 0:
+                pieces.append(BOUNDARY)
+            elif seam == 2:
                 text = text[1:]
         if text:
             pieces.append(text)
-    return LetterStream(text="".join(pieces), sep=sep, source_bytes=source_bytes)
+    return LetterStream(text="".join(pieces))
 
 
 def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = None) -> LetterStream:
@@ -218,12 +204,3 @@ def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = Non
             raise InvalidEncoding(exc.position, path) from None
         parts.append(tokenize(text, config))
     return concat_streams(parts)
-
-
-def reconstruct_text(stream: LetterStream) -> str:
-    """Render a stream back to text, one space per boundary.
-
-    Tokenizing the result reproduces the stream, which makes streams
-    auditable with ordinary text tools.
-    """
-    return stream.text.replace(stream.sep, " ")

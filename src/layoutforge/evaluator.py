@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence, TextIO, get_type_hints
 
 from .atomic import OptionalField, read_json_object, write_json
-from .corpus import LetterStream
+from .corpus import BOUNDARY, LetterStream
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
 from .stats import NGramTable
@@ -87,7 +87,7 @@ def score_chunk(layout: KeyboardLayout, stream: LetterStream,
     last markers are the slice's ends.
     """
     marks = {ord(ch): _HAND_MARKS.get(layout.hand_of(ch)) for ch in set(stream.text)}
-    marks[ord(stream.sep)] = "|" if reset_on_boundary else None
+    marks[ord(BOUNDARY)] = "|" if reset_on_boundary else None
     hands = stream.text.translate(marks)
     left, right = hands.count("<"), hands.count(">")
     return ChunkScore(left=left, right=right,
@@ -122,7 +122,7 @@ def evaluate_chunked(layout: KeyboardLayout, stream: LetterStream, *, chunks: in
     size = max(1, math.ceil(len(text) / chunks))
     total = ChunkScore()
     for start in range(0, len(text), size):
-        part = LetterStream(text=text[start:start + size], sep=stream.sep)
+        part = LetterStream(text=text[start:start + size])
         total = total.merge(score_chunk(layout, part, reset_on_boundary=reset_on_boundary))
     return _report(layout, total)
 

@@ -59,9 +59,6 @@ class HandPartition:
             return "right"
         raise KeyError(f"{letter!r} is not assigned to either hand")
 
-    def assigned(self) -> set[str]:
-        return set(self.left) | set(self.right)
-
 
 def _letter_of(entry) -> str:
     return entry if isinstance(entry, str) else entry[0]
@@ -192,6 +189,9 @@ def _partition_from_doc(payload: dict) -> tuple[HandPartition, NGramTable]:
             raise ConfigError(f"the {where} lists {twice} more than once")
     if total < 0 or min(counts.values(), default=0) < 0:
         raise ConfigError("total_letters and ranking counts must not be negative")
+    if counts.total() > total:
+        raise ConfigError(f"ranking counts add up to {counts.total()},"
+                          f" more than total_letters {total}")
     if left & right:
         raise ConfigError("hands are not disjoint")
     if len(part.trace) != len(part.left) + len(part.right):

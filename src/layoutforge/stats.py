@@ -5,7 +5,7 @@ that packs its three code points, 21 bits each. The keys are built and
 counted in C, a block of windows at a time so that no temporary buffer
 grows with the corpus. One loop over the distinct keys then folds them
 into the monogram, digraph, trigram and junction tables, decoding only
-the grams that hold no separator.
+the grams that hold no boundary.
 
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
-from .corpus import LetterStream
+from .corpus import BOUNDARY, LetterStream
 from .errors import EmptyCorpus, MalformedInput, NoInvolvement
 
 NGRAM_SIZES = (1, 2, 3)
@@ -72,12 +72,12 @@ _CODE_MASK = (1 << 21) - 1
 _BLOCK = 1 << 16
 
 
-def _count_windows(text: str, sep: str) -> Counter:
-    """Count the trigram windows of ``text + sep + sep``, keyed by packed code points.
+def _count_windows(text: str) -> Counter:
+    """Count the trigram windows of ``text`` plus two boundaries, keyed by packed code points.
 
     The window at position i is keyed ``c[i] | c[i+1] << 21 | c[i+2] << 42``.
     Blocks of ``_BLOCK`` windows overlap by two characters, and only the
-    last one is extended by the two separators. Each block is packed in C:
+    last one is extended by the two boundaries. Each block is packed in C:
     its code points fill the low halves of 8-byte little-endian slots, the
     slots read as one int ``x``, and ``x | (x >> 64) << 21 | (x >> 128) << 42``
     holds the key of the window that starts in each slot. Its first
@@ -88,7 +88,7 @@ def _count_windows(text: str, sep: str) -> Counter:
         size = min(_BLOCK, len(text) - start) + 2  # characters, two more than windows
         chunk = text[start:start + size]
         if len(chunk) < size:
-            chunk = (chunk + sep + sep)[:size]
+            chunk = (chunk + BOUNDARY + BOUNDARY)[:size]
         slots = bytearray(8 * size)
         memoryview(slots).cast("I")[0::2] = memoryview(chunk.encode("utf-32-le")).cast("I")
         x = int.from_bytes(slots, "little")
@@ -105,45 +105,45 @@ def count_all(stream: LetterStream, *, span_boundaries: bool = False
 
     Windows never cross a word boundary unless ``span_boundaries`` is set
     (a sensitivity knob; alternation across a space is not meaningful).
-    Every trigram window of the text with two separators appended is
+    Every trigram window of the text with two boundaries appended is
     counted under one int key that packs its three code points
     (``_count_windows``), so each position of the text starts exactly one
     window. One loop over the distinct keys then folds the tables: a
-    window that starts with a separator is dropped; any other adds its
+    window that starts with a boundary is dropped; any other adds its
     first letter to the monograms, its first two letters to the digraphs
-    unless the second is a separator, and itself to the trigrams unless
-    it holds a separator. Only these surviving grams are decoded to
+    unless the second is a boundary, and itself to the trigrams unless
+    it holds a boundary. Only these surviving grams are decoded to
     strings. Each table lists its grams in order of first occurrence.
 
     The fourth table, of 2-grams, holds the junctions: the letter pairs
-    that meet across one word boundary, folded from the windows
-    ``x·sep·y``. Run-only digraphs plus junctions are the digraphs counted
-    with ``span_boundaries``; under ``span_boundaries`` the junction table
-    is empty, since the digraphs already hold those pairs. No file carries
+    that meet across one word boundary, folded from the windows ``x·LF·y``.
+    Run-only digraphs plus junctions are the digraphs counted with
+    ``span_boundaries``; under ``span_boundaries`` the junction table is
+    empty, since the digraphs already hold those pairs. No file carries
     it: it serves scoring from the tables (``evaluator.score_tables``).
     """
-    sep = ord(stream.sep)  # compared with the code points a key unpacks to
+    boundary = ord(BOUNDARY)  # compared with the code points a key unpacks to
     text = stream.letters() if span_boundaries else stream.text
     monograms: Counter = Counter()
     digraphs: Counter = Counter()
     trigrams: Counter = Counter()
     junctions: Counter = Counter()
     mono_get, di_get = monograms.get, digraphs.get
-    for key, count in _count_windows(text, stream.sep).items():
+    for key, count in _count_windows(text).items():
         first = key & _CODE_MASK
-        if first == sep:
+        if first == boundary:
             continue
         second = key >> 21 & _CODE_MASK
         third = key >> 42
         gram = chr(first)
         monograms[gram] = mono_get(gram, 0) + count
-        if second == sep:
-            if third != sep:
+        if second == boundary:
+            if third != boundary:
                 junctions[gram + chr(third)] = count
             continue
         gram += chr(second)
         digraphs[gram] = di_get(gram, 0) + count
-        if third != sep:
+        if third != boundary:
             trigrams[gram + chr(third)] = count
     total = stream.letter_count
     return (NGramTable(1, monograms, total), NGramTable(2, digraphs, total),
@@ -265,7 +265,9 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     The file is read line by line, never whole. '#' lines carry the header
     wherever they stand; blank lines and column headers are skipped. A
     table whose ``n`` is not one of 1-3, that stores a gram of another
-    length, or that holds a negative count or total, is malformed.
+    length, that holds a negative count or total, or whose counts add up
+    to more than its total (no gram occurs more often than there are
+    letters), is malformed.
     """
     header: dict[str, int] = {}
     counts: Counter = Counter()
@@ -300,5 +302,8 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     if min(counts.values(), default=0) < 0:
         wrong = next(gram for gram, count in counts.items() if count < 0)
         raise MalformedInput(f"{path}: gram {wrong!r} has a negative count {counts[wrong]}")
+    if counts.total() > header["total_letters"]:
+        raise MalformedInput(f"{path}: counts add up to {counts.total()},"
+                             f" more than total_letters {header['total_letters']}")
     return NGramTable(n=n, counts=counts, total_letters=header["total_letters"])
 

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from layoutforge.corpus import AlphabetConfig, LetterStream, choose_separator
+from layoutforge.corpus import BOUNDARY, AlphabetConfig, LetterStream
 from layoutforge.stats import NGramTable
 
 TOTAL_LETTERS = 821914
@@ -76,9 +76,7 @@ def ascii_config() -> AlphabetConfig:
 
 def make_stream(tokens) -> LetterStream:
     """Wrap a token list (letters and None boundaries) as a stream."""
-    sep = choose_separator({t for t in tokens if t is not None})
-    return LetterStream(text="".join(sep if t is None else t for t in tokens),
-                        sep=sep, source_bytes=0)
+    return LetterStream(text="".join(BOUNDARY if t is None else t for t in tokens))
 
 
 def random_tokens(rng, alphabet, length, boundary_rate=0.15):

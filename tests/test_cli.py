@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from layoutforge.cli import main
+from layoutforge.corpus import AlphabetConfig
+from layoutforge.layout import Geometry
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 
@@ -341,6 +343,33 @@ def test_config_echo_never_names_inputs(tmp_path):
     assert main(["run-all", corpus, "--out", str(out)]) == 0
     for name in ("summary.json", "partition.json", "report-optimized.json"):
         assert "secret-name" not in (out / name).read_text(encoding="utf-8")
+
+
+def test_config_echo_holds_named_files_as_documents(tmp_path, monkeypatch):
+    """One alphabet and geometry, kept in two places, give the same files."""
+    paths = [str(p) for p in sorted(SAMPLE_DIR.glob("*.txt"))]
+    alphabet = {"ranges": [["U+0980", "U+09FF"]], "exclude": ["U+09E6", "U+09E7"]}
+    geometry = {"rows": 3, "columns": 6}
+    outputs = {}
+    for where in ("a1", "a2", "env"):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "al.json").write_text(json.dumps(alphabet), encoding="utf-8")
+        (tmp_path / where / "geo.json").write_text(json.dumps(geometry), encoding="utf-8")
+        argv = ["run-all", *paths, "--out", str(tmp_path / where / "out")]
+        named = {"alphabet_path": str(tmp_path / where / "al.json"),
+                 "geometry_path": str(tmp_path / where / "geo.json")}
+        if where == "env":
+            config = tmp_path / where / "config.json"
+            config.write_text(json.dumps(named), encoding="utf-8")
+            monkeypatch.setenv("LAYOUTFORGE_CONFIG", str(config))
+        else:
+            argv += ["--alphabet", named["alphabet_path"], "--geometry", named["geometry_path"]]
+        assert main(argv) == 0
+        outputs[where] = read_all_bytes(tmp_path / where / "out")
+    assert outputs["a1"] == outputs["a2"] == outputs["env"]
+    echo = json.loads(outputs["a1"]["summary.json"])["config"]
+    assert echo["alphabet_path"] == AlphabetConfig.from_dict(alphabet).to_dict()
+    assert echo["geometry_path"] == Geometry.from_dict(geometry).to_dict()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -4,10 +4,12 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from layoutforge.corpus import (AlphabetConfig, concat_streams,
+from layoutforge.corpus import (BOUNDARY, AlphabetConfig, concat_streams,
                                 format_codepoint, normalize_text, parse_codepoint,
-                                read_corpus, reconstruct_text, tokenize)
+                                read_corpus, tokenize)
 from layoutforge.errors import ConfigError, InvalidEncoding
 
 
@@ -45,37 +47,37 @@ def test_tokenize_empty():
 
 def test_tokenize_boundary_collapse():
     stream = tokenize("ক খ")
-    assert stream.text == "ক খ"
+    assert stream.text == "ক" + BOUNDARY + "খ"
     assert stream.letter_count == 2
 
 
 def test_tokenize_run_of_nonletters_is_one_boundary():
     stream = tokenize("ক ,;\t খ")
-    assert stream.text == "ক খ"
+    assert stream.text == "ক" + BOUNDARY + "খ"
 
 
 def test_tokenize_excluded_digits_are_boundaries():
     # Bangla digits are excluded by default; ASCII digits are simply
     # outside the alphabet. Both act as boundaries.
-    assert tokenize("ক১২খ").text == "ক খ"
-    assert tokenize("ক12খ").text == "ক খ"
+    assert tokenize("ক১২খ").text == "ক" + BOUNDARY + "খ"
+    assert tokenize("ক12খ").text == "ক" + BOUNDARY + "খ"
 
 
 def test_tokenize_keeps_edge_boundaries_single():
     stream = tokenize("  ক  ")
-    assert stream.text == " ক "
+    assert stream.text == BOUNDARY + "ক" + BOUNDARY
     assert stream.letter_count == 1
 
 
 def test_virama_is_a_letter_by_default():
     stream = tokenize("ক্ত")  # conjunct spelled out
     assert stream.letter_count == 3
-    assert stream.sep not in stream.text
+    assert BOUNDARY not in stream.text
 
 
 def test_danda_is_a_boundary_by_default():
     stream = tokenize("ক।খ")  # danda is outside the block
-    assert stream.text == "ক খ"
+    assert stream.text == "ক" + BOUNDARY + "খ"
 
 
 def test_letter_count_matches_brute_scan():
@@ -88,7 +90,7 @@ def test_letter_count_matches_brute_scan():
         stream = tokenize(text, config)
         expected = sum(1 for ch in text if ch in config.resolve())
         assert stream.letter_count == expected
-        assert stream.letter_count == sum(1 for ch in stream.text if ch != stream.sep)
+        assert stream.letter_count == sum(1 for ch in stream.text if ch != BOUNDARY)
 
 
 def test_no_consecutive_boundaries_property():
@@ -97,7 +99,7 @@ def test_no_consecutive_boundaries_property():
     for _ in range(100):
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 60)))
         stream = tokenize(text)
-        assert stream.sep * 2 not in stream.text
+        assert BOUNDARY * 2 not in stream.text
 
 
 def test_concatenation_letter_counts_add():
@@ -110,35 +112,24 @@ def test_concat_streams_inserts_seam_boundary():
     a = tokenize("কা")
     b = tokenize("খ")
     merged = concat_streams([a, b])
-    assert merged.text == "কা খ"
+    assert merged.text == "কা" + BOUNDARY + "খ"
     assert merged.letter_count == 3
-    assert merged.source_bytes == a.source_bytes + b.source_bytes
 
 
 def test_concat_streams_collapses_edge_boundaries():
     a = tokenize("ক ")
     b = tokenize(" খ")
     merged = concat_streams([a, b])
-    assert merged.text == "ক খ"
+    assert merged.text == "ক" + BOUNDARY + "খ"
     # A part without letters is one boundary, shared with its neighbours.
-    assert concat_streams([a, tokenize("."), b]).text == "ক খ"
-    assert concat_streams([tokenize("."), tokenize(".")]).text == " "
+    assert concat_streams([a, tokenize("."), b]).text == "ক" + BOUNDARY + "খ"
+    assert concat_streams([tokenize("."), tokenize(".")]).text == BOUNDARY
 
 
 def test_concat_skips_empty_parts():
     a = tokenize("ক")
     merged = concat_streams([a, tokenize(""), tokenize("খ")])
-    assert merged.text == "ক খ"
-
-
-def test_concat_refuses_streams_with_different_separators():
-    spaced = AlphabetConfig(ranges=((ord("a"), ord("z")),), exclude=frozenset())
-    unspaced = AlphabetConfig(ranges=((ord("a"), ord("z")),), include=frozenset(" "),
-                              exclude=frozenset())
-    a, b = tokenize("ab cd", spaced), tokenize("ef.gh", unspaced)
-    assert a.sep != b.sep
-    with pytest.raises(ValueError, match="different separators"):
-        concat_streams([a, b])
+    assert merged.text == "ক" + BOUNDARY + "খ"
 
 
 def test_round_trip_stability():
@@ -148,8 +139,8 @@ def test_round_trip_stability():
     for _ in range(50):
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 120)))
         once = tokenize(normalize_text(text.encode("utf-8")))
-        twice = tokenize(reconstruct_text(once))
-        assert (twice.text, twice.sep) == (once.text, once.sep)
+        twice = tokenize(once.text)
+        assert twice == once
         assert twice.letter_count == once.letter_count
 
 
@@ -159,7 +150,29 @@ def test_read_corpus_joins_files_with_boundary(tmp_path):
     p1.write_text("কা", encoding="utf-8")
     p2.write_text("খ", encoding="utf-8")
     stream = read_corpus([p1, p2], AlphabetConfig())
-    assert stream.text == "কা খ"
+    assert stream.text == "কা" + BOUNDARY + "খ"
+
+
+# An astral letter, the space as a letter, and a vowel sign that NFC
+# composes from the two after it; the rest are never letters.
+LETTER_POOL = "a \U0001F600\u09cb\u09c7\u09be"
+TEXT_POOL = LETTER_POOL + ".\t\n-"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(letters=st.sets(st.sampled_from(LETTER_POOL)),
+       texts=st.lists(st.text(TEXT_POOL, max_size=12), min_size=1, max_size=4))
+def test_read_corpus_is_the_texts_joined_by_one_boundary(tmp_path_factory, letters, texts):
+    config = AlphabetConfig(ranges=(), include=frozenset(letters), exclude=frozenset())
+    directory = tmp_path_factory.mktemp("corpus")
+    paths = [directory / f"{i}.txt" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text.encode("utf-8"))
+    stream = read_corpus(paths, config)
+    nfc = [unicodedata.normalize("NFC", text) for text in texts]
+    assert stream == tokenize(BOUNDARY.join(text for text in nfc if text), config)
+    assert tokenize(stream.text, config) == stream
 
 
 def test_codepoint_parsing():
@@ -215,5 +228,4 @@ def test_same_input_same_stream():
     text = "কা খিক"
     first = tokenize(text)
     second = tokenize(text)
-    assert (first.text, first.sep) == (second.text, second.sep)
-    assert first.source_bytes == second.source_bytes
+    assert first == second

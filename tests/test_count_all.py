@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from layoutforge import stats
-from layoutforge.corpus import AlphabetConfig, choose_separator, concat_streams, tokenize
+from layoutforge.corpus import BOUNDARY, AlphabetConfig, concat_streams, tokenize
 from layoutforge.stats import NGRAM_SIZES, count_all, count_ngrams
 
 
@@ -50,7 +50,7 @@ def check_against_oracle(rng, letters, others, rounds):
     for _ in range(rounds):
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 400)))
         stream = tokenize(text, config)
-        assert stream.sep not in config.resolve()
+        assert BOUNDARY not in config.resolve()
         for span in (False, True):
             tables = count_all(stream, span_boundaries=span)
             expected = naive_tables(text, config.resolve(), span)
@@ -67,10 +67,10 @@ def test_count_all_matches_naive_windows():
 
 
 def test_count_all_with_space_as_a_letter():
-    # The space is a letter here, so the stream must pick another separator.
+    # The space is a letter here, and LF still stands for the boundary.
     rng = random.Random(21)
     letters = "ab c"
-    assert tokenize("a b", letter_config(letters)).sep != " "
+    assert tokenize("a b.c", letter_config(letters)).text == "a b" + BOUNDARY + "c"
     check_against_oracle(rng, letters, ".\n\x00", 300)
 
 
@@ -120,7 +120,7 @@ def test_count_all_over_concatenated_streams():
 def test_alphabet_without_letters():
     config = AlphabetConfig(ranges=(), include=frozenset(), exclude=frozenset())
     assert config.resolve() == frozenset()
-    for text, expected in (("", ""), ("abc d", " "), ("\n\n", " ")):
+    for text, expected in (("", ""), ("abc d", BOUNDARY), ("\n\n", BOUNDARY)):
         stream = tokenize(text, config)
         assert stream.text == expected
         assert stream.letter_count == 0
@@ -128,8 +128,3 @@ def test_alphabet_without_letters():
         for span in (False, True):
             for n, table in zip(NGRAM_SIZES, count_all(stream, span_boundaries=span)):
                 assert table.n == n and not table.counts and table.total_letters == 0
-
-
-def test_choose_separator_skips_taken_characters():
-    assert choose_separator(set("abc")) == " "
-    assert choose_separator({" ", "\x00"}) == "\n"

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from layoutforge.corpus import BOUNDARY
 from layoutforge.errors import EmptyInput
 from layoutforge.evaluator import (ChunkScore, Comparison, EvaluationReport, compare,
                                    evaluate, evaluate_chunked, format_comparison,
@@ -210,13 +211,13 @@ def test_chunked_matches_rescan_at_every_chunk_count():
         if tokens and rng.random() < 0.5:
             tokens = tokens + [None]
         stream = make_stream(tokens)
-        text, sep = stream.text, stream.sep
+        text = stream.text
         for chunks in range(1, len(text) + 2):
             size = max(1, math.ceil(len(text) / chunks))
             for start in range(0, len(text), size):
                 piece = text[start:start + size]
-                seen.add("edge boundary" if sep in (piece[0], piece[-1]) else None)
-                seen.add("only boundaries" if set(piece) == {sep} else None)
+                seen.add("edge boundary" if BOUNDARY in (piece[0], piece[-1]) else None)
+                seen.add("only boundaries" if set(piece) == {BOUNDARY} else None)
                 seen.add("only unplaced" if set(piece) <= {"x", "y"} else None)
             for reset in (False, True):
                 report = evaluate_chunked(layout, stream, chunks=chunks,

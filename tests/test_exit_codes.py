@@ -295,6 +295,24 @@ def test_partition_tsv_negative_total_exits_2(tmp_path, capsys):
     assert "total_letters -5 is negative" in error["message"]
 
 
+@pytest.mark.parametrize("name", ["monograms.tsv", "digraphs.tsv"])
+def test_partition_tsv_counts_above_the_total_exit_2(tmp_path, capsys, name):
+    out = run_all(tmp_path)
+    table = out / name
+    lines = table.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line[0] != "#" and line[:5] != "gram\t")
+    gram, count, pct = lines[row].split("\t")
+    lines[row] = f"{gram}\t{int(count) * 50}\t{pct}"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["partition", "--mono", str(out / "monograms.tsv"),
+                 "--digraphs", str(out / "digraphs.tsv"), "--out", str(tmp_path / "p")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "MalformedInput"
+    assert error["message"].startswith(f"{table}: counts add up to ")
+    assert "more than total_letters" in error["message"]
+    assert not (tmp_path / "p").exists()
+
+
 # ---------------------------------------------------------------------------
 # Layout names become file names, so each must name one file inside --out.
 
@@ -417,6 +435,8 @@ DOCUMENT_EDITS = {
                                "ranking counts must not be negative"),
     "negative total": ("partition", lambda doc: doc.update(total_letters=-3),
                        "total_letters and ranking counts must not be negative"),
+    "ranking counts above the total": ("partition", set_first("ranking", 1, 10**9),
+                                       "more than total_letters"),
     "partition unknown field": ("partition", lambda doc: doc.update(extra=1),
                                 "unknown partition fields: ['extra']"),
     "layout unknown field": ("layout", lambda doc: doc.update(extra=1),

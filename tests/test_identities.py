@@ -66,8 +66,8 @@ def test_identities_for_random_hand_splits(stream):
         check_identities(layout_from_hands(letters[:cut], letters[cut:]), stream)
 
 
-# Letters and boundary characters overlap: a space or NUL drawn as a letter
-# moves the stream's separator elsewhere.
+# Letters and boundary characters overlap: a space or NUL may be drawn as a
+# letter, while LF is always the boundary.
 LETTER_POOL = "abc \x00"
 TEXT_POOL = "abc \x00.\n"
 

@@ -178,7 +178,7 @@ def test_four_letter_corpus_is_initialization_only():
     dig = NGramTable(2, Counter({"ab": 1}), 10)
     part = partition_all(mono, dig)
     assert len(part.trace) == 4
-    assert part.assigned() == {"a", "b", "c", "d"}
+    assert set(part.left) | set(part.right) == {"a", "b", "c", "d"}
 
 
 def test_partition_requires_four_letters():
@@ -192,7 +192,7 @@ def test_coverage_floor_drops_rare_letters():
     mono = NGramTable(1, Counter({"a": 9, "b": 8, "c": 7, "d": 6, "e": 1}), 31)
     dig = NGramTable(2, Counter(), 31)
     part = partition_all(mono, dig, coverage=2)
-    assert "e" not in part.assigned()
+    assert "e" not in set(part.left) | set(part.right)
     assert len(part.trace) == 4
     with pytest.raises(TooFewLetters):
         partition_all(mono, dig, coverage=7)
@@ -219,7 +219,7 @@ def test_disjoint_and_complete_after_every_step():
         dig = NGramTable(2, dig_counts, total)
         part = partition_all(mono, dig)
         assert not set(part.left) & set(part.right)
-        assert part.assigned() == set(mono_counts)
+        assert set(part.left) | set(part.right) == set(mono_counts)
         assert len(part.trace) == len(mono_counts)
 
 

@@ -82,7 +82,8 @@ def assert_reads_as_before(path):
             read_ngram_tsv(path)
         return
     if (n not in (1, 2, 3) or any(len(gram) != n for gram in counts)
-            or total < 0 or any(count < 0 for count in counts.values())):
+            or total < 0 or any(count < 0 for count in counts.values())
+            or sum(counts.values()) > total):
         with pytest.raises(MalformedInput):
             read_ngram_tsv(path)
         return
