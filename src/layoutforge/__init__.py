@@ -7,7 +7,8 @@ key grid by frequency, then score any layout against a corpus.
 """
 
 from .corpus import (BOUNDARY, AlphabetConfig, LetterStream, concat_streams,
-                     format_codepoint, normalize_text, parse_codepoint, read_corpus, tokenize)
+                     format_codepoint, normalize_text, parse_codepoint, read_corpus,
+                     read_pieces, tokenize)
 from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, EmptyCorpus,
                      EmptyInput, InvalidEncoding, InvariantViolation,
                      LayoutForgeError, MalformedInput, MalformedLayout,
@@ -28,7 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOUNDARY", "AlphabetConfig", "LetterStream", "concat_streams",
-    "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus", "tokenize",
+    "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus", "read_pieces",
+    "tokenize",
     "LayoutForgeError", "ConfigError", "InvalidEncoding", "EmptyCorpus",
     "NoInvolvement", "TooFewLetters", "AlreadyAssigned", "CapacityExceeded",
     "MalformedInput", "MalformedLayout", "InvariantViolation", "EmptyInput",

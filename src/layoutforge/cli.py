@@ -6,6 +6,11 @@ and inspected independently. ``run-all`` chains the whole pipeline.
 Outputs embed an echo of the knobs that produced them, never the input
 paths, so the same inputs give byte-identical files on every run.
 
+No command holds the whole corpus as text. The corpus is read one block
+at a time into the n-gram tables, and a replay of it (``evaluate``, or
+``run-all`` where its tables cannot score the layout) reads it again.
+Only stdin's bytes are held, as read, so that they can be read again.
+
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.
 Errors are reported as a single JSON line on stderr.
 """
@@ -19,10 +24,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Callable, Iterator, Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
-from .corpus import AlphabetConfig, LetterStream, normalize_text, read_corpus, tokenize
+from .corpus import AlphabetConfig, LetterStream, read_pieces
 from .errors import ConfigError, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, format_comparison,
                         read_report_json, score_tables, write_report_json, write_report_tsv)
@@ -31,7 +36,8 @@ from .layout import (Geometry, KeyboardLayout, build_layout, check_layout_name, 
 from .partition import (HandPartition, partition_all, read_partition_json,
                         write_partition_json)
 from .stats import NGramTable, count_all, read_ngram_tsv, write_ngram_tsv
-# Not called here, but bench/spans.py traces layoutforge.cli.count_ngrams.
+# Not called here, but bench/spans.py traces these names in this module.
+from .corpus import normalize_text, read_corpus, tokenize  # noqa: F401
 from .stats import count_ngrams  # noqa: F401
 
 CONFIG_ENV_VAR = "LAYOUTFORGE_CONFIG"
@@ -98,22 +104,29 @@ def resolve_config(args: argparse.Namespace, environ=os.environ) -> PipelineConf
     return config
 
 
-def _read_letters(paths: Sequence[str], config: PipelineConfig) -> LetterStream:
+Corpus = Callable[[], Iterator[LetterStream]]
+
+
+def _corpus(paths: Sequence[str], config: PipelineConfig) -> Corpus:
     """The corpus files, or stdin when none are named, under the configured alphabet.
 
-    A corpus without a letter of the alphabet is refused.
+    Each call reads the corpus from its start, as pieces (``read_pieces``):
+    the files again, or stdin's bytes, which are read once and held.
     """
-    if paths:
-        stream = read_corpus(paths, config.alphabet)
-    else:
-        stream = tokenize(normalize_text(sys.stdin.buffer.read()), config.alphabet)
-    if stream.letter_count == 0:
+    sources = list(paths) if paths else [sys.stdin.buffer.read()]
+    return functools.partial(read_pieces, sources, config.alphabet)
+
+
+def _refuse_empty(total_letters: int) -> None:
+    """A corpus without a letter of the alphabet is refused."""
+    if total_letters == 0:
         raise EmptyCorpus("empty corpus: input contains no alphabet letters")
-    return stream
 
 
-def _count(stream: LetterStream, config: PipelineConfig) -> tuple[NGramTable, ...]:
-    return count_all(stream, span_boundaries=config.span_boundaries)
+def _count(corpus: Corpus, config: PipelineConfig) -> tuple[NGramTable, ...]:
+    tables = count_all(corpus(), span_boundaries=config.span_boundaries)
+    _refuse_empty(tables[0].total_letters)
+    return tables
 
 
 def _partition(mono: NGramTable, digraphs: NGramTable, config: PipelineConfig) -> HandPartition:
@@ -136,21 +149,21 @@ def _write_partition(part: HandPartition, mono: NGramTable, config: PipelineConf
                          config_echo=config.echo())
 
 
-def _score_counted(layout: KeyboardLayout, stream: LetterStream,
+def _score_counted(layout: KeyboardLayout, corpus: Corpus,
                    tables: Sequence[NGramTable], config: PipelineConfig) -> EvaluationReport:
-    """Score a layout against a stream whose tables ``_count`` gave.
+    """Score a layout against a corpus whose tables ``_count`` gave.
 
     The tables give the replay's report exactly when the layout places
     every counted letter, unless boundaries both span and reset: resets
     need the digraphs within runs, and a spanning count has none of its
-    own. Elsewhere, as when ``--coverage`` leaves letters out, the stream
-    is replayed.
+    own. Elsewhere, as when ``--coverage`` leaves letters out, the corpus
+    is read again and replayed.
     """
     mono, digraphs, _trigrams, junctions = tables
     reset = config.reset_on_boundary
     if all(map(layout.hand_of, mono.counts)) and not (config.span_boundaries and reset):
         return score_tables(layout, mono, digraphs, junctions, reset_on_boundary=reset)
-    return evaluate(layout, stream, reset_on_boundary=reset)
+    return evaluate(layout, corpus(), reset_on_boundary=reset)
 
 
 def _write_report(report: EvaluationReport, config: PipelineConfig) -> None:
@@ -177,7 +190,7 @@ def _write_comparison(reports: Sequence[EvaluationReport], path: str | Path | No
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    _write_stats_files(_count(_read_letters(args.corpus, config), config), config)
+    _write_stats_files(_count(_corpus(args.corpus, config), config), config)
     return 0
 
 
@@ -196,7 +209,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             raise ConfigError(f"--mono counts {mono.total_letters} letters and --digraphs"
                               f" {digraphs.total_letters}; the tables come from different corpora")
     else:
-        mono, digraphs = _count(_read_letters(args.corpus, config), config)[:2]
+        mono, digraphs = _count(_corpus(args.corpus, config), config)[:2]
     _write_partition(_partition(mono, digraphs, config), mono, config)
     return 0
 
@@ -218,10 +231,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ConfigError(f"{named[layout.name]} and {path} both name their layout"
                               f" {layout.name!r}; their reports would overwrite each other")
         named[layout.name] = path
-    stream = _read_letters(args.corpus, config)
-    for layout in layouts:
-        _write_report(evaluate(layout, stream, reset_on_boundary=config.reset_on_boundary),
-                      config)
+    # Each layout reads the corpus again: no more than one block is held.
+    corpus = _corpus(args.corpus, config)
+    reports = [evaluate(layout, corpus(), reset_on_boundary=config.reset_on_boundary)
+               for layout in layouts]
+    _refuse_empty(reports[0].total_letters)
+    for report in reports:
+        _write_report(report, config)
     return 0
 
 
@@ -233,13 +249,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     check_layout_name(args.name)  # before the corpus is read
     config = resolve_config(args)
-    stream = _read_letters(args.corpus, config)
+    corpus = _corpus(args.corpus, config)
     geometry = config.geometry
-    tables = _count(stream, config)
+    tables = _count(corpus, config)
     mono, digraphs = tables[:2]
     part = _partition(mono, digraphs, config)
     layout = build_layout(part, mono, geometry, name=args.name)
-    report = _score_counted(layout, stream, tables, config)
+    report = _score_counted(layout, corpus, tables, config)
     out = Path(config.out_dir)
     _write_stats_files(tables, config)
     _write_partition(part, mono, config)

@@ -1,6 +1,6 @@
 """Text ingestion: UTF-8 decoding, NFC normalization, letter-stream tokenization.
 
-A corpus is reduced to one string of letters in which each word boundary
+A corpus is reduced to a string of letters in which each word boundary
 is a single LF (``BOUNDARY``). What counts as a letter is driven entirely
 by an AlphabetConfig; every other code point becomes a boundary, and
 consecutive boundaries collapse into one. LF is the boundary under every
@@ -8,17 +8,23 @@ alphabet because no alphabet can hold it: it splits the rows of an n-gram
 table (``NOT_TABLE_LETTERS``). The letter unit is a single code point, so
 dependent vowel signs (matras) and the virama are letters in their own
 right.
+
+Files are read in blocks that end right after an LF (``read_pieces``),
+and each block is decoded, normalized and tokenized on its own, so only
+one block is held at a time. The pieces, joined in order, are the text
+``read_corpus`` returns whole.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .atomic import OptionalField, check_shape, read_json_object
 from .errors import ConfigError, InvalidEncoding
@@ -37,6 +43,10 @@ NOT_TABLE_LETTERS = frozenset("#\t\n\r")
 # is in NOT_TABLE_LETTERS, so it is never a letter, and it is no backslash,
 # so it stands as its own replacement template in ``re.sub``.
 BOUNDARY = "\n"
+
+# Bytes read from a file at a time; each block then runs on to the end of
+# its line.
+_READ_BLOCK = 1 << 16
 
 ALPHABET_SHAPE = {"ranges": OptionalField([(str, str)]), "include": OptionalField([str]),
                   "exclude": OptionalField([str])}
@@ -173,34 +183,88 @@ def tokenize(text: str, config: AlphabetConfig | None = None) -> LetterStream:
     return LetterStream(text=nonletters.sub(BOUNDARY, text))
 
 
+def as_pieces(corpus: LetterStream | Iterable[LetterStream]) -> Iterable[LetterStream]:
+    """A stream as the one piece it is, or pieces as they are.
+
+    Pieces are consecutive slices of one stream, in order, such as
+    ``read_pieces`` gives.
+    """
+    return (corpus,) if isinstance(corpus, LetterStream) else corpus
+
+
+def _joined(texts: Iterable[str]) -> Iterator[str]:
+    """The nonempty stream texts, each trimmed or extended so that a seam holds one boundary.
+
+    Within a text no two boundaries touch, so each seam needs exactly one:
+    one is added where neither side has it and dropped where both do.
+    """
+    ends = None  # whether the text given out last ended on a boundary
+    for text in texts:
+        if text and ends is not None:
+            seam = ends + text.startswith(BOUNDARY)
+            if seam == 0:
+                text = BOUNDARY + text
+            elif seam == 2:
+                text = text[1:]
+        if text:
+            ends = text.endswith(BOUNDARY)
+            yield text
+
+
 def concat_streams(streams: Iterable[LetterStream]) -> LetterStream:
     """Join streams with an implicit boundary between parts.
 
     Digraphs therefore never span two source files, and the merged statistics
     do not depend on which file a word came from.
     """
-    # Within a part no two boundaries touch, so each seam needs exactly one.
-    pieces: list[str] = []
-    for part in streams:
-        text = part.text
-        if pieces and text:
-            seam = pieces[-1].endswith(BOUNDARY) + text.startswith(BOUNDARY)
-            if seam == 0:
-                pieces.append(BOUNDARY)
-            elif seam == 2:
-                text = text[1:]
-        if text:
-            pieces.append(text)
-    return LetterStream(text="".join(pieces))
+    return LetterStream(text="".join(_joined(part.text for part in streams)))
+
+
+def _blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The handle's bytes in blocks that each end right after an LF, bar perhaps the last.
+
+    A block is ``_READ_BLOCK`` bytes and the rest of the line they end in,
+    so a line longer than a block is read whole.
+    """
+    while block := handle.read(_READ_BLOCK):
+        if not block.endswith(b"\n"):
+            block += handle.readline()
+        yield block
+
+
+def _source_texts(source: str | Path | bytes, config: AlphabetConfig | None) -> Iterator[str]:
+    """The tokenized text of each block of a file, or of bytes already read.
+
+    LF is never a letter, and it is a starter that composes with nothing,
+    so decoding, normalizing and tokenizing each block gives the text that
+    those steps give the whole source. An encoding error is placed by its
+    offset from the start of the source.
+    """
+    path = None if isinstance(source, bytes) else source
+    offset = 0
+    with (io.BytesIO(source) if path is None else open(path, "rb")) as handle:
+        for block in _blocks(handle):
+            try:
+                text = normalize_text(block)
+            except InvalidEncoding as exc:
+                raise InvalidEncoding(offset + exc.position, path) from None
+            offset += len(block)
+            yield tokenize(text, config).text
+
+
+def read_pieces(sources: Iterable[str | Path | bytes],
+                config: AlphabetConfig | None = None) -> Iterator[LetterStream]:
+    """The corpus in its sources' order, as one tokenized piece per block read.
+
+    A source is a file's path or bytes already read (stdin's). Each seam
+    between pieces, of one source or of two, holds exactly one boundary,
+    so the pieces joined are the stream of the whole corpus, while only
+    one block is held at a time.
+    """
+    texts = (text for source in sources for text in _source_texts(source, config))
+    return map(LetterStream, _joined(texts))
 
 
 def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = None) -> LetterStream:
-    """Tokenize each file and concatenate the streams in the given order."""
-    parts = []
-    for path in paths:
-        try:
-            text = normalize_text(Path(path).read_bytes())
-        except InvalidEncoding as exc:
-            raise InvalidEncoding(exc.position, path) from None
-        parts.append(tokenize(text, config))
-    return concat_streams(parts)
+    """The whole corpus as one stream: the files' pieces joined in the given order."""
+    return concat_streams(read_pieces(paths, config))

@@ -8,16 +8,19 @@ boundaries do the same unless boundary resetting is switched on.
 
 A score comes by one of two routes. ``score_chunk`` replays a stream: it
 scores any slice of a stream's text on its own, and ``ChunkScore.merge``
-joins the scores of neighbouring slices associatively, so ``evaluate``
-(the whole stream as one slice) and ``evaluate_chunked`` (the stream cut
-into slices and merged) agree by construction. ``score_tables`` reads the
-same report off the tables of ``stats.count_all`` when the layout places
-every counted letter: the loads are monogram sums and the switches the
-cross-hand mass of the letter pairs the fold sees. ``run-all`` takes the
-table route wherever it is exact; ``evaluate`` replays, and so does
-``run-all`` for a layout that leaves letters out or when boundaries both
-span and reset. The replay is tested against a plain per-letter rescan,
-and the tables against the replay.
+joins the scores of neighbouring slices associatively. ``evaluate``
+merges the scores of a stream's pieces in order, such as the blocks
+``corpus.read_pieces`` reads, so a replay holds one block at a time;
+``evaluate_chunked`` cuts a whole stream into slices for it. Both agree
+with scoring the stream as one slice by construction. ``score_tables``
+reads the same report off the tables of ``stats.count_all`` when the
+layout places every counted letter: the loads are monogram sums and the
+switches the cross-hand mass of the letter pairs the fold sees.
+``run-all`` takes the table route wherever it is exact; ``evaluate``
+replays, and so does ``run-all`` for a layout that leaves letters out or
+when boundaries both span and reset, reading the corpus again. The
+replay is tested against a plain per-letter rescan, and the tables
+against the replay.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence, TextIO, get_type_hints
+from typing import Iterable, Sequence, TextIO, get_type_hints
 
 from .atomic import OptionalField, read_json_object, write_json
-from .corpus import BOUNDARY, LetterStream
+from .corpus import BOUNDARY, LetterStream, as_pieces
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
 from .stats import NGramTable
@@ -107,24 +110,24 @@ def _report(layout: KeyboardLayout, score: ChunkScore) -> EvaluationReport:
     )
 
 
-def evaluate(layout: KeyboardLayout, stream: LetterStream,
+def evaluate(layout: KeyboardLayout, corpus: LetterStream | Iterable[LetterStream],
              *, reset_on_boundary: bool = False) -> EvaluationReport:
-    """Score a whole stream as one slice."""
-    return _report(layout, score_chunk(layout, stream, reset_on_boundary=reset_on_boundary))
+    """Score a stream, whole or as its pieces in order, merging the pieces' scores."""
+    score = ChunkScore()
+    for piece in as_pieces(corpus):
+        score = score.merge(score_chunk(layout, piece, reset_on_boundary=reset_on_boundary))
+    return _report(layout, score)
 
 
 def evaluate_chunked(layout: KeyboardLayout, stream: LetterStream, *, chunks: int = 4,
                      reset_on_boundary: bool = False) -> EvaluationReport:
-    """Score a stream in independently scored slices; same result as evaluate."""
+    """Score a stream cut into ``chunks`` slices; same result as evaluate on it whole."""
     if chunks < 1:
         raise ValueError(f"chunks must be positive, got {chunks}")
     text = stream.text
     size = max(1, math.ceil(len(text) / chunks))
-    total = ChunkScore()
-    for start in range(0, len(text), size):
-        part = LetterStream(text=text[start:start + size])
-        total = total.merge(score_chunk(layout, part, reset_on_boundary=reset_on_boundary))
-    return _report(layout, total)
+    slices = (LetterStream(text=text[start:start + size]) for start in range(0, len(text), size))
+    return evaluate(layout, slices, reset_on_boundary=reset_on_boundary)
 
 
 def _cross_hand_mass(layout: KeyboardLayout, pairs: NGramTable) -> int:

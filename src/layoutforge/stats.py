@@ -1,9 +1,11 @@
 """N-gram counting plus support, confidence, and cumulative side scores.
 
 Counting (``count_all``) keys every trigram window of a stream by one int
-that packs its three code points, 21 bits each. The keys are built and
-counted in C, a block of windows at a time so that no temporary buffer
-grows with the corpus. One loop over the distinct keys then folds them
+that packs its three code points, 21 bits each. The stream may come as
+the pieces ``corpus.read_pieces`` reads, one block at a time, and the
+windows that straddle two pieces are counted once. The keys are built
+and counted in C, a block of windows at a time, so that only the counts
+grow with the corpus. One loop over the distinct keys then folds them
 into the monogram, digraph, trigram and junction tables, decoding only
 the grams that hold no boundary.
 
@@ -19,14 +21,15 @@ taking both orientations of each pair.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
-from .corpus import BOUNDARY, LetterStream
+from .corpus import BOUNDARY, LetterStream, as_pieces
 from .errors import EmptyCorpus, MalformedInput, NoInvolvement
 
 NGRAM_SIZES = (1, 2, 3)
@@ -68,52 +71,60 @@ class SideScore:
 # window's first letter the lowest.
 _CODE_MASK = (1 << 21) - 1
 # Windows packed at once. A block's buffers (its 8-byte slots, their int and
-# its shifts) then stay around a megabyte, whatever the length of the text.
-_BLOCK = 1 << 16
+# its shifts) then stay within a few hundred kilobytes, whatever the length
+# of the text.
+_BLOCK = 1 << 14
 
 
-def _count_windows(text: str) -> Counter:
-    """Count the trigram windows of ``text`` plus two boundaries, keyed by packed code points.
+def _count_windows(texts: Iterable[str]) -> Counter:
+    """Count the trigram windows of the joined texts plus two boundaries, by packed key.
 
     The window at position i is keyed ``c[i] | c[i+1] << 21 | c[i+2] << 42``.
-    Blocks of ``_BLOCK`` windows overlap by two characters, and only the
-    last one is extended by the two boundaries. Each block is packed in C:
-    its code points fill the low halves of 8-byte little-endian slots, the
-    slots read as one int ``x``, and ``x | (x >> 64) << 21 | (x >> 128) << 42``
-    holds the key of the window that starts in each slot. Its first
-    ``size - 2`` slots are then counted by ``Counter.update``.
+    Each text is counted behind the last two characters of the one before
+    it, which start the windows that straddle the seam, so every window is
+    counted once however the texts split the whole; two boundaries follow
+    the last text. Within a text, blocks of ``_BLOCK`` windows overlap by
+    two characters. Each block is packed in C: its code points fill the low
+    halves of 8-byte little-endian slots, the slots read as one int ``x``,
+    and ``x | (x >> 64) << 21 | (x >> 128) << 42`` holds the key of the
+    window that starts in each slot. Its first ``size - 2`` slots are then
+    counted by ``Counter.update``.
     """
     windows: Counter = Counter()
-    for start in range(0, len(text), _BLOCK):
-        size = min(_BLOCK, len(text) - start) + 2  # characters, two more than windows
-        chunk = text[start:start + size]
-        if len(chunk) < size:
-            chunk = (chunk + BOUNDARY + BOUNDARY)[:size]
-        slots = bytearray(8 * size)
-        memoryview(slots).cast("I")[0::2] = memoryview(chunk.encode("utf-32-le")).cast("I")
-        x = int.from_bytes(slots, "little")
-        keys = memoryview((x | (x >> 64) << 21 | (x >> 128) << 42)
-                          .to_bytes(8 * size, sys.byteorder)).cast("Q")
-        # A big-endian machine lists the slots last one first.
-        windows.update(keys[:size - 2] if sys.byteorder == "little" else keys[:1:-1])
+    carry = ""
+    for text in itertools.chain(texts, (BOUNDARY + BOUNDARY,)):
+        text = carry + text
+        for start in range(0, len(text) - 2, _BLOCK):
+            chunk = text[start:start + _BLOCK + 2]
+            size = len(chunk)  # characters, two more than windows
+            slots = bytearray(8 * size)
+            memoryview(slots).cast("I")[0::2] = memoryview(chunk.encode("utf-32-le")).cast("I")
+            x = int.from_bytes(slots, "little")
+            keys = memoryview((x | (x >> 64) << 21 | (x >> 128) << 42)
+                              .to_bytes(8 * size, sys.byteorder)).cast("Q")
+            # A big-endian machine lists the slots last one first.
+            windows.update(keys[:size - 2] if sys.byteorder == "little" else keys[:1:-1])
+        carry = text[-2:]
     return windows
 
 
-def count_all(stream: LetterStream, *, span_boundaries: bool = False
+def count_all(corpus: LetterStream | Iterable[LetterStream], *, span_boundaries: bool = False
               ) -> tuple[NGramTable, NGramTable, NGramTable, NGramTable]:
     """Count the 1-, 2- and 3-gram tables of a stream in one pass, plus its junctions.
 
-    Windows never cross a word boundary unless ``span_boundaries`` is set
-    (a sensitivity knob; alternation across a space is not meaningful).
-    Every trigram window of the text with two boundaries appended is
-    counted under one int key that packs its three code points
-    (``_count_windows``), so each position of the text starts exactly one
-    window. One loop over the distinct keys then folds the tables: a
-    window that starts with a boundary is dropped; any other adds its
-    first letter to the monograms, its first two letters to the digraphs
-    unless the second is a boundary, and itself to the trigrams unless
-    it holds a boundary. Only these surviving grams are decoded to
-    strings. Each table lists its grams in order of first occurrence.
+    The stream may come whole or as its pieces in order (``read_pieces``);
+    the tables are the same. Windows never cross a word boundary unless
+    ``span_boundaries`` is set (a sensitivity knob; alternation across a
+    space is not meaningful). Every trigram window of the text with two
+    boundaries appended is counted under one int key that packs its three
+    code points (``_count_windows``), so each position of the text starts
+    exactly one window. One loop over the distinct keys then folds the
+    tables: a window that starts with a boundary is dropped; any other
+    adds its first letter to the monograms, its first two letters to the
+    digraphs unless the second is a boundary, and itself to the trigrams
+    unless it holds a boundary. Only these surviving grams are decoded to
+    strings. Each table lists its grams in order of first occurrence, and
+    the monograms add up to the letter total.
 
     The fourth table, of 2-grams, holds the junctions: the letter pairs
     that meet across one word boundary, folded from the windows ``x·LF·y``.
@@ -123,13 +134,14 @@ def count_all(stream: LetterStream, *, span_boundaries: bool = False
     it: it serves scoring from the tables (``evaluator.score_tables``).
     """
     boundary = ord(BOUNDARY)  # compared with the code points a key unpacks to
-    text = stream.letters() if span_boundaries else stream.text
+    windows = _count_windows(piece.letters() if span_boundaries else piece.text
+                             for piece in as_pieces(corpus))
     monograms: Counter = Counter()
     digraphs: Counter = Counter()
     trigrams: Counter = Counter()
     junctions: Counter = Counter()
     mono_get, di_get = monograms.get, digraphs.get
-    for key, count in _count_windows(text).items():
+    for key, count in windows.items():
         first = key & _CODE_MASK
         if first == boundary:
             continue
@@ -145,16 +157,17 @@ def count_all(stream: LetterStream, *, span_boundaries: bool = False
         digraphs[gram] = di_get(gram, 0) + count
         if third != boundary:
             trigrams[gram + chr(third)] = count
-    total = stream.letter_count
+    total = monograms.total()
     return (NGramTable(1, monograms, total), NGramTable(2, digraphs, total),
             NGramTable(3, trigrams, total), NGramTable(2, junctions, total))
 
 
-def count_ngrams(stream: LetterStream, n: int, *, span_boundaries: bool = False) -> NGramTable:
+def count_ngrams(corpus: LetterStream | Iterable[LetterStream], n: int, *,
+                 span_boundaries: bool = False) -> NGramTable:
     """The n-gram table of ``count_all`` for one n."""
     if n not in NGRAM_SIZES:
         raise ValueError(f"n must be one of {NGRAM_SIZES}, got {n}")
-    return count_all(stream, span_boundaries=span_boundaries)[n - 1]
+    return count_all(corpus, span_boundaries=span_boundaries)[n - 1]
 
 
 def support(table: NGramTable, gram: str) -> float:

@@ -4,10 +4,12 @@ run-all scores from its n-gram tables where they give the replay's report
 exactly and replays the corpus elsewhere; evaluate always replays. Under
 each flag set below, run-all takes the route named for it, and evaluating
 run-all's own layout over the same corpus must reproduce run-all's
-report. The golden digests pin the bytes of a default, a resetting and a
-spanning run-all over the bundled sample: the first two as they were
+report. The golden digests pin the bytes of run-all over the bundled
+sample under every flag set: the default and resetting runs as they were
 before the table route existed, the spanning one as it was before the
-counter keyed its windows by packed code points.
+counter keyed its windows by packed code points, and the two replayed
+runs as they were while run-all still held the whole corpus as one
+stream.
 """
 
 import hashlib
@@ -78,6 +80,34 @@ GOLDEN = {
             "719f4d5b9bdad5addbbd3af03b2751b7dc1b3931a5c74c954ad855364188aeab",
         "summary.json": "d07aba89d9692765bc90a7facb0eb9e62602683d2e1e0771687145237bfb66db",
         "trigrams.tsv": "992dd9d77a532b562e0dc8b9f06b77f9a70478351a91a40e2b7d4bea065e35ee",
+    },
+    "span and reset": {
+        "stdout": "c591efe892c8e1a5dac346406a250135ec37dacf75a3457f12cd5edbebd66056",
+        "comparison.txt": "c591efe892c8e1a5dac346406a250135ec37dacf75a3457f12cd5edbebd66056",
+        "digraphs.tsv": "b15a7e210d54a07467d60fcb6cb89c7d622dac551b7a85dc79f53b511bbd8b92",
+        "layout.json": "7baf3f0f9b5c079b97904fdb0e904fccd955f6447cd7c457869ceb06189ab43a",
+        "monograms.tsv": "d4c4392133d69fff83c2e94250cb201cdcb8fbde2266f3a4d9779f4e6be4d41b",
+        "partition.json": "9b4d243b8a6f4bd09f13debb74843a09d3b984a793bacaff8421bc54fab45a33",
+        "report-optimized.json":
+            "71ddea5c4f95b01e36d0faa2b47c7ebe82e6b35c63c979dd86c2dba271ca7f96",
+        "report-optimized.tsv":
+            "0ebf46ccff7a56bb9571cb9b79524feeddda7a7fbf86a460c4d0016a4b54bf56",
+        "summary.json": "02715ca3063afec806e095c895dd52ffa0daeab1ad4554addbe3964e24f069b0",
+        "trigrams.tsv": "9f5cd2c8bafb1629a9f81d2b75305b13088304736cae252f66cd02915c0b7bd2",
+    },
+    "coverage 50": {
+        "stdout": "7265b8d5b2fb1bcbf28d949217d5d9882e169319907603d402c3e382394b9480",
+        "comparison.txt": "7265b8d5b2fb1bcbf28d949217d5d9882e169319907603d402c3e382394b9480",
+        "digraphs.tsv": "d5c8da73bc48fd595925bcdaad62030bfd3ba781261512c5061b56f6f17cc04d",
+        "layout.json": "fe236470c7d0db1ddcba976a46f3be0c1b3be12ad244ccd938cf5c3148db1983",
+        "monograms.tsv": "f719f3b2061633445441214411fe5b1bdebbdc01e0e30c4a2c1ed003069ce791",
+        "partition.json": "69204f5a410149884dc998bf52d636d51b02f06780fa06dfd9f0e1a322b1037c",
+        "report-optimized.json":
+            "60fec8fd4686ca09e387a864a0de5d48def34472bf22211ad35f8a647c437c4d",
+        "report-optimized.tsv":
+            "68720814551619ffbce3eec44327029682081a49749897b4977a4994e616087b",
+        "summary.json": "d9b671835c7c2c6d993337988c69b5ba5b359a6ceac9bd658a317819cf93f809",
+        "trigrams.tsv": "650c97052f054e2908f11d688dbd9860b02fc6baaa73227fa6f356217eff77fd",
     },
 }
 
