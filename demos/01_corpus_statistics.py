@@ -23,7 +23,7 @@ print(f"{stream.letter_count} letters, "
 
 # One pass over the stream counts all three tables, and a fourth of the
 # letter pairs that meet across a word break, which scoring reads.
-tables = count_all(stream)
+tables = count_all([stream])
 for table, label in zip(tables, ("monograms", "digraphs", "trigraphs")):
     top = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:8]
     print(f"\ntop {label}:")

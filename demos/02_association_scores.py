@@ -15,7 +15,7 @@ from layoutforge import (AlphabetConfig, count_ngrams, digraph_confidence,
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
-digraphs = count_ngrams(stream, 2)
+digraphs = count_ngrams([stream], 2)
 
 focus = sys.argv[1] if len(sys.argv) > 1 else "ক"  # ক unless told otherwise
 involvement = involvement_totals(digraphs).get(focus, 0)

@@ -15,8 +15,8 @@ from layoutforge import (AlphabetConfig, build_layout, count_ngrams, partition_a
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
-mono = count_ngrams(stream, 1)
-digraphs = count_ngrams(stream, 2)
+mono = count_ngrams([stream], 1)
+digraphs = count_ngrams([stream], 2)
 
 layout = build_layout(partition_all(mono, digraphs), mono, name="sample-optimized")
 

@@ -16,8 +16,8 @@ from layoutforge import (AlphabetConfig, HandPartition, build_layout, compare,
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
-mono = count_ngrams(stream, 1)
-digraphs = count_ngrams(stream, 2)
+mono = count_ngrams([stream], 1)
+digraphs = count_ngrams([stream], 2)
 
 optimized = build_layout(partition_all(mono, digraphs), mono, name="optimized")
 
@@ -28,7 +28,7 @@ for i, (letter, _count, _pct) in enumerate(ranked_monograms(mono)):
     (dealt.left if i % 2 else dealt.right).append(letter)
 baseline = build_layout(dealt, mono, name="alternating")
 
-reports = [evaluate(layout, stream) for layout in (optimized, baseline)]
+reports = [evaluate(layout, [stream]) for layout in (optimized, baseline)]
 print(format_comparison(compare(reports)))
 
 best, other = compare(reports).rows[0], compare(reports).rows[1]

@@ -9,13 +9,13 @@ key grid by frequency, then score any layout against a corpus.
 from .corpus import (BOUNDARY, AlphabetConfig, LetterStream, concat_streams,
                      format_codepoint, normalize_text, parse_codepoint, read_corpus,
                      read_pieces, tokenize)
-from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, EmptyCorpus,
-                     EmptyInput, InvalidEncoding, InvariantViolation,
+from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, CorpusChanged,
+                     EmptyCorpus, EmptyInput, InvalidEncoding, InvariantViolation,
                      LayoutForgeError, MalformedInput, MalformedLayout,
                      NoInvolvement, TooFewLetters)
 from .evaluator import (ChunkScore, Comparison, ComparisonRow, EvaluationReport,
-                        compare, evaluate, evaluate_chunked, format_comparison,
-                        score_chunk, score_tables)
+                        compare, evaluate, evaluate_all, evaluate_chunked,
+                        format_comparison, score_chunk, score_tables)
 from .layout import (Geometry, KeyPosition, KeyboardLayout, build_layout,
                      load_geometry, load_layout, parse_layout, render_grid,
                      serialize_layout, write_layout)
@@ -33,7 +33,7 @@ __all__ = [
     "tokenize",
     "LayoutForgeError", "ConfigError", "InvalidEncoding", "EmptyCorpus",
     "NoInvolvement", "TooFewLetters", "AlreadyAssigned", "CapacityExceeded",
-    "MalformedInput", "MalformedLayout", "InvariantViolation", "EmptyInput",
+    "MalformedInput", "MalformedLayout", "InvariantViolation", "EmptyInput", "CorpusChanged",
     "NGramTable", "SideScore", "count_all", "count_ngrams", "support", "involvement_totals",
     "digraph_confidence", "side_scores", "ranked_monograms", "read_ngram_tsv",
     "write_ngram_tsv",
@@ -42,6 +42,6 @@ __all__ = [
     "Geometry", "KeyPosition", "KeyboardLayout", "build_layout", "load_geometry",
     "load_layout", "parse_layout", "serialize_layout", "write_layout", "render_grid",
     "EvaluationReport", "ChunkScore", "score_chunk", "score_tables", "evaluate",
-    "evaluate_chunked",
+    "evaluate_all", "evaluate_chunked",
     "Comparison", "ComparisonRow", "compare", "format_comparison",
 ]

@@ -7,9 +7,11 @@ Outputs embed an echo of the knobs that produced them, never the input
 paths, so the same inputs give byte-identical files on every run.
 
 No command holds the whole corpus as text. The corpus is read one block
-at a time into the n-gram tables, and a replay of it (``evaluate``, or
-``run-all`` where its tables cannot score the layout) reads it again.
-Only stdin's bytes are held, as read, so that they can be read again.
+at a time into the n-gram tables, or into the scores of every layout
+``evaluate`` is given; ``run-all`` reads it again where its tables cannot
+score its layout. Regular files are read again from disk. Stdin, and any
+named file that is not a regular file (a pipe, say), is held as the
+bytes read from it, so that it can be read again.
 
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.
 Errors are reported as a single JSON line on stderr.
@@ -28,15 +30,18 @@ from typing import Callable, Iterator, Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
 from .corpus import AlphabetConfig, LetterStream, read_pieces
-from .errors import ConfigError, EmptyCorpus, LayoutForgeError
-from .evaluator import (EvaluationReport, compare, evaluate, format_comparison,
+from .errors import ConfigError, CorpusChanged, EmptyCorpus, LayoutForgeError
+from .evaluator import (EvaluationReport, compare, evaluate, evaluate_all, format_comparison,
                         read_report_json, score_tables, write_report_json, write_report_tsv)
 from .layout import (Geometry, KeyboardLayout, build_layout, check_layout_name, load_geometry,
                      load_layout, write_layout)
 from .partition import (HandPartition, partition_all, read_partition_json,
                         write_partition_json)
 from .stats import NGramTable, count_all, read_ngram_tsv, write_ngram_tsv
-# Not called here, but bench/spans.py traces these names in this module.
+# Never called here: bench/spans.py looks these names up in this module, and
+# its tests require every name it traces to exist. The metrics they feed
+# (corpus.letters, corpus.mb_per_s, corpus.rss_gain_mb, stats.count_*) read
+# 0 and measure nothing until the tracer is pointed at names the CLI calls.
 from .corpus import normalize_text, read_corpus, tokenize  # noqa: F401
 from .stats import count_ngrams  # noqa: F401
 
@@ -110,11 +115,15 @@ Corpus = Callable[[], Iterator[LetterStream]]
 def _corpus(paths: Sequence[str], config: PipelineConfig) -> Corpus:
     """The corpus files, or stdin when none are named, under the configured alphabet.
 
-    Each call reads the corpus from its start, as pieces (``read_pieces``):
-    the files again, or stdin's bytes, which are read once and held.
+    Each call reads the corpus from its start, as pieces (``read_pieces``).
+    A regular file is opened again on each call. Stdin, and a named file
+    that is not a regular file, such as a pipe, might not give its bytes
+    twice, so it is read once, here, and its bytes are held.
     """
-    sources = list(paths) if paths else [sys.stdin.buffer.read()]
-    return functools.partial(read_pieces, sources, config.alphabet)
+    alphabet = config.alphabet
+    sources = ([path if Path(path).is_file() else Path(path).read_bytes() for path in paths]
+               if paths else [sys.stdin.buffer.read()])
+    return functools.partial(read_pieces, sources, alphabet)
 
 
 def _refuse_empty(total_letters: int) -> None:
@@ -157,13 +166,18 @@ def _score_counted(layout: KeyboardLayout, corpus: Corpus,
     every counted letter, unless boundaries both span and reset: resets
     need the digraphs within runs, and a spanning count has none of its
     own. Elsewhere, as when ``--coverage`` leaves letters out, the corpus
-    is read again and replayed.
+    is read again and replayed; a replay that does not give the counted
+    letter total read another corpus, and is refused.
     """
     mono, digraphs, _trigrams, junctions = tables
     reset = config.reset_on_boundary
     if all(map(layout.hand_of, mono.counts)) and not (config.span_boundaries and reset):
         return score_tables(layout, mono, digraphs, junctions, reset_on_boundary=reset)
-    return evaluate(layout, corpus(), reset_on_boundary=reset)
+    report = evaluate(layout, corpus(), reset_on_boundary=reset)
+    if report.total_letters != mono.total_letters:
+        raise CorpusChanged(f"the corpus changed while it was read: {mono.total_letters}"
+                            f" letters were counted and {report.total_letters} replayed")
+    return report
 
 
 def _write_report(report: EvaluationReport, config: PipelineConfig) -> None:
@@ -231,10 +245,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ConfigError(f"{named[layout.name]} and {path} both name their layout"
                               f" {layout.name!r}; their reports would overwrite each other")
         named[layout.name] = path
-    # Each layout reads the corpus again: no more than one block is held.
     corpus = _corpus(args.corpus, config)
-    reports = [evaluate(layout, corpus(), reset_on_boundary=config.reset_on_boundary)
-               for layout in layouts]
+    reports = evaluate_all(layouts, corpus(), reset_on_boundary=config.reset_on_boundary)
     _refuse_empty(reports[0].total_letters)
     for report in reports:
         _write_report(report, config)

@@ -183,15 +183,6 @@ def tokenize(text: str, config: AlphabetConfig | None = None) -> LetterStream:
     return LetterStream(text=nonletters.sub(BOUNDARY, text))
 
 
-def as_pieces(corpus: LetterStream | Iterable[LetterStream]) -> Iterable[LetterStream]:
-    """A stream as the one piece it is, or pieces as they are.
-
-    Pieces are consecutive slices of one stream, in order, such as
-    ``read_pieces`` gives.
-    """
-    return (corpus,) if isinstance(corpus, LetterStream) else corpus
-
-
 def _joined(texts: Iterable[str]) -> Iterator[str]:
     """The nonempty stream texts, each trimmed or extended so that a seam holds one boundary.
 

@@ -28,6 +28,10 @@ class EmptyCorpus(LayoutForgeError):
     """An operation needs at least one letter but the corpus has none."""
 
 
+class CorpusChanged(LayoutForgeError):
+    """A corpus read again gave other letters than it gave the first time."""
+
+
 class NoInvolvement(LayoutForgeError):
     """Confidence asked for a letter that occurs in no digraph."""
 

@@ -8,19 +8,20 @@ boundaries do the same unless boundary resetting is switched on.
 
 A score comes by one of two routes. ``score_chunk`` replays a stream: it
 scores any slice of a stream's text on its own, and ``ChunkScore.merge``
-joins the scores of neighbouring slices associatively. ``evaluate``
+joins the scores of neighbouring slices associatively. ``evaluate_all``
 merges the scores of a stream's pieces in order, such as the blocks
-``corpus.read_pieces`` reads, so a replay holds one block at a time;
-``evaluate_chunked`` cuts a whole stream into slices for it. Both agree
-with scoring the stream as one slice by construction. ``score_tables``
-reads the same report off the tables of ``stats.count_all`` when the
-layout places every counted letter: the loads are monogram sums and the
-switches the cross-hand mass of the letter pairs the fold sees.
-``run-all`` takes the table route wherever it is exact; ``evaluate``
-replays, and so does ``run-all`` for a layout that leaves letters out or
-when boundaries both span and reset, reading the corpus again. The
-replay is tested against a plain per-letter rescan, and the tables
-against the replay.
+``corpus.read_pieces`` reads, for several layouts in one pass, so a
+replay holds one block at a time; ``evaluate`` does so for one layout,
+and ``evaluate_chunked`` cuts a whole stream into slices for it. All
+agree with scoring the stream as one slice by construction.
+``score_tables`` reads the same report off the tables of
+``stats.count_all`` when the layout places every counted letter: the
+loads are monogram sums and the switches the cross-hand mass of the
+letter pairs the fold sees. ``run-all`` takes the table route wherever
+it is exact; the ``evaluate`` command replays, and so does ``run-all``
+for a layout that leaves letters out or when boundaries both span and
+reset, reading the corpus again. The replay is tested against a plain
+per-letter rescan, and the tables against the replay.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO, get_type_hints
 
 from .atomic import OptionalField, read_json_object, write_json
-from .corpus import BOUNDARY, LetterStream, as_pieces
+from .corpus import BOUNDARY, LetterStream
 from .errors import EmptyInput, MalformedInput
 from .layout import KeyboardLayout
 from .stats import NGramTable
@@ -110,13 +111,24 @@ def _report(layout: KeyboardLayout, score: ChunkScore) -> EvaluationReport:
     )
 
 
-def evaluate(layout: KeyboardLayout, corpus: LetterStream | Iterable[LetterStream],
+def evaluate_all(layouts: Sequence[KeyboardLayout], corpus: Iterable[LetterStream],
+                 *, reset_on_boundary: bool = False) -> list[EvaluationReport]:
+    """Score each layout against a stream given as its pieces in order, in one pass.
+
+    Each piece is scored against every layout before the next is read,
+    and each layout's scores are merged in order.
+    """
+    scores = [ChunkScore()] * len(layouts)
+    for piece in corpus:
+        scores = [score.merge(score_chunk(layout, piece, reset_on_boundary=reset_on_boundary))
+                  for score, layout in zip(scores, layouts)]
+    return [_report(layout, score) for layout, score in zip(layouts, scores)]
+
+
+def evaluate(layout: KeyboardLayout, corpus: Iterable[LetterStream],
              *, reset_on_boundary: bool = False) -> EvaluationReport:
-    """Score a stream, whole or as its pieces in order, merging the pieces' scores."""
-    score = ChunkScore()
-    for piece in as_pieces(corpus):
-        score = score.merge(score_chunk(layout, piece, reset_on_boundary=reset_on_boundary))
-    return _report(layout, score)
+    """Score one layout against a stream given as its pieces in order."""
+    return evaluate_all([layout], corpus, reset_on_boundary=reset_on_boundary)[0]
 
 
 def evaluate_chunked(layout: KeyboardLayout, stream: LetterStream, *, chunks: int = 4,

@@ -1,9 +1,9 @@
 """N-gram counting plus support, confidence, and cumulative side scores.
 
 Counting (``count_all``) keys every trigram window of a stream by one int
-that packs its three code points, 21 bits each. The stream may come as
-the pieces ``corpus.read_pieces`` reads, one block at a time, and the
-windows that straddle two pieces are counted once. The keys are built
+that packs its three code points, 21 bits each. The stream comes as its
+pieces in order, such as the blocks ``corpus.read_pieces`` reads one at
+a time, and the windows that straddle two pieces are counted once. The keys are built
 and counted in C, a block of windows at a time, so that only the counts
 grow with the corpus. One loop over the distinct keys then folds them
 into the monogram, digraph, trigram and junction tables, decoding only
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .corpus import BOUNDARY, LetterStream, as_pieces
+from .corpus import BOUNDARY, LetterStream
 from .errors import EmptyCorpus, MalformedInput, NoInvolvement
 
 NGRAM_SIZES = (1, 2, 3)
@@ -108,12 +108,12 @@ def _count_windows(texts: Iterable[str]) -> Counter:
     return windows
 
 
-def count_all(corpus: LetterStream | Iterable[LetterStream], *, span_boundaries: bool = False
+def count_all(corpus: Iterable[LetterStream], *, span_boundaries: bool = False
               ) -> tuple[NGramTable, NGramTable, NGramTable, NGramTable]:
     """Count the 1-, 2- and 3-gram tables of a stream in one pass, plus its junctions.
 
-    The stream may come whole or as its pieces in order (``read_pieces``);
-    the tables are the same. Windows never cross a word boundary unless
+    The stream comes as its pieces in order (``read_pieces``); a whole
+    stream is one piece, and any split gives the same tables. Windows never cross a word boundary unless
     ``span_boundaries`` is set (a sensitivity knob; alternation across a
     space is not meaningful). Every trigram window of the text with two
     boundaries appended is counted under one int key that packs its three
@@ -135,7 +135,7 @@ def count_all(corpus: LetterStream | Iterable[LetterStream], *, span_boundaries:
     """
     boundary = ord(BOUNDARY)  # compared with the code points a key unpacks to
     windows = _count_windows(piece.letters() if span_boundaries else piece.text
-                             for piece in as_pieces(corpus))
+                             for piece in corpus)
     monograms: Counter = Counter()
     digraphs: Counter = Counter()
     trigrams: Counter = Counter()
@@ -162,7 +162,7 @@ def count_all(corpus: LetterStream | Iterable[LetterStream], *, span_boundaries:
             NGramTable(3, trigrams, total), NGramTable(2, junctions, total))
 
 
-def count_ngrams(corpus: LetterStream | Iterable[LetterStream], n: int, *,
+def count_ngrams(corpus: Iterable[LetterStream], n: int, *,
                  span_boundaries: bool = False) -> NGramTable:
     """The n-gram table of ``count_all`` for one n."""
     if n not in NGRAM_SIZES:

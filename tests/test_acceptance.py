@@ -95,12 +95,12 @@ def test_criterion_4_ngram_oracle():
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 1000))
         stream = make_stream(tokens)
         for n in (1, 2, 3):
-            counted = count_ngrams(stream, n)
+            counted = count_ngrams([stream], n)
             ok &= counted.counts == brute_windows(tokens, n)
-        mono = count_ngrams(stream, 1)
+        mono = count_ngrams([stream], 1)
         if mono.total_letters:
             ok &= abs(sum(support(mono, g) for g in mono.counts) - 100.0) <= 1e-9
-        dig = count_ngrams(stream, 2)
+        dig = count_ngrams([stream], 2)
         involved = {ch for g in dig.counts for ch in g}
         for letter in involved:
             conf = sum(digraph_confidence(dig, letter, g)
@@ -121,7 +121,7 @@ def test_criterion_5_evaluator_oracle():
                                    [l for l in known if hand_of[l] == "right"])
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 600))
         stream = make_stream(tokens)
-        report = evaluate(layout, stream)
+        report = evaluate(layout, [stream])
         ok &= (report.left_load + report.right_load + report.not_determined
                == report.total_letters)
         left, right, nd, switching = rescan(hand_of, tokens)
@@ -135,7 +135,7 @@ def test_criterion_5_evaluator_oracle():
                     layout.geometry.columns + 1 - pos.column)
                 for letter, pos in layout.assignment.items()
             })
-        flipped = evaluate(mirrored, stream)
+        flipped = evaluate(mirrored, [stream])
         ok &= flipped.hand_switching == report.hand_switching
         ok &= flipped.not_determined == report.not_determined
         ok &= (flipped.left_load, flipped.right_load) == (report.right_load,

@@ -11,6 +11,9 @@ words, lines and composing pairs, unless the block ends where it must.
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge import corpus, stats
+from layoutforge import cli, corpus, stats
 from layoutforge.cli import main
 from layoutforge.corpus import (AlphabetConfig, concat_streams, normalize_text, read_pieces,
                                 tokenize)
@@ -26,7 +29,8 @@ from layoutforge.evaluator import evaluate
 from layoutforge.layout import Geometry, KeyboardLayout
 from layoutforge.stats import count_all
 
-SAMPLE = sorted((Path(__file__).resolve().parent.parent / "data" / "bn_sample").glob("*.txt"))
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = sorted((ROOT / "data" / "bn_sample").glob("*.txt"))
 
 # Letters: an ASCII and an astral one, two vowel signs that NFC composes
 # into a third (ে + া = ো), ড and the nukta, which NFC keeps apart and
@@ -59,8 +63,9 @@ def test_blocks_give_what_whole_files_give(tmp_path_factory, monkeypatch, texts,
                                            count_block):
     paths = write_files(tmp_path_factory.mktemp("corpus"), texts)
     whole = concat_streams(tokenize(normalize_text(path.read_bytes()), CONFIG) for path in paths)
-    tables = {span: count_all(whole, span_boundaries=span) for span in (False, True)}
-    reports = {reset: evaluate(LAYOUT, whole, reset_on_boundary=reset) for reset in (False, True)}
+    tables = {span: count_all([whole], span_boundaries=span) for span in (False, True)}
+    reports = {reset: evaluate(LAYOUT, [whole], reset_on_boundary=reset)
+               for reset in (False, True)}
     with monkeypatch.context() as patch:
         patch.setattr(corpus, "_READ_BLOCK", read_block)
         patch.setattr(stats, "_BLOCK", count_block)
@@ -110,6 +115,72 @@ def test_run_all_from_stdin_writes_what_the_files_give(tmp_path, capsys, monkeyp
     assert capsys.readouterr().out == named_stdout
     assert ({p.name: p.read_bytes() for p in named.iterdir()}
             == {p.name: p.read_bytes() for p in piped.iterdir()})
+
+
+def outputs(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_run_all_replays_a_named_pipe_from_what_it_read(tmp_path, capsys):
+    """A pipe gives its bytes once: run-all holds them to replay, as for stdin.
+
+    Opened a second time, the pipe ``/dev/stdin`` names reads as empty.
+    """
+    text = b"".join(path.read_bytes() for path in SAMPLE)
+    whole, piped = tmp_path / "whole.txt", tmp_path / "piped"
+    whole.write_bytes(text)
+    assert main(["run-all", str(whole), "--coverage", "50", "--out", str(tmp_path / "named")]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "layoutforge", "run-all", "/dev/stdin",
+                           "--coverage", "50", "--out", str(piped)],
+                          input=text, env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode("utf-8") == capsys.readouterr().out
+    assert outputs(piped) == outputs(tmp_path / "named")
+
+
+def test_run_all_refuses_a_corpus_that_changed_before_its_replay(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(SAMPLE[0].read_bytes())
+    count_all = cli.count_all
+
+    def count_then_change(*args, **kwargs):
+        tables = count_all(*args, **kwargs)
+        path.write_bytes(SAMPLE[1].read_bytes())
+        return tables
+
+    monkeypatch.setattr(cli, "count_all", count_then_change)
+    assert main(["run-all", str(path), "--coverage", "50", "--out", str(tmp_path / "out")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "CorpusChanged"
+    assert error["message"].startswith("the corpus changed while it was read: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_reads_the_corpus_once_for_all_its_layouts(tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    assert main(["run-all", *map(str, SAMPLE), "--coverage", "50", "--out", str(run)]) == 0
+    other = json.loads((run / "layout.json").read_text(encoding="utf-8"))
+    other["name"] = "other"
+    (tmp_path / "other.json").write_text(json.dumps(other), encoding="utf-8")
+    layouts = [str(run / "layout.json"), str(tmp_path / "other.json")]
+    for layout in layouts:
+        assert main(["evaluate", layout, "--corpus", *map(str, SAMPLE),
+                     "--out", str(tmp_path / "alone")]) == 0
+    reads = []
+    read_pieces = cli.read_pieces
+
+    def counted_read(*args):
+        reads.append(args)
+        return read_pieces(*args)
+
+    monkeypatch.setattr(cli, "read_pieces", counted_read)
+    assert main(["evaluate", *layouts, "--corpus", *map(str, SAMPLE),
+                 "--out", str(tmp_path / "together")]) == 0
+    assert len(reads) == 1
+    assert outputs(tmp_path / "together") == outputs(tmp_path / "alone")
 
 
 def counting_peak(paths) -> int:

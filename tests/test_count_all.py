@@ -52,14 +52,14 @@ def check_against_oracle(rng, letters, others, rounds):
         stream = tokenize(text, config)
         assert BOUNDARY not in config.resolve()
         for span in (False, True):
-            tables = count_all(stream, span_boundaries=span)
+            tables = count_all([stream], span_boundaries=span)
             expected = naive_tables(text, config.resolve(), span)
             for n, table, counts in zip((*NGRAM_SIZES, 2), tables, expected):
                 assert table.n == n
                 assert table.counts == counts
                 assert table.total_letters == sum(expected[0].values())
             for n in NGRAM_SIZES:
-                assert count_ngrams(stream, n, span_boundaries=span).counts == expected[n - 1]
+                assert count_ngrams([stream], n, span_boundaries=span).counts == expected[n - 1]
 
 
 def test_count_all_matches_naive_windows():
@@ -100,7 +100,7 @@ def test_count_all_over_several_blocks():
     assert len(stream.letters()) > 3 * stats._BLOCK
     for span in (False, True):
         expected = naive_tables(text, config.resolve(), span)
-        assert [t.counts for t in count_all(stream, span_boundaries=span)] == expected
+        assert [t.counts for t in count_all([stream], span_boundaries=span)] == expected
 
 
 def test_count_all_over_concatenated_streams():
@@ -114,7 +114,7 @@ def test_count_all_over_concatenated_streams():
         assert joined.text == tokenize(" ".join(texts), config).text
         for span in (False, True):
             expected = naive_tables(" ".join(texts), config.resolve(), span)
-            assert [t.counts for t in count_all(joined, span_boundaries=span)] == expected
+            assert [t.counts for t in count_all([joined], span_boundaries=span)] == expected
 
 
 def test_alphabet_without_letters():
@@ -126,5 +126,5 @@ def test_alphabet_without_letters():
         assert stream.letter_count == 0
         assert list(stream.runs()) == []
         for span in (False, True):
-            for n, table in zip(NGRAM_SIZES, count_all(stream, span_boundaries=span)):
+            for n, table in zip(NGRAM_SIZES, count_all([stream], span_boundaries=span)):
                 assert table.n == n and not table.counts and table.total_letters == 0

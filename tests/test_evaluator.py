@@ -59,44 +59,44 @@ def rescan(hand_of, tokens, reset_on_boundary=False):
 
 def test_alternating_stream():
     layout = layout_from_hands("l", "r")
-    report = evaluate(layout, make_stream(["l", "r", "l", "r"]))
+    report = evaluate(layout, [make_stream(["l", "r", "l", "r"])])
     assert (report.hand_switching, report.left_load, report.right_load,
             report.not_determined) == (3, 2, 2, 0)
 
 
 def test_single_hand_never_switches():
     layout = layout_from_hands("ab", "")
-    report = evaluate(layout, make_stream(["a", "b", "a", "b"]))
+    report = evaluate(layout, [make_stream(["a", "b", "a", "b"])])
     assert report.hand_switching == 0
     assert report.left_load == 4
 
 
 def test_undetermined_letters_do_not_reset():
     layout = layout_from_hands("l", "r")
-    report = evaluate(layout, make_stream(["l", "x", "l"]))
+    report = evaluate(layout, [make_stream(["l", "x", "l"])])
     assert (report.hand_switching, report.left_load, report.not_determined) == (0, 2, 1)
-    report = evaluate(layout, make_stream(["l", "x", "r"]))
+    report = evaluate(layout, [make_stream(["l", "x", "r"])])
     assert report.hand_switching == 1
 
 
 def test_boundary_persistence_and_reset_flag():
     layout = layout_from_hands("l", "r")
     stream = make_stream(["l", None, "r"])
-    assert evaluate(layout, stream).hand_switching == 1
-    assert evaluate(layout, stream, reset_on_boundary=True).hand_switching == 0
+    assert evaluate(layout, [stream]).hand_switching == 1
+    assert evaluate(layout, [stream], reset_on_boundary=True).hand_switching == 0
 
 
 def test_unrelated_layout_sees_nothing():
     layout = layout_from_hands("ab", "cd")
     stream = make_stream(["x", "y", None, "z"])
-    report = evaluate(layout, stream)
+    report = evaluate(layout, [stream])
     assert report.not_determined == report.total_letters == 3
     assert report.hand_switching == report.left_load == report.right_load == 0
 
 
 def test_empty_stream():
     layout = layout_from_hands("a", "b")
-    report = evaluate(layout, make_stream([]))
+    report = evaluate(layout, [make_stream([])])
     assert report.total_letters == 0
     assert report.hand_switching == 0
 
@@ -113,7 +113,7 @@ def test_matches_independent_rescan():
                                    [l for l, h in hand_of.items() if h == "right"])
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 1000))
         reset = rng.random() < 0.5
-        report = evaluate(layout, make_stream(tokens), reset_on_boundary=reset)
+        report = evaluate(layout, [make_stream(tokens)], reset_on_boundary=reset)
         left, right, nd, switching = rescan(hand_of, tokens, reset)
         assert (report.left_load, report.right_load, report.not_determined,
                 report.hand_switching) == (left, right, nd, switching)
@@ -125,7 +125,7 @@ def test_conservation_and_switching_bounds():
     layout = layout_from_hands("abc", "de")  # f stays unmapped
     for _ in range(100):
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 400))
-        report = evaluate(layout, make_stream(tokens))
+        report = evaluate(layout, [make_stream(tokens)])
         determined = report.left_load + report.right_load
         assert determined + report.not_determined == report.total_letters
         assert report.hand_switching >= 0
@@ -151,8 +151,8 @@ def test_mirror_symmetry():
             })
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 300))
         stream = make_stream(tokens)
-        base = evaluate(layout, stream)
-        flipped = evaluate(mirrored, stream)
+        base = evaluate(layout, [stream])
+        flipped = evaluate(mirrored, [stream])
         assert flipped.hand_switching == base.hand_switching
         assert flipped.not_determined == base.not_determined
         assert (flipped.left_load, flipped.right_load) == (base.right_load,
@@ -166,9 +166,9 @@ def test_concatenation_adds_loads_and_at_most_one_switch():
     for _ in range(50):
         ta = random_tokens(rng, alphabet, rng.randrange(1, 100))
         tb = random_tokens(rng, alphabet, rng.randrange(1, 100))
-        ra = evaluate(layout, make_stream(ta))
-        rb = evaluate(layout, make_stream(tb))
-        joined = evaluate(layout, make_stream(ta + [None] + tb))
+        ra = evaluate(layout, [make_stream(ta)])
+        rb = evaluate(layout, [make_stream(tb)])
+        joined = evaluate(layout, [make_stream(ta + [None] + tb)])
         assert joined.left_load == ra.left_load + rb.left_load
         assert joined.right_load == ra.right_load + rb.right_load
         junction = joined.hand_switching - ra.hand_switching - rb.hand_switching
@@ -186,7 +186,7 @@ def test_chunked_equals_sequential():
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 500))
         stream = make_stream(tokens)
         reset = rng.random() < 0.5
-        sequential = evaluate(layout, stream, reset_on_boundary=reset)
+        sequential = evaluate(layout, [stream], reset_on_boundary=reset)
         chunked = evaluate_chunked(layout, stream, chunks=rng.randrange(1, 11),
                                    reset_on_boundary=reset)
         assert chunked == sequential

@@ -45,14 +45,14 @@ def stream():
 
 def check_identities(layout, stream):
     for span, reset in TABLE_ROUTES:
-        mono, digraphs, _trigrams, junctions = count_all(stream, span_boundaries=span)
+        mono, digraphs, _trigrams, junctions = count_all([stream], span_boundaries=span)
         assert all(layout.hand_of(letter) for letter in mono.counts)
         assert (score_tables(layout, mono, digraphs, junctions, reset_on_boundary=reset)
-                == evaluate(layout, stream, reset_on_boundary=reset))
+                == evaluate(layout, [stream], reset_on_boundary=reset))
 
 
 def test_identities_for_the_built_layout(stream):
-    mono, digraphs, _trigrams, _junctions = count_all(stream)
+    mono, digraphs, _trigrams, _junctions = count_all([stream])
     layout = build_layout(partition_all(mono, digraphs), mono)
     check_identities(layout, stream)
 
@@ -87,8 +87,8 @@ def streams_and_layouts(draw):
 def test_score_tables_equals_the_replay(case):
     stream, layout = case
     check_identities(layout, stream)
-    _mono, run_only, _trigrams, junctions = count_all(stream)
-    _mono, spanning, _trigrams, no_junctions = count_all(stream, span_boundaries=True)
+    _mono, run_only, _trigrams, junctions = count_all([stream])
+    _mono, spanning, _trigrams, no_junctions = count_all([stream], span_boundaries=True)
     assert run_only.counts + junctions.counts == spanning.counts
     assert not no_junctions.counts
 
@@ -97,7 +97,7 @@ def test_score_tables_counts_no_switch_at_an_unplaced_letter():
     layout = layout_from_hands(["a"], ["b"])
     stream = tokenize("abxa", AlphabetConfig(ranges=(), include=frozenset("abx"),
                                              exclude=frozenset()))
-    mono, digraphs, _trigrams, junctions = count_all(stream)
+    mono, digraphs, _trigrams, junctions = count_all([stream])
     report = score_tables(layout, mono, digraphs, junctions, reset_on_boundary=False)
     assert (report.hand_switching, report.left_load, report.right_load,
             report.not_determined, report.total_letters) == (1, 2, 1, 1, 4)

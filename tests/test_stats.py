@@ -87,23 +87,23 @@ def test_filler_digraph_does_not_touch_seed_hands(paper_mono, paper_digraphs,
 # count_ngrams basics and the window-scanner oracle.
 
 def test_count_monograms_simple():
-    table = count_ngrams(tokenize("ককক"), 1)
+    table = count_ngrams([tokenize("ককক")], 1)
     assert dict(table.counts) == {"ক": 3}
     assert table.total_letters == 3
 
 
 def test_count_digraphs_simple():
-    table = count_ngrams(tokenize("ককক"), 2)
+    table = count_ngrams([tokenize("ককক")], 2)
     assert dict(table.counts) == {"কক": 2}
 
 
 def test_boundary_blocks_digraph():
-    table = count_ngrams(tokenize("ক খ"), 2)
+    table = count_ngrams([tokenize("ক খ")], 2)
     assert dict(table.counts) == {}
 
 
 def test_span_boundaries_flag():
-    table = count_ngrams(tokenize("ক খ"), 2, span_boundaries=True)
+    table = count_ngrams([tokenize("ক খ")], 2, span_boundaries=True)
     assert dict(table.counts) == {"কখ": 1}
 
 
@@ -111,7 +111,7 @@ def test_rejects_unsupported_n():
     stream = tokenize("ক")
     for n in (0, 4, -1):
         with pytest.raises(ValueError):
-            count_ngrams(stream, n)
+            count_ngrams([stream], n)
 
 
 def test_counts_match_window_scanner():
@@ -121,7 +121,7 @@ def test_counts_match_window_scanner():
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 1000))
         stream = make_stream(tokens)
         for n in (1, 2, 3):
-            table = count_ngrams(stream, n)
+            table = count_ngrams([stream], n)
             assert table.counts == brute_windows(tokens, n)
             assert table.total_letters == stream.letter_count
 
@@ -132,10 +132,10 @@ def test_monogram_sum_equals_total_and_digraph_bound():
     for _ in range(50):
         tokens = random_tokens(rng, alphabet, rng.randrange(1, 400))
         stream = make_stream(tokens)
-        mono = count_ngrams(stream, 1)
+        mono = count_ngrams([stream], 1)
         assert sum(mono.counts.values()) == stream.letter_count
         words = sum(1 for _ in stream.runs())
-        dig = count_ngrams(stream, 2)
+        dig = count_ngrams([stream], 2)
         assert sum(dig.counts.values()) <= stream.letter_count - words
 
 
@@ -147,7 +147,7 @@ def test_support_of_absent_gram_is_zero(paper_digraphs):
 
 
 def test_support_of_single_letter_corpus():
-    table = count_ngrams(tokenize("ক"), 1)
+    table = count_ngrams([tokenize("ক")], 1)
     assert support(table, "ক") == 100.0
 
 
@@ -177,7 +177,7 @@ def test_support_totals_100():
     alphabet = list("abcde")
     for _ in range(30):
         tokens = random_tokens(rng, alphabet, rng.randrange(1, 500))
-        mono = count_ngrams(make_stream(tokens), 1)
+        mono = count_ngrams([make_stream(tokens)], 1)
         total = sum(support(mono, g) for g in mono.counts)
         assert total == pytest.approx(100.0, abs=1e-9)
 
@@ -187,7 +187,7 @@ def test_per_letter_confidence_totals_100():
     alphabet = list("abcdef")
     for _ in range(30):
         tokens = random_tokens(rng, alphabet, rng.randrange(2, 400))
-        dig = count_ngrams(make_stream(tokens), 2)
+        dig = count_ngrams([make_stream(tokens)], 2)
         for letter in alphabet:
             if involvement_totals(dig).get(letter, 0) == 0:
                 continue
@@ -202,8 +202,8 @@ def test_involvement_bounded_by_twice_monogram_count():
     for _ in range(50):
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 300))
         stream = make_stream(tokens)
-        mono = count_ngrams(stream, 1)
-        dig = count_ngrams(stream, 2)
+        mono = count_ngrams([stream], 1)
+        dig = count_ngrams([stream], 2)
         for letter in alphabet:
             assert involvement_totals(dig).get(letter, 0) <= 2 * mono.counts.get(letter, 0)
 
@@ -215,7 +215,7 @@ def test_statistics_invariant_under_file_order():
     for _ in range(6):
         rng.shuffle(pieces)
         stream = tokenize(" ".join(pieces))
-        tables = tuple(count_ngrams(stream, n).counts for n in (1, 2, 3))
+        tables = tuple(count_ngrams([stream], n).counts for n in (1, 2, 3))
         if reference is None:
             reference = tables
         assert tables == reference
@@ -229,9 +229,9 @@ def test_merge_matches_joint_count():
         tb = random_tokens(rng, alphabet, rng.randrange(0, 100))
         joined = make_stream(ta + ([None] if ta and tb else []) + tb)
         for n in (1, 2, 3):
-            merged = count_ngrams(make_stream(ta), n).merge(
-                count_ngrams(make_stream(tb), n))
-            joint = count_ngrams(joined, n)
+            merged = count_ngrams([make_stream(ta)], n).merge(
+                count_ngrams([make_stream(tb)], n))
+            joint = count_ngrams([joined], n)
             assert merged.counts == joint.counts
             assert merged.total_letters == joint.total_letters
 
@@ -287,7 +287,7 @@ def test_single_letter_ranking_is_total():
 def test_ngram_tsv_round_trip(tmp_path):
     stream = tokenize("কাক খি")
     for n in (1, 2):
-        table = count_ngrams(stream, n)
+        table = count_ngrams([stream], n)
         path = tmp_path / f"t{n}.tsv"
         with open(path, "w", encoding="utf-8") as handle:
             write_ngram_tsv(table, handle, config_echo={"coverage": 1})
@@ -298,7 +298,7 @@ def test_ngram_tsv_round_trip(tmp_path):
 
 
 def test_ngram_tsv_shape():
-    table = count_ngrams(tokenize("ককক"), 1)
+    table = count_ngrams([tokenize("ককক")], 1)
     out = io.StringIO()
     write_ngram_tsv(table, out)
     lines = out.getvalue().splitlines()
