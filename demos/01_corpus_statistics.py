@@ -2,13 +2,14 @@
 Counting letters, digraphs, and trigraphs in a corpus
 =====================================================
 
-Reads the bundled sample corpus into a letter stream and prints the
-frequency tables everything downstream is built from.
+Reads the bundled sample corpus into a letter stream (a string of its
+letters in which each word boundary is one LF) and prints the frequency
+tables everything downstream is built from.
 """
 
 from pathlib import Path
 
-from layoutforge import AlphabetConfig, count_all, read_corpus, support
+from layoutforge import BOUNDARY, AlphabetConfig, count_all, read_corpus, support
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 files = sorted(data_dir.glob("*.txt"))
@@ -17,9 +18,9 @@ files = sorted(data_dir.glob("*.txt"))
 # else in the files (spaces, danda, newlines) becomes a word boundary.
 stream = read_corpus(files, AlphabetConfig())
 print(f"{len(files)} files, {sum(path.stat().st_size for path in files)} bytes")
-print(f"{stream.letter_count} letters, "
-      f"{sum(1 for _ in stream.runs())} words, "
-      f"{len(set(stream.letters()))} distinct letters")
+letters = stream.replace(BOUNDARY, "")
+words = [word for word in stream.split(BOUNDARY) if word]
+print(f"{len(letters)} letters, {len(words)} words, {len(set(letters))} distinct letters")
 
 # One pass over the stream counts all three tables, and a fourth of the
 # letter pairs that meet across a word break, which scoring reads.

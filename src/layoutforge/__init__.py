@@ -1,21 +1,20 @@
 """Corpus-driven two-handed keyboard layouts.
 
-The pipeline: ingest text into a letter stream, count n-grams, score
-letter pairs by support and confidence, greedily split the alphabet
-across the hands to favor alternation, place each hand's letters on a
-key grid by frequency, then score any layout against a corpus.
+The pipeline: ingest text into a letter stream (a ``str`` in which each
+word boundary is one LF), count n-grams, score letter pairs by support
+and confidence, greedily split the alphabet across the hands to favor
+alternation, place each hand's letters on a key grid by frequency, then
+score any layout against a corpus.
 """
 
-from .corpus import (BOUNDARY, AlphabetConfig, LetterStream, concat_streams,
-                     format_codepoint, normalize_text, parse_codepoint, read_corpus,
-                     read_pieces, tokenize)
+from .corpus import (BOUNDARY, AlphabetConfig, concat_streams, format_codepoint,
+                     normalize_text, parse_codepoint, read_corpus, read_pieces, tokenize)
 from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, CorpusChanged,
                      EmptyCorpus, EmptyInput, InvalidEncoding, InvariantViolation,
                      LayoutForgeError, MalformedInput, MalformedLayout,
                      NoInvolvement, TooFewLetters)
-from .evaluator import (ChunkScore, Comparison, ComparisonRow, EvaluationReport,
-                        compare, evaluate, evaluate_all, evaluate_chunked,
-                        format_comparison, score_chunk, score_tables)
+from .evaluator import (Comparison, ComparisonRow, EvaluationReport, compare, evaluate,
+                        evaluate_all, evaluate_chunked, format_comparison, score_tables)
 from .layout import (Geometry, KeyPosition, KeyboardLayout, build_layout,
                      load_geometry, load_layout, parse_layout, render_grid,
                      serialize_layout, write_layout)
@@ -28,7 +27,7 @@ from .stats import (NGramTable, SideScore, count_all, count_ngrams, digraph_conf
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY", "AlphabetConfig", "LetterStream", "concat_streams",
+    "BOUNDARY", "AlphabetConfig", "concat_streams",
     "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus", "read_pieces",
     "tokenize",
     "LayoutForgeError", "ConfigError", "InvalidEncoding", "EmptyCorpus",
@@ -41,7 +40,7 @@ __all__ = [
     "read_partition_json", "write_partition_json",
     "Geometry", "KeyPosition", "KeyboardLayout", "build_layout", "load_geometry",
     "load_layout", "parse_layout", "serialize_layout", "write_layout", "render_grid",
-    "EvaluationReport", "ChunkScore", "score_chunk", "score_tables", "evaluate",
+    "EvaluationReport", "score_tables", "evaluate",
     "evaluate_all", "evaluate_chunked",
     "Comparison", "ComparisonRow", "compare", "format_comparison",
 ]

@@ -9,9 +9,10 @@ paths, so the same inputs give byte-identical files on every run.
 No command holds the whole corpus as text. The corpus is read one block
 at a time into the n-gram tables, or into the scores of every layout
 ``evaluate`` is given; ``run-all`` reads it again where its tables cannot
-score its layout. Regular files are read again from disk. Stdin, and any
-named file that is not a regular file (a pipe, say), is held as the
-bytes read from it, so that it can be read again.
+score its layout. Regular files are read again from disk. When the
+corpus may be read again, stdin and any named file that is not a
+regular file (a pipe, say) are held as the bytes read from them; the
+commands that read the corpus once stream them too.
 
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.
 Errors are reported as a single JSON line on stderr.
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
-from .corpus import AlphabetConfig, LetterStream, read_pieces
+from .corpus import AlphabetConfig, read_pieces
 from .errors import ConfigError, CorpusChanged, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, evaluate_all, format_comparison,
                         read_report_json, score_tables, write_report_json, write_report_tsv)
@@ -109,21 +110,26 @@ def resolve_config(args: argparse.Namespace, environ=os.environ) -> PipelineConf
     return config
 
 
-Corpus = Callable[[], Iterator[LetterStream]]
+Corpus = Callable[[], Iterator[str]]
 
 
-def _corpus(paths: Sequence[str], config: PipelineConfig) -> Corpus:
+def _corpus(paths: Sequence[str], config: PipelineConfig, *, replay: bool = False) -> Corpus:
     """The corpus files, or stdin when none are named, under the configured alphabet.
 
-    Each call reads the corpus from its start, as pieces (``read_pieces``).
-    A regular file is opened again on each call. Stdin, and a named file
-    that is not a regular file, such as a pipe, might not give its bytes
-    twice, so it is read once, here, and its bytes are held.
+    A call reads the corpus from its start, as pieces (``read_pieces``),
+    each source a block at a time. Only a corpus kept for a ``replay`` may
+    be called more than once: a regular file is opened again on each call,
+    but stdin, and a named file that is not a regular file, such as a
+    pipe, might not give its bytes twice, so it is read once, here, and
+    its bytes are held.
     """
-    alphabet = config.alphabet
-    sources = ([path if Path(path).is_file() else Path(path).read_bytes() for path in paths]
-               if paths else [sys.stdin.buffer.read()])
-    return functools.partial(read_pieces, sources, alphabet)
+    if not replay:
+        sources = paths or [sys.stdin.buffer]
+    elif paths:
+        sources = [path if Path(path).is_file() else Path(path).read_bytes() for path in paths]
+    else:
+        sources = [sys.stdin.buffer.read()]
+    return functools.partial(read_pieces, sources, config.alphabet)
 
 
 def _refuse_empty(total_letters: int) -> None:
@@ -261,7 +267,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     check_layout_name(args.name)  # before the corpus is read
     config = resolve_config(args)
-    corpus = _corpus(args.corpus, config)
+    corpus = _corpus(args.corpus, config, replay=True)
     geometry = config.geometry
     tables = _count(corpus, config)
     mono, digraphs = tables[:2]

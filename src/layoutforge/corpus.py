@@ -1,22 +1,23 @@
 """Text ingestion: UTF-8 decoding, NFC normalization, letter-stream tokenization.
 
-A corpus is reduced to a string of letters in which each word boundary
-is a single LF (``BOUNDARY``). What counts as a letter is driven entirely
-by an AlphabetConfig; every other code point becomes a boundary, and
-consecutive boundaries collapse into one. LF is the boundary under every
-alphabet because no alphabet can hold it: it splits the rows of an n-gram
-table (``NOT_TABLE_LETTERS``). The letter unit is a single code point, so
-dependent vowel signs (matras) and the virama are letters in their own
-right.
+A corpus is reduced to a letter stream: a ``str`` of its letters in
+order in which each word boundary is a single LF (``BOUNDARY``). What
+counts as a letter is driven entirely by an AlphabetConfig; every other
+code point becomes a boundary, and consecutive boundaries collapse into
+one. LF is the boundary under every alphabet because no alphabet can
+hold it: it splits the rows of an n-gram table (``NOT_TABLE_LETTERS``).
+The letter unit is a single code point, so dependent vowel signs
+(matras) and the virama are letters in their own right.
 
 Files are read in blocks that end right after an LF (``read_pieces``),
 and each block is decoded, normalized and tokenized on its own, so only
-one block is held at a time. The pieces, joined in order, are the text
+one block is held at a time. The pieces, joined in order, are the stream
 ``read_corpus`` returns whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
@@ -39,9 +40,11 @@ BANGLA_DIGITS = frozenset(chr(cp) for cp in range(0x09E6, 0x09F0))
 # its rows, so no table could carry these letters.
 NOT_TABLE_LETTERS = frozenset("#\t\n\r")
 
-# The one character that stands for a word boundary in a stream's text. It
-# is in NOT_TABLE_LETTERS, so it is never a letter, and it is no backslash,
-# so it stands as its own replacement template in ``re.sub``.
+# The one character that stands for a word boundary in a letter stream. A
+# stream keeps its letters in order and writes each boundary as one
+# BOUNDARY, including a boundary at either end; no two are ever adjacent.
+# It is in NOT_TABLE_LETTERS, so it is never a letter, and it is no
+# backslash, so it stands as its own replacement template in ``re.sub``.
 BOUNDARY = "\n"
 
 # Bytes read from a file at a time; each block then runs on to the end of
@@ -125,31 +128,6 @@ class AlphabetConfig:
         return read_json_object(path, ConfigError, "alphabet", ALPHABET_SHAPE, cls.from_dict)
 
 
-@dataclass(frozen=True)
-class LetterStream:
-    """Ordered letters with collapsed word boundaries, held as one string.
-
-    ``text`` keeps the letters in order and writes each boundary as one
-    ``BOUNDARY`` (LF), including a boundary at either end; no two LFs are
-    ever adjacent. No alphabet can hold LF, so the text also renders the
-    stream: tokenizing it under the alphabet it was read with gives the
-    stream back.
-    """
-
-    text: str = ""
-
-    @property
-    def letter_count(self) -> int:
-        return len(self.text) - self.text.count(BOUNDARY)
-
-    def runs(self) -> Iterator[str]:
-        """Yield each maximal run of letters between boundaries."""
-        return filter(None, self.text.split(BOUNDARY))
-
-    def letters(self) -> str:
-        return self.text.replace(BOUNDARY, "")
-
-
 def normalize_text(raw: bytes) -> str:
     """Decode UTF-8 strictly and normalize to NFC."""
     try:
@@ -173,24 +151,25 @@ def _scanner(config: AlphabetConfig) -> re.Pattern:
     return re.compile(pattern)
 
 
-def tokenize(text: str, config: AlphabetConfig | None = None) -> LetterStream:
-    """Split normalized text into a LetterStream under the given alphabet.
+def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
+    """The letter stream of normalized text under the given alphabet.
 
     Unknown characters never fail; any maximal run of non-alphabet code
-    points becomes one boundary.
+    points becomes one ``BOUNDARY``, which no alphabet holds, so
+    tokenizing a stream again under its alphabet gives it back.
     """
     nonletters = _scanner(config if config is not None else AlphabetConfig())
-    return LetterStream(text=nonletters.sub(BOUNDARY, text))
+    return nonletters.sub(BOUNDARY, text)
 
 
-def _joined(texts: Iterable[str]) -> Iterator[str]:
-    """The nonempty stream texts, each trimmed or extended so that a seam holds one boundary.
+def _joined(streams: Iterable[str]) -> Iterator[str]:
+    """The nonempty streams, each trimmed or extended so that a seam holds one boundary.
 
-    Within a text no two boundaries touch, so each seam needs exactly one:
-    one is added where neither side has it and dropped where both do.
+    Within a stream no two boundaries touch, so each seam needs exactly
+    one: one is added where neither side has it and dropped where both do.
     """
-    ends = None  # whether the text given out last ended on a boundary
-    for text in texts:
+    ends = None  # whether the stream given out last ended on a boundary
+    for text in streams:
         if text and ends is not None:
             seam = ends + text.startswith(BOUNDARY)
             if seam == 0:
@@ -202,13 +181,19 @@ def _joined(texts: Iterable[str]) -> Iterator[str]:
             yield text
 
 
-def concat_streams(streams: Iterable[LetterStream]) -> LetterStream:
+def concat_streams(streams: Iterable[str]) -> str:
     """Join streams with an implicit boundary between parts.
 
     Digraphs therefore never span two source files, and the merged statistics
     do not depend on which file a word came from.
     """
-    return LetterStream(text="".join(_joined(part.text for part in streams)))
+    return "".join(_joined(streams))
+
+
+def refuse_bare_stream(corpus: Iterable[str]) -> None:
+    """Refuse a bare ``str``, which would be read slowly as one piece per character."""
+    if isinstance(corpus, str):
+        raise TypeError("a stream is given as its pieces in order: pass [stream], not a str")
 
 
 def _blocks(handle: BinaryIO) -> Iterator[bytes]:
@@ -223,39 +208,41 @@ def _blocks(handle: BinaryIO) -> Iterator[bytes]:
         yield block
 
 
-def _source_texts(source: str | Path | bytes, config: AlphabetConfig | None) -> Iterator[str]:
-    """The tokenized text of each block of a file, or of bytes already read.
+def _source_texts(source: str | Path | bytes | BinaryIO,
+                  config: AlphabetConfig | None) -> Iterator[str]:
+    """The letter stream of each block of a file, of bytes already read, or of a handle.
 
     LF is never a letter, and it is a starter that composes with nothing,
-    so decoding, normalizing and tokenizing each block gives the text that
-    those steps give the whole source. An encoding error is placed by its
-    offset from the start of the source.
+    so decoding, normalizing and tokenizing each block gives the stream
+    that those steps give the whole source. An encoding error is placed by
+    its offset from the start of the source. A handle is read from where
+    it stands and left open.
     """
-    path = None if isinstance(source, bytes) else source
+    path = source if isinstance(source, (str, Path)) else None
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
     offset = 0
-    with (io.BytesIO(source) if path is None else open(path, "rb")) as handle:
+    with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
         for block in _blocks(handle):
             try:
                 text = normalize_text(block)
             except InvalidEncoding as exc:
                 raise InvalidEncoding(offset + exc.position, path) from None
             offset += len(block)
-            yield tokenize(text, config).text
+            yield tokenize(text, config)
 
 
-def read_pieces(sources: Iterable[str | Path | bytes],
-                config: AlphabetConfig | None = None) -> Iterator[LetterStream]:
-    """The corpus in its sources' order, as one tokenized piece per block read.
+def read_pieces(sources: Iterable[str | Path | bytes | BinaryIO],
+                config: AlphabetConfig | None = None) -> Iterator[str]:
+    """The corpus in its sources' order, as one letter-stream piece per block read.
 
-    A source is a file's path or bytes already read (stdin's). Each seam
-    between pieces, of one source or of two, holds exactly one boundary,
-    so the pieces joined are the stream of the whole corpus, while only
-    one block is held at a time.
+    Each seam between pieces, of one source or of two, holds exactly one
+    boundary, so the pieces joined are the stream of the whole corpus,
+    while only one block is held at a time.
     """
-    texts = (text for source in sources for text in _source_texts(source, config))
-    return map(LetterStream, _joined(texts))
+    return _joined(piece for source in sources for piece in _source_texts(source, config))
 
 
-def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = None) -> LetterStream:
+def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = None) -> str:
     """The whole corpus as one stream: the files' pieces joined in the given order."""
-    return concat_streams(read_pieces(paths, config))
+    return "".join(read_pieces(paths, config))

@@ -6,14 +6,13 @@ sat on the other hand, one hand switch. Letters the layout does not place
 count as not-determined and leave the previous hand untouched; word
 boundaries do the same unless boundary resetting is switched on.
 
-A score comes by one of two routes. ``score_chunk`` replays a stream: it
-scores any slice of a stream's text on its own, and ``ChunkScore.merge``
-joins the scores of neighbouring slices associatively. ``evaluate_all``
-merges the scores of a stream's pieces in order, such as the blocks
-``corpus.read_pieces`` reads, for several layouts in one pass, so a
-replay holds one block at a time; ``evaluate`` does so for one layout,
-and ``evaluate_chunked`` cuts a whole stream into slices for it. All
-agree with scoring the stream as one slice by construction.
+A score comes by one of two routes. ``evaluate_all`` replays a stream
+given as its pieces in order, such as the blocks ``corpus.read_pieces``
+reads, for several layouts in one pass, so a replay holds one block at a
+time. Each piece is counted behind the previous piece's last hand marker,
+as ``count_all`` counts it behind the last two characters, so any split
+gives the same report; ``evaluate`` does so for one layout, and
+``evaluate_chunked`` cuts a whole stream into slices for it.
 ``score_tables`` reads the same report off the tables of
 ``stats.count_all`` when the layout places every counted letter: the
 loads are monogram sums and the switches the cross-hand mass of the
@@ -32,9 +31,9 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO, get_type_hints
 
 from .atomic import OptionalField, read_json_object, write_json
-from .corpus import BOUNDARY, LetterStream
+from .corpus import BOUNDARY, refuse_bare_stream
 from .errors import EmptyInput, MalformedInput
-from .layout import KeyboardLayout
+from .layout import KeyboardLayout, check_layout_name
 from .stats import NGramTable
 
 
@@ -48,97 +47,58 @@ class EvaluationReport:
     total_letters: int
 
 
-@dataclass(frozen=True)
-class ChunkScore:
-    """Score of one contiguous slice of a stream, mergeable with neighbors.
-
-    ``first`` and ``last`` are the slice's first and last markers: ``<``
-    or ``>`` for a letter on the left or right hand, ``|`` for a reset,
-    ``""`` when the slice has neither. Two slices meet in a switch when
-    the left one ends on one hand and the right one starts on the other;
-    a slice with no marker passes its neighbors' ends straight through.
-    """
-
-    left: int = 0
-    right: int = 0
-    not_determined: int = 0
-    switching: int = 0
-    first: str = ""
-    last: str = ""
-
-    def merge(self, other: "ChunkScore") -> "ChunkScore":
-        junction = int(self.last + other.first in ("<>", "><"))
-        return ChunkScore(
-            left=self.left + other.left,
-            right=self.right + other.right,
-            not_determined=self.not_determined + other.not_determined,
-            switching=self.switching + other.switching + junction,
-            first=self.first or other.first,
-            last=other.last or self.last,
-        )
-
-
 _HAND_MARKS = {"left": "<", "right": ">"}
 
 
-def score_chunk(layout: KeyboardLayout, stream: LetterStream,
-                *, reset_on_boundary: bool = False) -> ChunkScore:
-    """Score a stream, or any slice of one, in a few passes over its text.
-
-    Every distinct character maps to a hand marker, to nothing (a letter
-    the layout lacks), or to a reset marker (a boundary, when boundaries
-    reset); switches are then adjacent unlike markers, and the first and
-    last markers are the slice's ends.
-    """
-    marks = {ord(ch): _HAND_MARKS.get(layout.hand_of(ch)) for ch in set(stream.text)}
-    marks[ord(BOUNDARY)] = "|" if reset_on_boundary else None
-    hands = stream.text.translate(marks)
-    left, right = hands.count("<"), hands.count(">")
-    return ChunkScore(left=left, right=right,
-                      not_determined=stream.letter_count - left - right,
-                      switching=hands.count("<>") + hands.count("><"),
-                      first=hands[:1], last=hands[-1:])
+def _report(layout: KeyboardLayout, left: int, right: int, switching: int,
+            total_letters: int) -> EvaluationReport:
+    return EvaluationReport(layout_name=layout.name, hand_switching=switching,
+                            left_load=left, right_load=right,
+                            not_determined=total_letters - left - right,
+                            total_letters=total_letters)
 
 
-def _report(layout: KeyboardLayout, score: ChunkScore) -> EvaluationReport:
-    return EvaluationReport(
-        layout_name=layout.name,
-        hand_switching=score.switching,
-        left_load=score.left,
-        right_load=score.right,
-        not_determined=score.not_determined,
-        total_letters=score.left + score.right + score.not_determined,
-    )
-
-
-def evaluate_all(layouts: Sequence[KeyboardLayout], corpus: Iterable[LetterStream],
+def evaluate_all(layouts: Sequence[KeyboardLayout], corpus: Iterable[str],
                  *, reset_on_boundary: bool = False) -> list[EvaluationReport]:
     """Score each layout against a stream given as its pieces in order, in one pass.
 
-    Each piece is scored against every layout before the next is read,
-    and each layout's scores are merged in order.
+    Each piece maps, per layout, every letter to a hand marker or to
+    nothing (a letter the layout lacks), and a boundary to a reset marker
+    or to nothing. The loads are the hand markers, and the switches the
+    adjacent unlike markers, counted behind the last marker so far.
     """
-    scores = [ChunkScore()] * len(layouts)
+    refuse_bare_stream(corpus)
+    reset = "|" if reset_on_boundary else None
+    tallies = [(0, 0, 0, "")] * len(layouts)  # left, right, switches, last marker
+    letters = 0
     for piece in corpus:
-        scores = [score.merge(score_chunk(layout, piece, reset_on_boundary=reset_on_boundary))
-                  for score, layout in zip(scores, layouts)]
-    return [_report(layout, score) for layout, score in zip(layouts, scores)]
+        letters += len(piece) - piece.count(BOUNDARY)
+        chars = set(piece)
+        for i, layout in enumerate(layouts):
+            marks = {ord(ch): _HAND_MARKS.get(layout.hand_of(ch)) for ch in chars}
+            marks[ord(BOUNDARY)] = reset
+            hands = piece.translate(marks)
+            left, right, switching, last = tallies[i]
+            behind = last + hands
+            tallies[i] = (left + hands.count("<"), right + hands.count(">"),
+                          switching + behind.count("<>") + behind.count("><"), behind[-1:])
+    return [_report(layout, left, right, switching, letters)
+            for layout, (left, right, switching, _last) in zip(layouts, tallies)]
 
 
-def evaluate(layout: KeyboardLayout, corpus: Iterable[LetterStream],
+def evaluate(layout: KeyboardLayout, corpus: Iterable[str],
              *, reset_on_boundary: bool = False) -> EvaluationReport:
     """Score one layout against a stream given as its pieces in order."""
     return evaluate_all([layout], corpus, reset_on_boundary=reset_on_boundary)[0]
 
 
-def evaluate_chunked(layout: KeyboardLayout, stream: LetterStream, *, chunks: int = 4,
+def evaluate_chunked(layout: KeyboardLayout, stream: str, *, chunks: int = 4,
                      reset_on_boundary: bool = False) -> EvaluationReport:
     """Score a stream cut into ``chunks`` slices; same result as evaluate on it whole."""
     if chunks < 1:
         raise ValueError(f"chunks must be positive, got {chunks}")
-    text = stream.text
-    size = max(1, math.ceil(len(text) / chunks))
-    slices = (LetterStream(text=text[start:start + size]) for start in range(0, len(text), size))
+    size = max(1, math.ceil(len(stream) / chunks))
+    slices = (stream[start:start + size] for start in range(0, len(stream), size))
     return evaluate(layout, slices, reset_on_boundary=reset_on_boundary)
 
 
@@ -171,9 +131,7 @@ def score_tables(layout: KeyboardLayout, mono: NGramTable, digraphs: NGramTable,
     switching = _cross_hand_mass(layout, digraphs)
     if not reset_on_boundary:
         switching += _cross_hand_mass(layout, junctions)
-    return _report(layout, ChunkScore(
-        left=loads["left"], right=loads["right"], switching=switching,
-        not_determined=mono.total_letters - loads["left"] - loads["right"]))
+    return _report(layout, loads["left"], loads["right"], switching, mono.total_letters)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +214,7 @@ def _report_from_doc(doc: dict) -> EvaluationReport:
         raise MalformedInput(f"negative report counts: {negative}")
     if doc["left_load"] + doc["right_load"] + doc["not_determined"] != doc["total_letters"]:
         raise MalformedInput("left_load + right_load + not_determined != total_letters")
+    check_layout_name(doc["layout_name"], MalformedInput)
     return EvaluationReport(**{name: doc[name] for name in _REPORT_FIELDS})
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .atomic import OptionalField, dump_json, parse_json_object, read_json_object, write_json
 from .corpus import format_codepoint
-from .errors import (CapacityExceeded, ConfigError, InvariantViolation,
+from .errors import (CapacityExceeded, ConfigError, InvariantViolation, LayoutForgeError,
                      MalformedLayout)
 from .partition import HandPartition
 from .stats import NGramTable, frequency_order
@@ -155,14 +155,14 @@ def load_geometry(path: str | Path) -> Geometry:
 _NOT_IN_NAMES = re.compile(r"[/\x00-\x1f\x7f]")
 
 
-def check_layout_name(name: str) -> None:
-    """Refuse a layout name that is not one plain file name.
+def check_layout_name(name: str, error: type[LayoutForgeError] = MalformedLayout) -> None:
+    """Refuse a layout name that is not one plain file name, with ``error``.
 
     The name becomes part of report file names and a field of the report
     TSV, so it must name one file and hold no control character.
     """
     if not isinstance(name, str) or name in ("", ".", "..") or _NOT_IN_NAMES.search(name):
-        raise MalformedLayout(f"a layout name must be a file name without '/' or control"
+        raise error(f"a layout name must be a file name without '/' or control"
                               f" characters, got {name!r}")
 
 

@@ -1,13 +1,13 @@
 """N-gram counting plus support, confidence, and cumulative side scores.
 
-Counting (``count_all``) keys every trigram window of a stream by one int
-that packs its three code points, 21 bits each. The stream comes as its
-pieces in order, such as the blocks ``corpus.read_pieces`` reads one at
-a time, and the windows that straddle two pieces are counted once. The keys are built
-and counted in C, a block of windows at a time, so that only the counts
-grow with the corpus. One loop over the distinct keys then folds them
-into the monogram, digraph, trigram and junction tables, decoding only
-the grams that hold no boundary.
+Counting (``count_all``) keys every trigram window of a letter stream by
+one int that packs its three code points, 21 bits each. The stream comes
+as its pieces in order, such as the blocks ``corpus.read_pieces`` reads
+one at a time, and the windows that straddle two pieces are counted
+once. The keys are built and counted in C, a block of windows at a time,
+so that only the counts grow with the corpus. One loop over the distinct
+keys then folds them into the monogram, digraph, trigram and junction
+tables, decoding only the grams that hold no boundary.
 
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .corpus import BOUNDARY, LetterStream
+from .corpus import BOUNDARY, refuse_bare_stream
 from .errors import EmptyCorpus, MalformedInput, NoInvolvement
 
 NGRAM_SIZES = (1, 2, 3)
@@ -47,16 +47,6 @@ class NGramTable:
     n: int
     counts: Counter
     total_letters: int
-
-    def merge(self, other: "NGramTable") -> "NGramTable":
-        """Combine tables counted over disjoint parts of a corpus.
-
-        Commutative and associative; counts and letter totals both add.
-        """
-        if self.n != other.n:
-            raise ValueError(f"cannot merge {self.n}-gram and {other.n}-gram tables")
-        return NGramTable(self.n, self.counts + other.counts,
-                          self.total_letters + other.total_letters)
 
 
 @dataclass(frozen=True)
@@ -108,12 +98,13 @@ def _count_windows(texts: Iterable[str]) -> Counter:
     return windows
 
 
-def count_all(corpus: Iterable[LetterStream], *, span_boundaries: bool = False
+def count_all(corpus: Iterable[str], *, span_boundaries: bool = False
               ) -> tuple[NGramTable, NGramTable, NGramTable, NGramTable]:
     """Count the 1-, 2- and 3-gram tables of a stream in one pass, plus its junctions.
 
     The stream comes as its pieces in order (``read_pieces``); a whole
-    stream is one piece, and any split gives the same tables. Windows never cross a word boundary unless
+    stream is one piece, ``[stream]``, and any split gives the same
+    tables. Windows never cross a word boundary unless
     ``span_boundaries`` is set (a sensitivity knob; alternation across a
     space is not meaningful). Every trigram window of the text with two
     boundaries appended is counted under one int key that packs its three
@@ -133,8 +124,9 @@ def count_all(corpus: Iterable[LetterStream], *, span_boundaries: bool = False
     empty, since the digraphs already hold those pairs. No file carries
     it: it serves scoring from the tables (``evaluator.score_tables``).
     """
+    refuse_bare_stream(corpus)
     boundary = ord(BOUNDARY)  # compared with the code points a key unpacks to
-    windows = _count_windows(piece.letters() if span_boundaries else piece.text
+    windows = _count_windows(piece.replace(BOUNDARY, "") if span_boundaries else piece
                              for piece in corpus)
     monograms: Counter = Counter()
     digraphs: Counter = Counter()
@@ -162,7 +154,7 @@ def count_all(corpus: Iterable[LetterStream], *, span_boundaries: bool = False
             NGramTable(3, trigrams, total), NGramTable(2, junctions, total))
 
 
-def count_ngrams(corpus: Iterable[LetterStream], n: int, *,
+def count_ngrams(corpus: Iterable[str], n: int, *,
                  span_boundaries: bool = False) -> NGramTable:
     """The n-gram table of ``count_all`` for one n."""
     if n not in NGRAM_SIZES:

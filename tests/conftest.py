@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from layoutforge.corpus import BOUNDARY, AlphabetConfig, LetterStream
+from layoutforge.corpus import BOUNDARY, AlphabetConfig
 from layoutforge.stats import NGramTable
 
 TOTAL_LETTERS = 821914
@@ -74,9 +74,14 @@ def ascii_config() -> AlphabetConfig:
     return AlphabetConfig(ranges=((ord("a"), ord("z")),), exclude=frozenset())
 
 
-def make_stream(tokens) -> LetterStream:
-    """Wrap a token list (letters and None boundaries) as a stream."""
-    return LetterStream(text="".join(BOUNDARY if t is None else t for t in tokens))
+def make_stream(tokens) -> str:
+    """The letter stream of a token list (letters and None boundaries)."""
+    return "".join(BOUNDARY if t is None else t for t in tokens)
+
+
+def letter_count(stream: str) -> int:
+    """The letters of a stream: every character but its boundaries."""
+    return len(stream) - stream.count(BOUNDARY)
 
 
 def random_tokens(rng, alphabet, length, boundary_rate=0.15):

@@ -4,7 +4,7 @@ The whole-file path decodes and normalizes each file at once, tokenizes
 it, and joins the streams with ``concat_streams``. The block path
 (``read_pieces``) does the same to blocks that end right after an LF and
 hands on one piece per block; counting carries the last two characters
-across each seam, and the replay merges per-piece scores. With the read
+across each seam, and the replay the last hand marker. With the read
 and count blocks cut to a few bytes and windows, every seam lands inside
 words, lines and composing pairs, unless the block ends where it must.
 """
@@ -69,8 +69,8 @@ def test_blocks_give_what_whole_files_give(tmp_path_factory, monkeypatch, texts,
     with monkeypatch.context() as patch:
         patch.setattr(corpus, "_READ_BLOCK", read_block)
         patch.setattr(stats, "_BLOCK", count_block)
-        pieces = [piece.text for piece in read_pieces(paths, CONFIG)]
-        assert "".join(pieces) == whole.text
+        pieces = list(read_pieces(paths, CONFIG))
+        assert "".join(pieces) == whole
         assert all(pieces)
         for span in (False, True):
             assert count_all(read_pieces(paths, CONFIG), span_boundaries=span) == tables[span]
@@ -119,6 +119,26 @@ def test_run_all_from_stdin_writes_what_the_files_give(tmp_path, capsys, monkeyp
 
 def outputs(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class WholeReadRefused(io.BytesIO):
+    """Bytes that can be read a block or a line at a time, but not whole."""
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read whole")
+        return super().read(size)
+
+
+@pytest.mark.parametrize("command", [["stats"], ["partition", "--coverage", "50"]])
+def test_a_single_read_streams_stdin(tmp_path, capsys, monkeypatch, command):
+    """stats and partition read stdin a block at a time, as they read a file."""
+    monkeypatch.setattr(corpus, "_READ_BLOCK", 1000)
+    assert main([*command, *map(str, SAMPLE), "--out", str(tmp_path / "named")]) == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(WholeReadRefused(
+        b"".join(path.read_bytes() for path in SAMPLE))))
+    assert main([*command, "--out", str(tmp_path / "piped")]) == 0, capsys.readouterr().err
+    assert outputs(tmp_path / "piped") == outputs(tmp_path / "named")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")

@@ -11,6 +11,7 @@ from layoutforge.corpus import (BOUNDARY, AlphabetConfig, concat_streams,
                                 format_codepoint, normalize_text, parse_codepoint,
                                 read_corpus, tokenize)
 from layoutforge.errors import ConfigError, InvalidEncoding
+from conftest import letter_count
 
 
 def test_normalize_empty():
@@ -41,43 +42,43 @@ def test_invalid_utf8_reports_offset():
 
 def test_tokenize_empty():
     stream = tokenize("")
-    assert stream.text == ""
-    assert stream.letter_count == 0
+    assert stream == ""
+    assert letter_count(stream) == 0
 
 
 def test_tokenize_boundary_collapse():
     stream = tokenize("ক খ")
-    assert stream.text == "ক" + BOUNDARY + "খ"
-    assert stream.letter_count == 2
+    assert stream == "ক" + BOUNDARY + "খ"
+    assert letter_count(stream) == 2
 
 
 def test_tokenize_run_of_nonletters_is_one_boundary():
     stream = tokenize("ক ,;\t খ")
-    assert stream.text == "ক" + BOUNDARY + "খ"
+    assert stream == "ক" + BOUNDARY + "খ"
 
 
 def test_tokenize_excluded_digits_are_boundaries():
     # Bangla digits are excluded by default; ASCII digits are simply
     # outside the alphabet. Both act as boundaries.
-    assert tokenize("ক১২খ").text == "ক" + BOUNDARY + "খ"
-    assert tokenize("ক12খ").text == "ক" + BOUNDARY + "খ"
+    assert tokenize("ক১২খ") == "ক" + BOUNDARY + "খ"
+    assert tokenize("ক12খ") == "ক" + BOUNDARY + "খ"
 
 
 def test_tokenize_keeps_edge_boundaries_single():
     stream = tokenize("  ক  ")
-    assert stream.text == BOUNDARY + "ক" + BOUNDARY
-    assert stream.letter_count == 1
+    assert stream == BOUNDARY + "ক" + BOUNDARY
+    assert letter_count(stream) == 1
 
 
 def test_virama_is_a_letter_by_default():
     stream = tokenize("ক্ত")  # conjunct spelled out
-    assert stream.letter_count == 3
-    assert BOUNDARY not in stream.text
+    assert letter_count(stream) == 3
+    assert BOUNDARY not in stream
 
 
 def test_danda_is_a_boundary_by_default():
     stream = tokenize("ক।খ")  # danda is outside the block
-    assert stream.text == "ক" + BOUNDARY + "খ"
+    assert stream == "ক" + BOUNDARY + "খ"
 
 
 def test_letter_count_matches_brute_scan():
@@ -89,8 +90,8 @@ def test_letter_count_matches_brute_scan():
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 300)))
         stream = tokenize(text, config)
         expected = sum(1 for ch in text if ch in config.resolve())
-        assert stream.letter_count == expected
-        assert stream.letter_count == sum(1 for ch in stream.text if ch != BOUNDARY)
+        assert letter_count(stream) == expected
+        assert letter_count(stream) == sum(1 for ch in stream if ch != BOUNDARY)
 
 
 def test_no_consecutive_boundaries_property():
@@ -99,37 +100,37 @@ def test_no_consecutive_boundaries_property():
     for _ in range(100):
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 60)))
         stream = tokenize(text)
-        assert BOUNDARY * 2 not in stream.text
+        assert BOUNDARY * 2 not in stream
 
 
 def test_concatenation_letter_counts_add():
     a, b = "কাক", "খি"
     joined = tokenize(a + " " + b)
-    assert joined.letter_count == tokenize(a).letter_count + tokenize(b).letter_count
+    assert letter_count(joined) == letter_count(tokenize(a)) + letter_count(tokenize(b))
 
 
 def test_concat_streams_inserts_seam_boundary():
     a = tokenize("কা")
     b = tokenize("খ")
     merged = concat_streams([a, b])
-    assert merged.text == "কা" + BOUNDARY + "খ"
-    assert merged.letter_count == 3
+    assert merged == "কা" + BOUNDARY + "খ"
+    assert letter_count(merged) == 3
 
 
 def test_concat_streams_collapses_edge_boundaries():
     a = tokenize("ক ")
     b = tokenize(" খ")
     merged = concat_streams([a, b])
-    assert merged.text == "ক" + BOUNDARY + "খ"
+    assert merged == "ক" + BOUNDARY + "খ"
     # A part without letters is one boundary, shared with its neighbours.
-    assert concat_streams([a, tokenize("."), b]).text == "ক" + BOUNDARY + "খ"
-    assert concat_streams([tokenize("."), tokenize(".")]).text == BOUNDARY
+    assert concat_streams([a, tokenize("."), b]) == "ক" + BOUNDARY + "খ"
+    assert concat_streams([tokenize("."), tokenize(".")]) == BOUNDARY
 
 
 def test_concat_skips_empty_parts():
     a = tokenize("ক")
     merged = concat_streams([a, tokenize(""), tokenize("খ")])
-    assert merged.text == "ক" + BOUNDARY + "খ"
+    assert merged == "ক" + BOUNDARY + "খ"
 
 
 def test_round_trip_stability():
@@ -139,9 +140,9 @@ def test_round_trip_stability():
     for _ in range(50):
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 120)))
         once = tokenize(normalize_text(text.encode("utf-8")))
-        twice = tokenize(once.text)
+        twice = tokenize(once)
         assert twice == once
-        assert twice.letter_count == once.letter_count
+        assert letter_count(twice) == letter_count(once)
 
 
 def test_read_corpus_joins_files_with_boundary(tmp_path):
@@ -150,7 +151,7 @@ def test_read_corpus_joins_files_with_boundary(tmp_path):
     p1.write_text("কা", encoding="utf-8")
     p2.write_text("খ", encoding="utf-8")
     stream = read_corpus([p1, p2], AlphabetConfig())
-    assert stream.text == "কা" + BOUNDARY + "খ"
+    assert stream == "কা" + BOUNDARY + "খ"
 
 
 # An astral letter, the space as a letter, and a vowel sign that NFC
@@ -172,7 +173,7 @@ def test_read_corpus_is_the_texts_joined_by_one_boundary(tmp_path_factory, lette
     stream = read_corpus(paths, config)
     nfc = [unicodedata.normalize("NFC", text) for text in texts]
     assert stream == tokenize(BOUNDARY.join(text for text in nfc if text), config)
-    assert tokenize(stream.text, config) == stream
+    assert tokenize(stream, config) == stream
 
 
 def test_codepoint_parsing():

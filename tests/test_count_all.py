@@ -1,6 +1,6 @@
 """The one-pass counter against a naive per-window count of the raw text.
 
-The oracle never looks at a LetterStream: it splits the original text
+The oracle never looks at a letter stream: it splits the original text
 into letter runs with a plain character loop and slides a window over
 each run (or, when windows span boundaries, over all letters in order).
 Its junctions pair the last letter of each run with the first of the
@@ -70,7 +70,7 @@ def test_count_all_with_space_as_a_letter():
     # The space is a letter here, and LF still stands for the boundary.
     rng = random.Random(21)
     letters = "ab c"
-    assert tokenize("a b.c", letter_config(letters)).text == "a b" + BOUNDARY + "c"
+    assert tokenize("a b.c", letter_config(letters)) == "a b" + BOUNDARY + "c"
     check_against_oracle(rng, letters, ".\n\x00", 300)
 
 
@@ -97,7 +97,7 @@ def test_count_all_over_several_blocks():
     config = letter_config("abcdefgh")
     text = "".join(rng.choices("abcdefgh  .", k=5 * stats._BLOCK))
     stream = tokenize(text, config)
-    assert len(stream.letters()) > 3 * stats._BLOCK
+    assert len(stream.replace(BOUNDARY, "")) > 3 * stats._BLOCK
     for span in (False, True):
         expected = naive_tables(text, config.resolve(), span)
         assert [t.counts for t in count_all([stream], span_boundaries=span)] == expected
@@ -111,7 +111,7 @@ def test_count_all_over_concatenated_streams():
                  for _ in range(rng.randrange(1, 5))]
         joined = concat_streams(tokenize(t, config) for t in texts)
         # Files are joined with a boundary, exactly as if a space stood between them.
-        assert joined.text == tokenize(" ".join(texts), config).text
+        assert joined == tokenize(" ".join(texts), config)
         for span in (False, True):
             expected = naive_tables(" ".join(texts), config.resolve(), span)
             assert [t.counts for t in count_all([joined], span_boundaries=span)] == expected
@@ -122,9 +122,8 @@ def test_alphabet_without_letters():
     assert config.resolve() == frozenset()
     for text, expected in (("", ""), ("abc d", BOUNDARY), ("\n\n", BOUNDARY)):
         stream = tokenize(text, config)
-        assert stream.text == expected
-        assert stream.letter_count == 0
-        assert list(stream.runs()) == []
+        assert stream == expected
+        assert stream.strip(BOUNDARY) == ""
         for span in (False, True):
             for n, table in zip(NGRAM_SIZES, count_all([stream], span_boundaries=span)):
                 assert table.n == n and not table.counts and table.total_letters == 0

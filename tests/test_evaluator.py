@@ -1,4 +1,4 @@
-"""Scoring semantics, the chunk merge, and report comparison.
+"""Scoring semantics, replay across piece seams, and report comparison.
 
 The randomized oracle here is a bare dictionary fold: hand lookups from
 a plain letter-to-hand map, one pass, no package scoring code.
@@ -12,12 +12,11 @@ import pytest
 
 from layoutforge.corpus import BOUNDARY
 from layoutforge.errors import EmptyInput
-from layoutforge.evaluator import (ChunkScore, Comparison, EvaluationReport, compare,
-                                   evaluate, evaluate_chunked, format_comparison,
-                                   read_report_json, score_chunk, write_report_json,
-                                   write_report_tsv)
+from layoutforge.evaluator import (Comparison, EvaluationReport, compare, evaluate,
+                                   evaluate_chunked, format_comparison, read_report_json,
+                                   write_report_json, write_report_tsv)
 from layoutforge.layout import Geometry, KeyPosition, KeyboardLayout
-from conftest import make_stream, random_tokens
+from conftest import letter_count, make_stream, random_tokens
 
 
 def layout_from_hands(left, right, name="test"):
@@ -211,11 +210,10 @@ def test_chunked_matches_rescan_at_every_chunk_count():
         if tokens and rng.random() < 0.5:
             tokens = tokens + [None]
         stream = make_stream(tokens)
-        text = stream.text
-        for chunks in range(1, len(text) + 2):
-            size = max(1, math.ceil(len(text) / chunks))
-            for start in range(0, len(text), size):
-                piece = text[start:start + size]
+        for chunks in range(1, len(stream) + 2):
+            size = max(1, math.ceil(len(stream) / chunks))
+            for start in range(0, len(stream), size):
+                piece = stream[start:start + size]
                 seen.add("edge boundary" if BOUNDARY in (piece[0], piece[-1]) else None)
                 seen.add("only boundaries" if set(piece) == {BOUNDARY} else None)
                 seen.add("only unplaced" if set(piece) <= {"x", "y"} else None)
@@ -224,29 +222,8 @@ def test_chunked_matches_rescan_at_every_chunk_count():
                                           reset_on_boundary=reset)
                 assert (report.left_load, report.right_load, report.not_determined,
                         report.hand_switching) == rescan(hand_of, tokens, reset)
-                assert report.total_letters == stream.letter_count
+                assert report.total_letters == letter_count(stream)
     assert seen >= {"edge boundary", "only boundaries", "only unplaced"}
-
-
-def test_chunk_merge_is_associative():
-    rng = random.Random(83)
-    alphabet = list("abcd")
-    layout = layout_from_hands("ab", "cd")
-    for _ in range(50):
-        parts = [score_chunk(layout, make_stream(random_tokens(rng, alphabet,
-                                                               rng.randrange(0, 40))),
-                             reset_on_boundary=rng.random() < 0.5)
-                 for _ in range(3)]
-        a, b, c = parts
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-
-def test_chunk_merge_identity():
-    layout = layout_from_hands("a", "b")
-    chunk = score_chunk(layout, make_stream(["a", "b", None, "a"]))
-    empty = ChunkScore()
-    assert empty.merge(chunk) == chunk
-    assert chunk.merge(empty) == chunk
 
 
 def test_chunked_rejects_bad_chunk_count():

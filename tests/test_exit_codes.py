@@ -457,6 +457,9 @@ DOCUMENT_EDITS = {
     "report loads do not add up": ("report",
                                    lambda doc: doc.update(total_letters=doc["total_letters"] + 1),
                                    "left_load + right_load + not_determined != total_letters"),
+    "report layout name not a file name": ("report",
+                                           lambda doc: doc.update(layout_name="x/y\nz"),
+                                           "a layout name must be a file name"),
 }
 ERRORS = {"partition": "ConfigError", "layout": "MalformedLayout", "report": "MalformedInput"}
 FILES = {"partition": "partition.json", "layout": "layout.json",

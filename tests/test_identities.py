@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge.corpus import AlphabetConfig, read_corpus, tokenize
+from layoutforge.corpus import BOUNDARY, AlphabetConfig, read_corpus, tokenize
 from layoutforge.evaluator import evaluate, score_tables
 from layoutforge.layout import build_layout
 from layoutforge.partition import partition_all
@@ -59,7 +59,7 @@ def test_identities_for_the_built_layout(stream):
 
 def test_identities_for_random_hand_splits(stream):
     rng = random.Random(31)
-    letters = sorted(set(stream.letters()))
+    letters = sorted(set(stream) - {BOUNDARY})
     for _ in range(20):
         rng.shuffle(letters)
         cut = rng.randrange(1, len(letters))

@@ -7,9 +7,10 @@ run-all's own layout over the same corpus must reproduce run-all's
 report. The golden digests pin the bytes of run-all over the bundled
 sample under every flag set: the default and resetting runs as they were
 before the table route existed, the spanning one as it was before the
-counter keyed its windows by packed code points, and the two replayed
+counter keyed its windows by packed code points, the two replayed
 runs as they were while run-all still held the whole corpus as one
-stream.
+stream, and the replay with both unplaced letters and resets as it was
+while each layout's replay merged per-piece scores.
 """
 
 import hashlib
@@ -34,8 +35,9 @@ FLAG_SETS = {
     "span": ["--span-boundaries"],
     "span and reset": ["--span-boundaries", "--reset-on-boundary"],
     "coverage 50": ["--coverage", "50"],
+    "coverage 50 and reset": ["--coverage", "50", "--reset-on-boundary"],
 }
-REPLAYED = {"span and reset", "coverage 50"}
+REPLAYED = {"span and reset", "coverage 50", "coverage 50 and reset"}
 SCORING_FLAGS = {"--reset-on-boundary"}
 
 GOLDEN = {
@@ -108,6 +110,20 @@ GOLDEN = {
             "68720814551619ffbce3eec44327029682081a49749897b4977a4994e616087b",
         "summary.json": "d9b671835c7c2c6d993337988c69b5ba5b359a6ceac9bd658a317819cf93f809",
         "trigrams.tsv": "650c97052f054e2908f11d688dbd9860b02fc6baaa73227fa6f356217eff77fd",
+    },
+    "coverage 50 and reset": {
+        "stdout": "8cf1c14cffdba047c1c77942f830040d4eceb213b20e5b07c653cef676715a93",
+        "comparison.txt": "8cf1c14cffdba047c1c77942f830040d4eceb213b20e5b07c653cef676715a93",
+        "digraphs.tsv": "c90cd936aeabc2858f7a1e24d00844222ae722aca06d70cc9f3286fba868390b",
+        "layout.json": "fe236470c7d0db1ddcba976a46f3be0c1b3be12ad244ccd938cf5c3148db1983",
+        "monograms.tsv": "314d667d32cae9d624f98651d53ab29710c62af2d88b6668ef47a052bdb5ee2a",
+        "partition.json": "2a0c27751e74256acbc134784eed8ca741014283840ed190ddf703fe03e004b9",
+        "report-optimized.json":
+            "ca816f2e55405a5fd5f0d0e44811e438111fe60591c7795ab8d00bf098521e72",
+        "report-optimized.tsv":
+            "5262e4281fdbf3c505557cc40b04e73bcfd030da28808dcd5240a84b77fa5557",
+        "summary.json": "3b0539ad55cafdc7bff8070e95c8bd3b3bdf62c61cf2b6c85db34d53049e1a54",
+        "trigrams.tsv": "3ef536d582ca8f394dd723acaab617afe9a8b1fda0a5f03f3334ab4e839d34d4",
     },
 }
 

@@ -11,13 +11,13 @@ from collections import Counter
 
 import pytest
 
-from layoutforge.corpus import tokenize
+from layoutforge.corpus import BOUNDARY, tokenize
 from layoutforge.errors import EmptyCorpus, NoInvolvement
 from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
                                involvement_totals, ranked_monograms, read_ngram_tsv,
                                side_scores, support, write_ngram_tsv)
 from conftest import (FILLER_DIGRAPH, INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE,
-                      TABLE1_ROWS, TABLE2_ROWS, make_stream, random_tokens)
+                      TABLE1_ROWS, TABLE2_ROWS, letter_count, make_stream, random_tokens)
 
 FOCUS = "ক"  # ক
 
@@ -123,7 +123,7 @@ def test_counts_match_window_scanner():
         for n in (1, 2, 3):
             table = count_ngrams([stream], n)
             assert table.counts == brute_windows(tokens, n)
-            assert table.total_letters == stream.letter_count
+            assert table.total_letters == letter_count(stream)
 
 
 def test_monogram_sum_equals_total_and_digraph_bound():
@@ -133,10 +133,10 @@ def test_monogram_sum_equals_total_and_digraph_bound():
         tokens = random_tokens(rng, alphabet, rng.randrange(1, 400))
         stream = make_stream(tokens)
         mono = count_ngrams([stream], 1)
-        assert sum(mono.counts.values()) == stream.letter_count
-        words = sum(1 for _ in stream.runs())
+        assert sum(mono.counts.values()) == letter_count(stream)
+        words = len([word for word in stream.split(BOUNDARY) if word])
         dig = count_ngrams([stream], 2)
-        assert sum(dig.counts.values()) <= stream.letter_count - words
+        assert sum(dig.counts.values()) <= letter_count(stream) - words
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +219,6 @@ def test_statistics_invariant_under_file_order():
         if reference is None:
             reference = tables
         assert tables == reference
-
-
-def test_merge_matches_joint_count():
-    rng = random.Random(29)
-    alphabet = list("abc")
-    for _ in range(30):
-        ta = random_tokens(rng, alphabet, rng.randrange(0, 100))
-        tb = random_tokens(rng, alphabet, rng.randrange(0, 100))
-        joined = make_stream(ta + ([None] if ta and tb else []) + tb)
-        for n in (1, 2, 3):
-            merged = count_ngrams([make_stream(ta)], n).merge(
-                count_ngrams([make_stream(tb)], n))
-            joint = count_ngrams([joined], n)
-            assert merged.counts == joint.counts
-            assert merged.total_letters == joint.total_letters
-
-
-def test_merge_rejects_mixed_sizes():
-    a = NGramTable(1, Counter(), 0)
-    b = NGramTable(2, Counter(), 0)
-    with pytest.raises(ValueError):
-        a.merge(b)
 
 
 # ---------------------------------------------------------------------------
