@@ -10,12 +10,11 @@ hand is sent right, so its frequent neighbors end up opposite it.
 
 from pathlib import Path
 
-from layoutforge import AlphabetConfig, count_ngrams, partition_all, read_corpus
+from layoutforge import AlphabetConfig, count_all, partition_all, read_corpus
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
-mono = count_ngrams([stream], 1)
-digraphs = count_ngrams([stream], 2)
+mono, digraphs = count_all([stream])[:2]
 
 part = partition_all(mono, digraphs)
 

@@ -10,13 +10,12 @@ then the same sweep on the shift and ctrl layers.
 
 from pathlib import Path
 
-from layoutforge import (AlphabetConfig, build_layout, count_ngrams, partition_all,
+from layoutforge import (AlphabetConfig, build_layout, count_all, partition_all,
                          read_corpus, render_grid, serialize_layout)
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
-mono = count_ngrams([stream], 1)
-digraphs = count_ngrams([stream], 2)
+mono, digraphs = count_all([stream])[:2]
 
 layout = build_layout(partition_all(mono, digraphs), mono, name="sample-optimized")
 

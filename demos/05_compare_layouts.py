@@ -11,13 +11,12 @@ typed by different hands; loads show how evenly the hands share work.
 from pathlib import Path
 
 from layoutforge import (AlphabetConfig, HandPartition, build_layout, compare,
-                         count_ngrams, evaluate, format_comparison, partition_all,
+                         count_all, evaluate, format_comparison, partition_all,
                          ranked_monograms, read_corpus)
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
-mono = count_ngrams([stream], 1)
-digraphs = count_ngrams([stream], 2)
+mono, digraphs = count_all([stream])[:2]
 
 optimized = build_layout(partition_all(mono, digraphs), mono, name="optimized")
 

@@ -9,10 +9,12 @@ paths, so the same inputs give byte-identical files on every run.
 No command holds the whole corpus as text. The corpus is read one block
 at a time into the n-gram tables, or into the scores of every layout
 ``evaluate`` is given; ``run-all`` reads it again where its tables cannot
-score its layout. Regular files are read again from disk. When the
-corpus may be read again, stdin and any named file that is not a
-regular file (a pipe, say) are held as the bytes read from them; the
-commands that read the corpus once stream them too.
+score its layout. Regular files are read again from disk. Stdin and any
+named file that is not a regular file (a pipe, say) are streamed like a
+file, except by a ``run-all`` whose flags can call for a replay
+(``--coverage`` above 1, or ``--span-boundaries`` with
+``--reset-on-boundary``): it holds the bytes it read from them, since
+they might not give them twice.
 
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.
 Errors are reported as a single JSON line on stderr.
@@ -267,7 +269,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     check_layout_name(args.name)  # before the corpus is read
     config = resolve_config(args)
-    corpus = _corpus(args.corpus, config, replay=True)
+    # Below coverage 2 the layout places every counted letter or refuses,
+    # so only spanning counts scored with resets need the corpus again.
+    replay = config.coverage > 1 or (config.span_boundaries and config.reset_on_boundary)
+    corpus = _corpus(args.corpus, config, replay=replay)
     geometry = config.geometry
     tables = _count(corpus, config)
     mono, digraphs = tables[:2]

@@ -2,36 +2,24 @@
 oracle equivalences, pipeline determinism, and placement rules.
 
 Each check prints one verdict line (run with -s to see them even on
-success). The randomized checks reuse the independent oracles defined
-in the per-module test files.
+success). The randomized checks hold the package to the independent
+restatement of each stage in ``oracle.py``.
 """
 
-import itertools
-import json
 import random
 import time
-from pathlib import Path
-
-import pytest
 
 from layoutforge.cli import main
-from layoutforge.errors import TooFewLetters
-from layoutforge.evaluator import (EvaluationReport, compare, evaluate,
-                                   evaluate_chunked)
-from layoutforge.layout import KeyPosition, KeyboardLayout, build_layout, parse_layout, serialize_layout
+from layoutforge.evaluator import EvaluationReport, compare, evaluate, evaluate_chunked
+from layoutforge.layout import KeyPosition, build_layout, parse_layout, serialize_layout
 from layoutforge.partition import assign, initialize, partition_all
-from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
-                               involvement_totals, ranked_monograms, side_scores, support)
+from layoutforge.stats import (count_ngrams, digraph_confidence, involvement_totals,
+                               ranked_monograms, side_scores, support)
 
-from conftest import (INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE, TABLE2_ROWS,
-                      make_stream, random_tokens)
-from test_evaluator import layout_from_hands, rescan
-from test_layout import make_tables, partition_of
-from test_partition import random_corpus, replay_partition
-from test_stats import brute_windows
-
-SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
-FOCUS = "ক"
+from conftest import (FOCUS, SAMPLE, K_LEFT_SCORE, K_RIGHT_SCORE, TABLE2_ROWS, layout_from_hands,
+                      make_stream, make_tables, mirrored, partition_of, random_corpus,
+                      random_tokens, read_all_bytes, trace_rows)
+import oracle
 
 
 def verdict(number, label, ok):
@@ -71,17 +59,10 @@ def test_criterion_3_partition_oracle():
     rng = random.Random(101)
     ok = True
     for _ in range(100):
-        _alpha, mono_counts, dig_counts, total = random_corpus(
-            rng, rng.randrange(12, 31), rng.randrange(200, 2001))
-        mono = NGramTable(1, mono_counts, total)
-        dig = NGramTable(2, dig_counts, total)
+        mono, dig = random_corpus(rng, rng.randrange(12, 31), rng.randrange(200, 2001))
         part = partition_all(mono, dig)
-        left, right, trace = replay_partition(mono_counts, dig_counts, total)
-        ok &= part.left == left and part.right == right
-        got = [(d.letter, d.left.cumulative_support, d.left.cumulative_confidence,
-                d.right.cumulative_support, d.right.cumulative_confidence, d.hand)
-               for d in part.trace[4:]]
-        ok &= got == trace
+        left, right, trace = oracle.greedy(mono.counts, dig.counts, mono.total_letters)
+        ok &= part.left == left and part.right == right and trace_rows(part) == trace
     elapsed = time.perf_counter() - started
     ok &= elapsed < 10.0
     verdict(3, f"100 random partitions match the step replay ({elapsed:.2f}s)", ok)
@@ -94,9 +75,9 @@ def test_criterion_4_ngram_oracle():
     for _ in range(200):
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 1000))
         stream = make_stream(tokens)
+        expected = oracle.count(oracle.letter_runs(tokens))
         for n in (1, 2, 3):
-            counted = count_ngrams([stream], n)
-            ok &= counted.counts == brute_windows(tokens, n)
+            ok &= count_ngrams([stream], n).counts == expected[n - 1]
         mono = count_ngrams([stream], 1)
         if mono.total_letters:
             ok &= abs(sum(support(mono, g) for g in mono.counts) - 100.0) <= 1e-9
@@ -117,25 +98,15 @@ def test_criterion_5_evaluator_oracle():
         known = alphabet[:rng.randrange(0, len(alphabet) + 1)]
         split = rng.randrange(0, len(known) + 1)
         hand_of = {l: ("left" if i < split else "right") for i, l in enumerate(known)}
-        layout = layout_from_hands([l for l in known if hand_of[l] == "left"],
-                                   [l for l in known if hand_of[l] == "right"])
+        layout = layout_from_hands(known[:split], known[split:])
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 600))
         stream = make_stream(tokens)
         report = evaluate(layout, [stream])
         ok &= (report.left_load + report.right_load + report.not_determined
                == report.total_letters)
-        left, right, nd, switching = rescan(hand_of, tokens)
         ok &= (report.left_load, report.right_load, report.not_determined,
-               report.hand_switching) == (left, right, nd, switching)
-        mirrored = KeyboardLayout(
-            name="m", geometry=layout.geometry,
-            assignment={
-                letter: KeyPosition(
-                    "right" if pos.hand == "left" else "left", pos.layer, pos.row,
-                    layout.geometry.columns + 1 - pos.column)
-                for letter, pos in layout.assignment.items()
-            })
-        flipped = evaluate(mirrored, [stream])
+               report.hand_switching) == oracle.replay(hand_of, tokens)
+        flipped = evaluate(mirrored(layout), [stream])
         ok &= flipped.hand_switching == report.hand_switching
         ok &= flipped.not_determined == report.not_determined
         ok &= (flipped.left_load, flipped.right_load) == (report.right_load,
@@ -147,14 +118,14 @@ def test_criterion_5_evaluator_oracle():
 
 def test_criterion_6_pipeline_determinism(tmp_path, capsys):
     started = time.perf_counter()
-    paths = [str(p) for p in sorted(SAMPLE_DIR.glob("*.txt"))]
+    paths = [str(p) for p in SAMPLE]
     assert len(paths) == 3
     orderings = [paths, list(reversed(paths)), paths[1:] + paths[:1], paths]
     snapshots = []
     for i, ordering in enumerate(orderings):
         out = tmp_path / f"run{i}"
         assert main(["run-all", *ordering, "--out", str(out)]) == 0
-        snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        snapshots.append(read_all_bytes(out))
     capsys.readouterr()
     ok = all(snap == snapshots[0] for snap in snapshots[1:])
     ok &= set(snapshots[0]) >= {"monograms.tsv", "digraphs.tsv", "trigrams.tsv",

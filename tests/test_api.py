@@ -5,7 +5,7 @@ import pytest
 import layoutforge
 from layoutforge import (AlphabetConfig, count_all, count_ngrams, evaluate, evaluate_all,
                          tokenize)
-from test_evaluator import layout_from_hands
+from conftest import layout_from_hands
 
 
 def test_star_import_binds_every_public_name():

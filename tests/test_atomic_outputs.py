@@ -14,7 +14,7 @@ import pytest
 import layoutforge.cli
 from layoutforge.cli import main
 
-from test_cli import last_error
+from conftest import last_error, read_all_bytes
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "bn_sample" / "part1.txt"
 OTHER = SAMPLE.with_name("part2.txt")
@@ -22,10 +22,6 @@ OTHER = SAMPLE.with_name("part2.txt")
 RUN_ALL_FILES = ["comparison.txt", "digraphs.tsv", "layout.json", "monograms.tsv",
                  "partition.json", "report-optimized.json", "report-optimized.tsv",
                  "summary.json", "trigrams.tsv"]
-
-
-def snapshot(directory):
-    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 def test_successful_runs_leave_only_results(tmp_path, capsys):
@@ -39,7 +35,7 @@ def test_successful_runs_leave_only_results(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == 0
     assert main(["compare", str(out / "report-optimized.json"),
                  "--out", str(out / "comparison.txt")]) == 0
-    assert sorted(snapshot(out)) == RUN_ALL_FILES
+    assert sorted(read_all_bytes(out)) == RUN_ALL_FILES
 
 
 def disk_full(*_args, **_kwargs):
@@ -66,12 +62,12 @@ def test_writer_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, ca
                                                        argv, target, attribute, writer):
     out = tmp_path / "out"
     assert main(["run-all", str(SAMPLE), "--out", str(out)]) == 0
-    before = snapshot(out)
+    before = read_all_bytes(out)
     monkeypatch.setattr(target, attribute, writer)
     argv = [arg.replace("{out}", str(out)) for arg in argv]
     assert main([*argv, "--out", str(out)]) == 2
     assert "No space left" in capsys.readouterr().err
-    assert snapshot(out) == before
+    assert read_all_bytes(out) == before
 
 
 # Each refusal reads inputs from {inputs}: a geometry without rows, one too
@@ -109,11 +105,11 @@ def test_refused_run_writes_nothing(tmp_path, capsys, argv, error):
                               for field in ("hand", "layer", "row", "column")})
     (inputs / "bad.json").write_text(json.dumps(layout, ensure_ascii=False), encoding="utf-8")
     (inputs / "layout.json").write_bytes((filled / "layout.json").read_bytes())
-    before = snapshot(filled)
+    before = read_all_bytes(filled)
     argv = [arg.replace("{inputs}", str(inputs)) for arg in argv]
     fresh = tmp_path / "fresh" / "out"
     for out in (fresh, filled):
         assert main([*argv, "--out", str(out)]) == 2
         assert last_error(capsys)["error"] == error
     assert not (tmp_path / "fresh").exists()
-    assert snapshot(filled) == before
+    assert read_all_bytes(filled) == before

@@ -23,14 +23,13 @@ from hypothesis import strategies as st
 
 from layoutforge import cli, corpus, stats
 from layoutforge.cli import main
-from layoutforge.corpus import (AlphabetConfig, concat_streams, normalize_text, read_pieces,
-                                tokenize)
+from layoutforge.corpus import concat_streams, normalize_text, read_pieces, tokenize
 from layoutforge.evaluator import evaluate
-from layoutforge.layout import Geometry, KeyboardLayout
 from layoutforge.stats import count_all
+from conftest import (SAMPLE, last_error, layout_from_hands, letter_config, read_all_bytes,
+                      write_files)
 
 ROOT = Path(__file__).resolve().parent.parent
-SAMPLE = sorted((ROOT / "data" / "bn_sample").glob("*.txt"))
 
 # Letters: an ASCII and an astral one, two vowel signs that NFC composes
 # into a third (ে + া = ো), ড and the nukta, which NFC keeps apart and
@@ -38,22 +37,12 @@ SAMPLE = sorted((ROOT / "data" / "bn_sample").glob("*.txt"))
 LETTERS = "a\U0001F600\u09c7\u09be\u09cb\u09a1\u09bc\u09cd\u09dc"
 UNITS = [*LETTERS, "\u09c7\u09be", "\u09a1\u09bc", "\u09a1\u09cd\u09bc", " ", ".", "\n",
          "\r\n", "\n\n"]
-CONFIG = AlphabetConfig(ranges=(), include=frozenset(LETTERS), exclude=frozenset())
+CONFIG = letter_config(LETTERS)
 # ড is on no hand, so the replay must keep the hand across it.
-LAYOUT = KeyboardLayout(name="blocks", geometry=Geometry(rows=3, columns=10), assignment={
-    letter: Geometry(rows=3, columns=10).position_priority(hand)[k]
-    for hand, letters in (("left", "a\u09c7\u09bc"), ("right", "\U0001F600\u09be\u09cb\u09cd"))
-    for k, letter in enumerate(letters)})
+LAYOUT = layout_from_hands("a\u09c7\u09bc", "\U0001F600\u09be\u09cb\u09cd", name="blocks")
 
 corpus_files = st.lists(st.lists(st.sampled_from(UNITS), max_size=30).map("".join),
                         min_size=1, max_size=3)
-
-
-def write_files(directory, texts):
-    paths = [directory / f"{i}.txt" for i in range(len(texts))]
-    for path, text in zip(paths, texts):
-        path.write_bytes(text.encode("utf-8"))
-    return paths
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -77,10 +66,6 @@ def test_blocks_give_what_whole_files_give(tmp_path_factory, monkeypatch, texts,
         for reset in (False, True):
             assert evaluate(LAYOUT, read_pieces(paths, CONFIG),
                             reset_on_boundary=reset) == reports[reset]
-
-
-def last_error(capsys):
-    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("tail, offset", [(b"\xff\n", 0), ("ক".encode("utf-8")[:2] + b"\n", 0),
@@ -113,12 +98,7 @@ def test_run_all_from_stdin_writes_what_the_files_give(tmp_path, capsys, monkeyp
         b"".join(path.read_bytes() for path in SAMPLE))))
     assert main(["run-all", "--coverage", "50", "--out", str(piped)]) == 0
     assert capsys.readouterr().out == named_stdout
-    assert ({p.name: p.read_bytes() for p in named.iterdir()}
-            == {p.name: p.read_bytes() for p in piped.iterdir()})
-
-
-def outputs(directory):
-    return {p.name: p.read_bytes() for p in directory.iterdir()}
+    assert read_all_bytes(named) == read_all_bytes(piped)
 
 
 class WholeReadRefused(io.BytesIO):
@@ -130,15 +110,19 @@ class WholeReadRefused(io.BytesIO):
         return super().read(size)
 
 
-@pytest.mark.parametrize("command", [["stats"], ["partition", "--coverage", "50"]])
+@pytest.mark.parametrize("command", [["stats"], ["partition", "--coverage", "50"], ["run-all"],
+                                     ["run-all", "--reset-on-boundary"],
+                                     ["run-all", "--span-boundaries"]])
 def test_a_single_read_streams_stdin(tmp_path, capsys, monkeypatch, command):
-    """stats and partition read stdin a block at a time, as they read a file."""
+    """Commands that cannot replay read stdin a block at a time, as they read a file."""
     monkeypatch.setattr(corpus, "_READ_BLOCK", 1000)
     assert main([*command, *map(str, SAMPLE), "--out", str(tmp_path / "named")]) == 0
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(WholeReadRefused(
         b"".join(path.read_bytes() for path in SAMPLE))))
+    named_stdout = capsys.readouterr().out
     assert main([*command, "--out", str(tmp_path / "piped")]) == 0, capsys.readouterr().err
-    assert outputs(tmp_path / "piped") == outputs(tmp_path / "named")
+    assert capsys.readouterr().out == named_stdout
+    assert read_all_bytes(tmp_path / "piped") == read_all_bytes(tmp_path / "named")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -158,7 +142,7 @@ def test_run_all_replays_a_named_pipe_from_what_it_read(tmp_path, capsys):
                           input=text, env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode("utf-8") == capsys.readouterr().out
-    assert outputs(piped) == outputs(tmp_path / "named")
+    assert read_all_bytes(piped) == read_all_bytes(tmp_path / "named")
 
 
 def test_run_all_refuses_a_corpus_that_changed_before_its_replay(tmp_path, capsys, monkeypatch):
@@ -200,7 +184,7 @@ def test_evaluate_reads_the_corpus_once_for_all_its_layouts(tmp_path, capsys, mo
     assert main(["evaluate", *layouts, "--corpus", *map(str, SAMPLE),
                  "--out", str(tmp_path / "together")]) == 0
     assert len(reads) == 1
-    assert outputs(tmp_path / "together") == outputs(tmp_path / "alone")
+    assert read_all_bytes(tmp_path / "together") == read_all_bytes(tmp_path / "alone")
 
 
 def counting_peak(paths) -> int:

@@ -2,30 +2,19 @@
 
 import io
 import json
-from pathlib import Path
 
 import pytest
 
 from layoutforge.cli import main
 from layoutforge.corpus import AlphabetConfig
 from layoutforge.layout import Geometry
-
-SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
+from conftest import SAMPLE, last_error, read_all_bytes
 
 
 def write_corpus(tmp_path, text, name="corpus.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def read_all_bytes(directory):
-    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
-
-
-def last_error(capsys):
-    err = capsys.readouterr().err.strip().splitlines()
-    return json.loads(err[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +292,7 @@ def test_malformed_layout_exits_2(tmp_path, capsys):
 # run-all and config plumbing
 
 def test_run_all_produces_every_stage(tmp_path, capsys):
-    paths = [str(p) for p in sorted(SAMPLE_DIR.glob("*.txt"))]
+    paths = [str(p) for p in SAMPLE]
     out = tmp_path / "out"
     assert main(["run-all", *paths, "--out", str(out)]) == 0
     for name in ("monograms.tsv", "digraphs.tsv", "trigrams.tsv", "summary.json",
@@ -347,7 +336,7 @@ def test_config_echo_never_names_inputs(tmp_path):
 
 def test_config_echo_holds_named_files_as_documents(tmp_path, monkeypatch):
     """One alphabet and geometry, kept in two places, give the same files."""
-    paths = [str(p) for p in sorted(SAMPLE_DIR.glob("*.txt"))]
+    paths = [str(p) for p in SAMPLE]
     alphabet = {"ranges": [["U+0980", "U+09FF"]], "exclude": ["U+09E6", "U+09E7"]}
     geometry = {"rows": 3, "columns": 6}
     outputs = {}

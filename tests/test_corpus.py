@@ -11,7 +11,7 @@ from layoutforge.corpus import (BOUNDARY, AlphabetConfig, concat_streams,
                                 format_codepoint, normalize_text, parse_codepoint,
                                 read_corpus, tokenize)
 from layoutforge.errors import ConfigError, InvalidEncoding
-from conftest import letter_count
+from conftest import letter_config, letter_count, write_files
 
 
 def test_normalize_empty():
@@ -165,11 +165,8 @@ TEXT_POOL = LETTER_POOL + ".\t\n-"
 @given(letters=st.sets(st.sampled_from(LETTER_POOL)),
        texts=st.lists(st.text(TEXT_POOL, max_size=12), min_size=1, max_size=4))
 def test_read_corpus_is_the_texts_joined_by_one_boundary(tmp_path_factory, letters, texts):
-    config = AlphabetConfig(ranges=(), include=frozenset(letters), exclude=frozenset())
-    directory = tmp_path_factory.mktemp("corpus")
-    paths = [directory / f"{i}.txt" for i in range(len(texts))]
-    for path, text in zip(paths, texts):
-        path.write_bytes(text.encode("utf-8"))
+    config = letter_config(letters)
+    paths = write_files(tmp_path_factory.mktemp("corpus"), texts)
     stream = read_corpus(paths, config)
     nfc = [unicodedata.normalize("NFC", text) for text in texts]
     assert stream == tokenize(BOUNDARY.join(text for text in nfc if text), config)

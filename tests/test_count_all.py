@@ -1,47 +1,20 @@
-"""The one-pass counter against a naive per-window count of the raw text.
+"""The one-pass counter against the oracle's count of the raw text.
 
 The oracle never looks at a letter stream: it splits the original text
-into letter runs with a plain character loop and slides a window over
-each run (or, when windows span boundaries, over all letters in order).
-Its junctions pair the last letter of each run with the first of the
-next; when windows span boundaries there are none.
+into letter runs with a plain character loop (``oracle.letter_runs``)
+and counts windows within each run, or across all of them
+(``oracle.count``).
 """
 
 import random
-from collections import Counter
 
 import pytest
 
 from layoutforge import stats
 from layoutforge.corpus import BOUNDARY, AlphabetConfig, concat_streams, tokenize
 from layoutforge.stats import NGRAM_SIZES, count_all, count_ngrams
-
-
-def naive_tables(text, alphabet, span_boundaries):
-    runs, run = [], []
-    for ch in text:
-        if ch in alphabet:
-            run.append(ch)
-        elif run:
-            runs.append(run)
-            run = []
-    if run:
-        runs.append(run)
-    if span_boundaries:
-        runs = [[ch for r in runs for ch in r]]
-    junctions = Counter(a[-1] + b[0] for a, b in zip(runs, runs[1:]))
-    tables = []
-    for n in NGRAM_SIZES:
-        counts = Counter()
-        for r in runs:
-            for i in range(len(r) - n + 1):
-                counts["".join(r[i:i + n])] += 1
-        tables.append(counts)
-    return tables + [junctions]
-
-
-def letter_config(letters):
-    return AlphabetConfig(ranges=(), include=frozenset(letters), exclude=frozenset())
+from conftest import letter_config
+import oracle
 
 
 def check_against_oracle(rng, letters, others, rounds):
@@ -53,7 +26,7 @@ def check_against_oracle(rng, letters, others, rounds):
         assert BOUNDARY not in config.resolve()
         for span in (False, True):
             tables = count_all([stream], span_boundaries=span)
-            expected = naive_tables(text, config.resolve(), span)
+            expected = oracle.count(oracle.letter_runs(text, config.resolve()), span)
             for n, table, counts in zip((*NGRAM_SIZES, 2), tables, expected):
                 assert table.n == n
                 assert table.counts == counts
@@ -99,7 +72,7 @@ def test_count_all_over_several_blocks():
     stream = tokenize(text, config)
     assert len(stream.replace(BOUNDARY, "")) > 3 * stats._BLOCK
     for span in (False, True):
-        expected = naive_tables(text, config.resolve(), span)
+        expected = oracle.count(oracle.letter_runs(text, config.resolve()), span)
         assert [t.counts for t in count_all([stream], span_boundaries=span)] == expected
 
 
@@ -113,7 +86,8 @@ def test_count_all_over_concatenated_streams():
         # Files are joined with a boundary, exactly as if a space stood between them.
         assert joined == tokenize(" ".join(texts), config)
         for span in (False, True):
-            expected = naive_tables(" ".join(texts), config.resolve(), span)
+            expected = oracle.count(oracle.letter_runs(" ".join(texts), config.resolve()),
+                                    span)
             assert [t.counts for t in count_all([joined], span_boundaries=span)] == expected
 
 

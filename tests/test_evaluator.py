@@ -1,7 +1,8 @@
 """Scoring semantics, replay across piece seams, and report comparison.
 
-The randomized oracle here is a bare dictionary fold: hand lookups from
-a plain letter-to-hand map, one pass, no package scoring code.
+The randomized oracle here, ``oracle.replay``, is a bare dictionary fold:
+hand lookups from a plain letter-to-hand map, one pass, no package
+scoring code.
 """
 
 import io
@@ -12,45 +13,11 @@ import pytest
 
 from layoutforge.corpus import BOUNDARY
 from layoutforge.errors import EmptyInput
-from layoutforge.evaluator import (Comparison, EvaluationReport, compare, evaluate,
-                                   evaluate_chunked, format_comparison, read_report_json,
-                                   write_report_json, write_report_tsv)
-from layoutforge.layout import Geometry, KeyPosition, KeyboardLayout
-from conftest import letter_count, make_stream, random_tokens
-
-
-def layout_from_hands(left, right, name="test"):
-    """A layout whose only relevant property is which hand types what."""
-    geo = Geometry(rows=3, columns=10)
-    assignment = {}
-    for hand, letters in (("left", left), ("right", right)):
-        slots = geo.position_priority(hand)
-        for letter, slot in zip(letters, slots):
-            assignment[letter] = slot
-    return KeyboardLayout(name=name, geometry=geo, assignment=assignment)
-
-
-def rescan(hand_of, tokens, reset_on_boundary=False):
-    """Independent oracle: plain fold over tokens with a hand dict."""
-    left = right = nd = switching = 0
-    prev = None
-    for token in tokens:
-        if token is None:
-            if reset_on_boundary:
-                prev = None
-            continue
-        hand = hand_of.get(token)
-        if hand is None:
-            nd += 1
-            continue
-        if hand == "left":
-            left += 1
-        else:
-            right += 1
-        if prev is not None and prev != hand:
-            switching += 1
-        prev = hand
-    return left, right, nd, switching
+from layoutforge.evaluator import (EvaluationReport, compare, evaluate, evaluate_chunked,
+                                   format_comparison, read_report_json, write_report_json,
+                                   write_report_tsv)
+from conftest import layout_from_hands, letter_count, make_stream, mirrored, random_tokens
+import oracle
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +75,12 @@ def test_matches_independent_rescan():
         known = alphabet[:rng.randrange(0, len(alphabet) + 1)]
         hand_of = {l: ("left" if i < split else "right")
                    for i, l in enumerate(alphabet) if l in known}
-        layout = layout_from_hands([l for l, h in hand_of.items() if h == "left"],
-                                   [l for l, h in hand_of.items() if h == "right"])
+        layout = layout_from_hands(known[:split], known[split:])
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 1000))
         reset = rng.random() < 0.5
         report = evaluate(layout, [make_stream(tokens)], reset_on_boundary=reset)
-        left, right, nd, switching = rescan(hand_of, tokens, reset)
         assert (report.left_load, report.right_load, report.not_determined,
-                report.hand_switching) == (left, right, nd, switching)
+                report.hand_switching) == oracle.replay(hand_of, tokens, reset)
 
 
 def test_conservation_and_switching_bounds():
@@ -140,18 +105,10 @@ def test_mirror_symmetry():
         left = [l for l in alphabet[:6] if rng.random() < 0.5]
         right = [l for l in alphabet[:6] if l not in left]
         layout = layout_from_hands(left, right)
-        mirrored = KeyboardLayout(
-            name="mirror", geometry=layout.geometry,
-            assignment={
-                letter: KeyPosition(
-                    "right" if pos.hand == "left" else "left", pos.layer, pos.row,
-                    layout.geometry.columns + 1 - pos.column)
-                for letter, pos in layout.assignment.items()
-            })
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 300))
         stream = make_stream(tokens)
         base = evaluate(layout, [stream])
-        flipped = evaluate(mirrored, [stream])
+        flipped = evaluate(mirrored(layout), [stream])
         assert flipped.hand_switching == base.hand_switching
         assert flipped.not_determined == base.not_determined
         assert (flipped.left_load, flipped.right_load) == (base.right_load,
@@ -192,7 +149,7 @@ def test_chunked_equals_sequential():
 
 
 def test_chunked_matches_rescan_at_every_chunk_count():
-    """Every chunk count from 1 to one past the text length, against the rescan.
+    """Every chunk count from 1 to one past the text length, against the oracle's replay.
 
     The streams may start or end on a boundary, and x and y are letters the
     layout lacks, so slices that start or end on a boundary, slices that
@@ -221,7 +178,7 @@ def test_chunked_matches_rescan_at_every_chunk_count():
                 report = evaluate_chunked(layout, stream, chunks=chunks,
                                           reset_on_boundary=reset)
                 assert (report.left_load, report.right_load, report.not_determined,
-                        report.hand_switching) == rescan(hand_of, tokens, reset)
+                        report.hand_switching) == oracle.replay(hand_of, tokens, reset)
                 assert report.total_letters == letter_count(stream)
     assert seen >= {"edge boundary", "only boundaries", "only unplaced"}
 

@@ -14,7 +14,7 @@ import pytest
 from layoutforge.cli import main
 from layoutforge.layout import Geometry
 
-from test_cli import last_error
+from conftest import last_error
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "bn_sample" / "part1.txt"
 

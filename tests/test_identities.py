@@ -15,21 +15,17 @@ equal to ``evaluate``.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge.corpus import BOUNDARY, AlphabetConfig, read_corpus, tokenize
+from layoutforge.corpus import BOUNDARY, read_corpus, tokenize
 from layoutforge.evaluator import evaluate, score_tables
 from layoutforge.layout import build_layout
 from layoutforge.partition import partition_all
 from layoutforge.stats import count_all
-
-from test_evaluator import layout_from_hands
-
-SAMPLE = sorted((Path(__file__).resolve().parent.parent / "data" / "bn_sample").glob("*.txt"))
+from conftest import SAMPLE, layout_from_hands, letter_config
 
 # (span_boundaries, reset_on_boundary) of the counts the table route scores from
 TABLE_ROUTES = ((False, False), (False, True), (True, False))
@@ -75,8 +71,7 @@ TEXT_POOL = "abc \x00.\n"
 @st.composite
 def streams_and_layouts(draw):
     letters = draw(st.sets(st.sampled_from(LETTER_POOL), min_size=1))
-    stream = tokenize(draw(st.text(TEXT_POOL, max_size=80)),
-                      AlphabetConfig(ranges=(), include=frozenset(letters), exclude=frozenset()))
+    stream = tokenize(draw(st.text(TEXT_POOL, max_size=80)), letter_config(letters))
     left = draw(st.sets(st.sampled_from(sorted(letters))))
     layout = layout_from_hands(sorted(left), sorted(letters - left))
     return stream, layout
@@ -95,8 +90,7 @@ def test_score_tables_equals_the_replay(case):
 
 def test_score_tables_counts_no_switch_at_an_unplaced_letter():
     layout = layout_from_hands(["a"], ["b"])
-    stream = tokenize("abxa", AlphabetConfig(ranges=(), include=frozenset("abx"),
-                                             exclude=frozenset()))
+    stream = tokenize("abxa", letter_config("abx"))
     mono, digraphs, _trigrams, junctions = count_all([stream])
     report = score_tables(layout, mono, digraphs, junctions, reset_on_boundary=False)
     assert (report.hand_switching, report.left_load, report.right_load,

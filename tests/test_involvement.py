@@ -1,8 +1,8 @@
 """Involvement counted once per table gives the same partition, to the bit.
 
-The oracle restates the greedy rule with the involvement of every placed
-letter taken by a full scan of the digraph table, letter by letter, and
-requires every trace float to be equal, not approximately equal.
+``oracle.greedy`` takes the involvement of every placed letter by a full
+scan of the digraph table, letter by letter, and every trace float must
+equal its own, not approximately.
 """
 
 import random
@@ -10,43 +10,8 @@ from collections import Counter
 
 from layoutforge.partition import partition_all
 from layoutforge.stats import NGramTable, involvement_totals
-
-
-def scanned_trace(mono_counts, digraph_counts, total, coverage, balance):
-    ranking = sorted(((g, c) for g, c in mono_counts.items() if c >= coverage),
-                     key=lambda kv: (-kv[1], kv[0]))
-    right = [ranking[0][0], ranking[3][0]]
-    left = [ranking[1][0], ranking[2][0]]
-    trace = [(letter, 0.0, 0.0, 0.0, 0.0, hand, "seed") for letter, hand in
-             zip((g for g, _c in ranking[:4]), ("right", "left", "left", "right"))]
-    for letter, _count in ranking[4:]:
-        involvement = sum(c for g, c in digraph_counts.items() if letter in g)
-
-        def cumulative(side):
-            sup = conf = 0.0
-            for member in side:
-                grams = [letter + letter] if member == letter else [letter + member,
-                                                                     member + letter]
-                for gram in grams:
-                    sup += 100.0 * digraph_counts.get(gram, 0) / total
-                    if involvement:
-                        conf += 100.0 * digraph_counts.get(gram, 0) / involvement
-            return sup, conf
-
-        ls, lc = cumulative(left)
-        rs, rc = cumulative(right)
-        if ls > rs and lc > rc:
-            hand, rule = "right", "left-association-to-right"
-        elif balance and rs > ls and rc > lc:
-            hand, rule = "left", "right-association-to-left"
-        elif balance:
-            hand = "left" if len(left) <= len(right) else "right"
-            rule = "balance-to-lighter"
-        else:
-            hand, rule = "left", "default-left"
-        (left if hand == "left" else right).append(letter)
-        trace.append((letter, ls, lc, rs, rc, hand, rule))
-    return left, right, trace
+from conftest import trace_rows
+import oracle
 
 
 def random_tables(rng):
@@ -90,11 +55,9 @@ def test_partition_trace_equals_the_scanning_oracle_exactly():
             for balance in (False, True):
                 part = partition_all(mono, digraphs, coverage=coverage,
                                      balance_tiebreak=balance)
-                left, right, trace = scanned_trace(mono.counts, digraphs.counts,
+                left, right, trace = oracle.greedy(mono.counts, digraphs.counts,
                                                    mono.total_letters, coverage, balance)
                 assert (part.left, part.right) == (left, right)
-                assert [(d.letter, d.left.cumulative_support, d.left.cumulative_confidence,
-                         d.right.cumulative_support, d.right.cumulative_confidence,
-                         d.hand, d.rule) for d in part.trace] == trace
+                assert trace_rows(part) == trace
                 checked += 1
     assert checked > 150

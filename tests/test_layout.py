@@ -2,7 +2,6 @@
 
 import json
 import random
-from collections import Counter
 
 import pytest
 
@@ -11,17 +10,7 @@ from layoutforge.errors import (CapacityExceeded, ConfigError, InvariantViolatio
 from layoutforge.layout import (Geometry, KeyboardLayout, KeyPosition, build_layout,
                                 load_geometry, parse_layout, render_grid,
                                 serialize_layout)
-from layoutforge.partition import HandPartition
-from layoutforge.stats import NGramTable
-
-
-def make_tables(letter_counts):
-    total = sum(letter_counts.values())
-    return NGramTable(1, Counter(letter_counts), total)
-
-
-def partition_of(left, right):
-    return HandPartition(left=list(left), right=list(right))
+from conftest import make_tables, partition_of
 
 
 # ---------------------------------------------------------------------------

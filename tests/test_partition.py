@@ -1,7 +1,7 @@
 """Greedy hand assignment: seeding, the decision rule, and trace replay.
 
-The randomized suite checks partition_all against a from-scratch replay
-that recomputes every cumulative sum directly from the raw count dicts,
+The randomized suite checks partition_all against ``oracle.greedy``,
+which recomputes every cumulative sum directly from the raw count dicts,
 step by step, sharing no code with the implementation.
 """
 
@@ -14,61 +14,8 @@ from layoutforge.errors import AlreadyAssigned, ConfigError, TooFewLetters
 from layoutforge.partition import (HandPartition, assign, initialize, partition_all,
                                    read_partition_json, write_partition_json)
 from layoutforge.stats import NGramTable, involvement_totals
-from conftest import K_LEFT_SCORE, K_RIGHT_SCORE, TABLE1_ROWS
-
-
-FOCUS = "ক"  # ক
-
-
-# ---------------------------------------------------------------------------
-# Independent replay of the greedy procedure, from raw dicts.
-
-def replay_partition(mono_counts, digraph_counts, total_letters):
-    ranking = sorted(mono_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    right = [ranking[0][0], ranking[3][0]]
-    left = [ranking[1][0], ranking[2][0]]
-    trace = []
-    for letter, _count in ranking[4:]:
-        involvement = sum(c for g, c in digraph_counts.items() if letter in g)
-
-        def cumulative(side):
-            sup = conf = 0.0
-            for member in side:
-                if member == letter:
-                    grams = [letter + letter]
-                else:
-                    grams = [letter + member, member + letter]
-                for gram in grams:
-                    count = digraph_counts.get(gram, 0)
-                    sup += 100.0 * count / total_letters
-                    if involvement:
-                        conf += 100.0 * count / involvement
-            return sup, conf
-
-        ls, lc = cumulative(left)
-        rs, rc = cumulative(right)
-        if ls > rs and lc > rc:
-            right.append(letter)
-            hand = "right"
-        else:
-            left.append(letter)
-            hand = "left"
-        trace.append((letter, ls, lc, rs, rc, hand))
-    return left, right, trace
-
-
-def random_corpus(rng, alphabet_size, letter_target):
-    """Word list over a fresh alphabet, returned as count dicts."""
-    alphabet = [chr(ord("ক") + i) for i in range(alphabet_size)]
-    mono = Counter()
-    digraphs = Counter()
-    total = 0
-    while total < letter_target:
-        word = [rng.choice(alphabet) for _ in range(rng.randrange(1, 9))]
-        mono.update(word)
-        digraphs.update(a + b for a, b in zip(word, word[1:]))
-        total += len(word)
-    return alphabet, mono, digraphs, total
+from conftest import FOCUS, K_LEFT_SCORE, K_RIGHT_SCORE, random_corpus, trace_rows
+import oracle
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +147,7 @@ def test_coverage_floor_drops_rare_letters():
 
 def test_partition_is_deterministic():
     rng = random.Random(31)
-    _alpha, mono_counts, dig_counts, total = random_corpus(rng, 15, 500)
-    mono = NGramTable(1, mono_counts, total)
-    dig = NGramTable(2, dig_counts, total)
+    mono, dig = random_corpus(rng, 15, 500)
     first = partition_all(mono, dig)
     second = partition_all(mono, dig)
     assert first.left == second.left
@@ -213,38 +158,27 @@ def test_partition_is_deterministic():
 def test_disjoint_and_complete_after_every_step():
     rng = random.Random(37)
     for _ in range(10):
-        _alpha, mono_counts, dig_counts, total = random_corpus(
-            rng, rng.randrange(6, 20), 300)
-        mono = NGramTable(1, mono_counts, total)
-        dig = NGramTable(2, dig_counts, total)
+        mono, dig = random_corpus(rng, rng.randrange(6, 20), 300)
         part = partition_all(mono, dig)
         assert not set(part.left) & set(part.right)
-        assert set(part.left) | set(part.right) == set(mono_counts)
-        assert len(part.trace) == len(mono_counts)
+        assert set(part.left) | set(part.right) == set(mono.counts)
+        assert len(part.trace) == len(mono.counts)
 
 
 def test_matches_independent_replay():
     rng = random.Random(41)
     for _ in range(100):
-        _alpha, mono_counts, dig_counts, total = random_corpus(
-            rng, rng.randrange(12, 31), rng.randrange(200, 2001))
-        mono = NGramTable(1, mono_counts, total)
-        dig = NGramTable(2, dig_counts, total)
+        mono, dig = random_corpus(rng, rng.randrange(12, 31), rng.randrange(200, 2001))
         part = partition_all(mono, dig)
-        left, right, trace = replay_partition(mono_counts, dig_counts, total)
+        left, right, trace = oracle.greedy(mono.counts, dig.counts, mono.total_letters)
         assert part.left == left
         assert part.right == right
-        got = [(d.letter, d.left.cumulative_support, d.left.cumulative_confidence,
-                d.right.cumulative_support, d.right.cumulative_confidence, d.hand)
-               for d in part.trace[4:]]
-        assert got == trace
+        assert trace_rows(part) == trace
 
 
 def test_trace_replays_to_the_same_partition():
     rng = random.Random(43)
-    _alpha, mono_counts, dig_counts, total = random_corpus(rng, 18, 800)
-    mono = NGramTable(1, mono_counts, total)
-    dig = NGramTable(2, dig_counts, total)
+    mono, dig = random_corpus(rng, 18, 800)
     part = partition_all(mono, dig)
     rebuilt = HandPartition()
     for decision in part.trace:

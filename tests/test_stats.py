@@ -1,8 +1,8 @@
 """N-gram counting and the support/confidence/side-score arithmetic.
 
-The randomized suites check count_ngrams against a from-scratch window
-scanner that walks the raw token list directly, without the run
-machinery the implementation uses.
+The randomized suites check count_ngrams against ``oracle.count``, which
+splits the raw token list into letter runs and slides a window over each,
+without the block machinery the implementation uses.
 """
 
 import io
@@ -16,20 +16,9 @@ from layoutforge.errors import EmptyCorpus, NoInvolvement
 from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
                                involvement_totals, ranked_monograms, read_ngram_tsv,
                                side_scores, support, write_ngram_tsv)
-from conftest import (FILLER_DIGRAPH, INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE,
+from conftest import (FOCUS, FILLER_DIGRAPH, INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE,
                       TABLE1_ROWS, TABLE2_ROWS, letter_count, make_stream, random_tokens)
-
-FOCUS = "ক"  # ক
-
-
-def brute_windows(tokens, n):
-    """Independent oracle: count boundary-free windows straight off the tokens."""
-    counts = Counter()
-    for i in range(len(tokens) - n + 1):
-        window = tokens[i:i + n]
-        if all(t is not None for t in window):
-            counts["".join(window)] += 1
-    return counts
+import oracle
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +109,10 @@ def test_counts_match_window_scanner():
     for _ in range(200):
         tokens = random_tokens(rng, alphabet, rng.randrange(0, 1000))
         stream = make_stream(tokens)
+        expected = oracle.count(oracle.letter_runs(tokens))
         for n in (1, 2, 3):
             table = count_ngrams([stream], n)
-            assert table.counts == brute_windows(tokens, n)
+            assert table.counts == expected[n - 1]
             assert table.total_letters == letter_count(stream)
 
 
