@@ -9,12 +9,17 @@ paths, so the same inputs give byte-identical files on every run.
 No command holds the whole corpus as text. The corpus is read one block
 at a time into the n-gram tables, or into the scores of every layout
 ``evaluate`` is given; ``run-all`` reads it again where its tables cannot
-score its layout. Regular files are read again from disk. Stdin and any
-named file that is not a regular file (a pipe, say) are streamed like a
-file, except by a ``run-all`` whose flags can call for a replay
+score its layout. Regular files are read again from disk. A corpus of
+regular files of at least two parts' bytes is counted in parts, one per
+CPU this process may use: this process counts the first and a forked
+child each other (``corpus.byte_parts``, ``stats.count_all``), with the
+same tables and files as one part gives. Stdin and any named file that
+is not a regular file (a pipe, say) are counted here, and streamed like
+a file, except by a ``run-all`` whose flags can call for a replay
 (``--coverage`` above 1, or ``--span-boundaries`` with
 ``--reset-on-boundary``): it holds the bytes it read from them, since
-they might not give them twice.
+they might not give them twice. Scoring a corpus (``evaluate``, and a
+replay) is done in this process.
 
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.
 Errors are reported as a single JSON line on stderr.
@@ -29,10 +34,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, get_type_hints
+from typing import Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
-from .corpus import AlphabetConfig, read_pieces
+from .corpus import AlphabetConfig, Source, byte_parts, read_pieces
 from .errors import ConfigError, CorpusChanged, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, evaluate_all, format_comparison,
                         read_report_json, score_tables, write_report_json, write_report_tsv)
@@ -112,26 +117,20 @@ def resolve_config(args: argparse.Namespace, environ=os.environ) -> PipelineConf
     return config
 
 
-Corpus = Callable[[], Iterator[str]]
+def _corpus(paths: Sequence[str], *, replay: bool = False) -> list[Source]:
+    """The corpus files, or stdin when none are named, as sources for ``read_pieces``.
 
-
-def _corpus(paths: Sequence[str], config: PipelineConfig, *, replay: bool = False) -> Corpus:
-    """The corpus files, or stdin when none are named, under the configured alphabet.
-
-    A call reads the corpus from its start, as pieces (``read_pieces``),
-    each source a block at a time. Only a corpus kept for a ``replay`` may
-    be called more than once: a regular file is opened again on each call,
-    but stdin, and a named file that is not a regular file, such as a
-    pipe, might not give its bytes twice, so it is read once, here, and
-    its bytes are held.
+    Each read goes from the start, one block at a time. Only a corpus
+    kept for a ``replay`` may be read more than once: a regular file is
+    opened again on each read, but stdin, and a named file that is not a
+    regular file, such as a pipe, might not give its bytes twice, so it
+    is read once, here, and its bytes are held.
     """
     if not replay:
-        sources = paths or [sys.stdin.buffer]
-    elif paths:
-        sources = [path if Path(path).is_file() else Path(path).read_bytes() for path in paths]
-    else:
-        sources = [sys.stdin.buffer.read()]
-    return functools.partial(read_pieces, sources, config.alphabet)
+        return list(paths) or [sys.stdin.buffer]
+    if paths:
+        return [path if Path(path).is_file() else Path(path).read_bytes() for path in paths]
+    return [sys.stdin.buffer.read()]
 
 
 def _refuse_empty(total_letters: int) -> None:
@@ -140,8 +139,10 @@ def _refuse_empty(total_letters: int) -> None:
         raise EmptyCorpus("empty corpus: input contains no alphabet letters")
 
 
-def _count(corpus: Corpus, config: PipelineConfig) -> tuple[NGramTable, ...]:
-    tables = count_all(corpus(), span_boundaries=config.span_boundaries)
+def _count(sources: Sequence[Source], config: PipelineConfig) -> tuple[NGramTable, ...]:
+    """The corpus's tables, counted in a part for each CPU where the sources allow it."""
+    parts = [read_pieces(part, config.alphabet) for part in byte_parts(sources)]
+    tables = count_all(*parts, span_boundaries=config.span_boundaries)
     _refuse_empty(tables[0].total_letters)
     return tables
 
@@ -166,7 +167,7 @@ def _write_partition(part: HandPartition, mono: NGramTable, config: PipelineConf
                          config_echo=config.echo())
 
 
-def _score_counted(layout: KeyboardLayout, corpus: Corpus,
+def _score_counted(layout: KeyboardLayout, sources: Sequence[Source],
                    tables: Sequence[NGramTable], config: PipelineConfig) -> EvaluationReport:
     """Score a layout against a corpus whose tables ``_count`` gave.
 
@@ -181,7 +182,7 @@ def _score_counted(layout: KeyboardLayout, corpus: Corpus,
     reset = config.reset_on_boundary
     if all(map(layout.hand_of, mono.counts)) and not (config.span_boundaries and reset):
         return score_tables(layout, mono, digraphs, junctions, reset_on_boundary=reset)
-    report = evaluate(layout, corpus(), reset_on_boundary=reset)
+    report = evaluate(layout, read_pieces(sources, config.alphabet), reset_on_boundary=reset)
     if report.total_letters != mono.total_letters:
         raise CorpusChanged(f"the corpus changed while it was read: {mono.total_letters}"
                             f" letters were counted and {report.total_letters} replayed")
@@ -212,7 +213,7 @@ def _write_comparison(reports: Sequence[EvaluationReport], path: str | Path | No
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    _write_stats_files(_count(_corpus(args.corpus, config), config), config)
+    _write_stats_files(_count(_corpus(args.corpus), config), config)
     return 0
 
 
@@ -231,7 +232,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             raise ConfigError(f"--mono counts {mono.total_letters} letters and --digraphs"
                               f" {digraphs.total_letters}; the tables come from different corpora")
     else:
-        mono, digraphs = _count(_corpus(args.corpus, config), config)[:2]
+        mono, digraphs = _count(_corpus(args.corpus), config)[:2]
     _write_partition(_partition(mono, digraphs, config), mono, config)
     return 0
 
@@ -253,8 +254,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ConfigError(f"{named[layout.name]} and {path} both name their layout"
                               f" {layout.name!r}; their reports would overwrite each other")
         named[layout.name] = path
-    corpus = _corpus(args.corpus, config)
-    reports = evaluate_all(layouts, corpus(), reset_on_boundary=config.reset_on_boundary)
+    reports = evaluate_all(layouts, read_pieces(args.corpus, config.alphabet),
+                           reset_on_boundary=config.reset_on_boundary)
     _refuse_empty(reports[0].total_letters)
     for report in reports:
         _write_report(report, config)
@@ -272,13 +273,13 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     # Below coverage 2 the layout places every counted letter or refuses,
     # so only spanning counts scored with resets need the corpus again.
     replay = config.coverage > 1 or (config.span_boundaries and config.reset_on_boundary)
-    corpus = _corpus(args.corpus, config, replay=replay)
+    sources = _corpus(args.corpus, replay=replay)
     geometry = config.geometry
-    tables = _count(corpus, config)
+    tables = _count(sources, config)
     mono, digraphs = tables[:2]
     part = _partition(mono, digraphs, config)
     layout = build_layout(part, mono, geometry, name=args.name)
-    report = _score_counted(layout, corpus, tables, config)
+    report = _score_counted(layout, sources, tables, config)
     out = Path(config.out_dir)
     _write_stats_files(tables, config)
     _write_partition(part, mono, config)

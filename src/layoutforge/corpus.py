@@ -12,20 +12,29 @@ The letter unit is a single code point, so dependent vowel signs
 Files are read in blocks that end right after an LF (``read_pieces``),
 and each block is decoded, normalized and tokenized on its own, so only
 one block is held at a time. The pieces, joined in order, are the stream
-``read_corpus`` returns whole.
+``read_corpus`` returns whole. A corpus of regular files can also be cut
+into byte ranges that end right after an LF, one part per CPU
+(``byte_parts``); each part reads as the blocks of its ranges, and the
+parts' streams, joined by the same seam rule (``seamed``), are the
+stream of the whole.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import io
 import itertools
+import os
 import re
+import stat
+import sys
+import threading
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import OptionalField, check_shape, read_json_object
 from .errors import ConfigError, InvalidEncoding
@@ -50,6 +59,9 @@ BOUNDARY = "\n"
 # Bytes read from a file at a time; each block then runs on to the end of
 # its line.
 _READ_BLOCK = 1 << 16
+# The fewest bytes worth a part of their own (``byte_parts``): below that,
+# forking and merging cost more than a second core saves.
+_MIN_PART = 4 * _READ_BLOCK
 
 ALPHABET_SHAPE = {"ranges": OptionalField([(str, str)]), "include": OptionalField([str]),
                   "exclude": OptionalField([str])}
@@ -162,22 +174,28 @@ def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
     return nonletters.sub(BOUNDARY, text)
 
 
-def _joined(streams: Iterable[str]) -> Iterator[str]:
-    """The nonempty streams, each trimmed or extended so that a seam holds one boundary.
+def seamed(before: str, text: str) -> str:
+    """``text`` trimmed or extended so that it meets a stream ending in ``before`` at one boundary.
 
     Within a stream no two boundaries touch, so each seam needs exactly
     one: one is added where neither side has it and dropped where both do.
+    With nothing before it, ``text`` stays as it is.
     """
-    ends = None  # whether the stream given out last ended on a boundary
+    if before and text:
+        seam = before.endswith(BOUNDARY) + text.startswith(BOUNDARY)
+        if seam == 0:
+            return BOUNDARY + text
+        if seam == 2:
+            return text[1:]
+    return text
+
+
+def _joined(streams: Iterable[str]) -> Iterator[str]:
+    """The nonempty streams, each ``seamed`` behind the one given out before it."""
+    last = ""
     for text in streams:
-        if text and ends is not None:
-            seam = ends + text.startswith(BOUNDARY)
-            if seam == 0:
-                text = BOUNDARY + text
-            elif seam == 2:
-                text = text[1:]
-        if text:
-            ends = text.endswith(BOUNDARY)
+        if text := seamed(last, text):
+            last = text
             yield text
 
 
@@ -196,34 +214,50 @@ def refuse_bare_stream(corpus: Iterable[str]) -> None:
         raise TypeError("a stream is given as its pieces in order: pass [stream], not a str")
 
 
-def _blocks(handle: BinaryIO) -> Iterator[bytes]:
-    """The handle's bytes in blocks that each end right after an LF, bar perhaps the last.
+def _blocks(handle: BinaryIO, size: int = sys.maxsize) -> Iterator[bytes]:
+    """The handle's next ``size`` bytes in blocks that end right after an LF, bar perhaps the last.
 
     A block is ``_READ_BLOCK`` bytes and the rest of the line they end in,
-    so a line longer than a block is read whole.
+    so a line longer than a block is read whole. With no ``size``, the
+    handle is read to its end.
     """
-    while block := handle.read(_READ_BLOCK):
+    while block := handle.read(min(_READ_BLOCK, size)):
         if not block.endswith(b"\n"):
-            block += handle.readline()
+            block += handle.readline(size - len(block))
+        size -= len(block)
         yield block
 
 
-def _source_texts(source: str | Path | bytes | BinaryIO,
-                  config: AlphabetConfig | None) -> Iterator[str]:
-    """The letter stream of each block of a file, of bytes already read, or of a handle.
+class FileRange(NamedTuple):
+    """The bytes of a file from ``start`` up to ``stop``, a cut that ``byte_parts`` made."""
+
+    path: str | Path
+    start: int
+    stop: int
+
+
+Source = str | Path | FileRange | bytes | BinaryIO
+
+
+def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str]:
+    """The letter stream of each block of a file or a range of one, of bytes, or of a handle.
 
     LF is never a letter, and it is a starter that composes with nothing,
     so decoding, normalizing and tokenizing each block gives the stream
     that those steps give the whole source. An encoding error is placed by
-    its offset from the start of the source. A handle is read from where
-    it stands and left open.
+    its offset from the start of the file, or of the source. A handle is
+    read from where it stands and left open.
     """
+    offset, size = 0, sys.maxsize
+    if isinstance(source, FileRange):
+        source, offset, size = source.path, source.start, source.stop - source.start
     path = source if isinstance(source, (str, Path)) else None
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    offset = 0
     with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
-        for block in _blocks(handle):
+        if offset:
+            handle.seek(offset)
+        for block in _blocks(handle, size):
             try:
                 text = normalize_text(block)
             except InvalidEncoding as exc:
@@ -232,7 +266,68 @@ def _source_texts(source: str | Path | bytes | BinaryIO,
             yield tokenize(text, config)
 
 
-def read_pieces(sources: Iterable[str | Path | bytes | BinaryIO],
+def _line_end(path: str | Path, position: int) -> int:
+    """The offset past the LF that ends the line holding byte ``position``, or the file size."""
+    with open(path, "rb") as handle:
+        handle.seek(position)
+        handle.readline()
+        return handle.tell()
+
+
+def byte_parts(sources: Sequence[Source]) -> list[list[Source]]:
+    """The sources cut into parts of about equal bytes, one for each CPU this process may use.
+
+    Only a corpus of regular files is cut, and only where ``os.fork`` can
+    count the parts side by side: on a platform that has it, in a process
+    that runs no other thread, which a fork could leave holding a lock. A
+    file that cannot be opened counts as empty, so reading it fails in its
+    part as it fails in the whole. Each cut falls right after the LF that
+    ends the line holding a 1/P mark, or at a file's end, so it splits the
+    corpus where a block may end: the parts' streams, joined as
+    ``read_pieces`` joins pieces, are the stream of the whole. P is capped
+    so that the marks lie ``_MIN_PART`` bytes apart or more; a corpus of
+    fewer than two such parts, or any other kind of source, is one part.
+    """
+    whole = [list(sources)]
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return whole
+    sizes = []
+    for source in sources:
+        if not isinstance(source, (str, Path)):
+            return whole
+        try:
+            info = os.stat(source)
+        except OSError:
+            sizes.append(0)
+            continue
+        if not stat.S_ISREG(info.st_mode):
+            return whole
+        sizes.append(info.st_size)
+    total = sum(sizes)
+    count = min(len(os.sched_getaffinity(0)), total // _MIN_PART)
+    if count < 2:
+        return whole
+    starts = list(itertools.accumulate(sizes, initial=0))
+    cuts = set()
+    for mark in (total * k // count for k in range(1, count)):
+        i = bisect.bisect_right(starts, mark) - 1  # the file that holds byte ``mark``
+        cuts.add(starts[i] + _line_end(sources[i], mark - starts[i]))
+    bounds = iter(sorted(cuts - {total}))
+    cut = next(bounds, total)
+    parts: list[list[Source]] = [[]]
+    for path, first, size in zip(sources, starts, sizes):
+        start = first
+        while cut < first + size:
+            if cut > start:
+                parts[-1].append(FileRange(path, start - first, cut - first))
+            parts.append([])
+            start, cut = cut, next(bounds, total)
+        parts[-1].append(path if start == first else FileRange(path, start - first, size))
+    return parts
+
+
+def read_pieces(sources: Iterable[Source],
                 config: AlphabetConfig | None = None) -> Iterator[str]:
     """The corpus in its sources' order, as one letter-stream piece per block read.
 

@@ -22,6 +22,10 @@ class InvalidEncoding(LayoutForgeError):
         where = f"{path}: " if path is not None else ""
         super().__init__(f"{where}invalid UTF-8 at byte offset {position}")
         self.position = position
+        self.path = path
+
+    def __reduce__(self):  # unpickled from its arguments, so its message survives
+        return type(self), (self.position, self.path)
 
 
 class EmptyCorpus(LayoutForgeError):
@@ -51,6 +55,9 @@ class CapacityExceeded(LayoutForgeError):
         super().__init__(f"{hand} hand overflows its slots by {overflow} letter(s)")
         self.hand = hand
         self.overflow = overflow
+
+    def __reduce__(self):
+        return type(self), (self.hand, self.overflow)
 
 
 class MalformedLayout(LayoutForgeError):

@@ -5,9 +5,15 @@ one int that packs its three code points, 21 bits each. The stream comes
 as its pieces in order, such as the blocks ``corpus.read_pieces`` reads
 one at a time, and the windows that straddle two pieces are counted
 once. The keys are built and counted in C, a block of windows at a time,
-so that only the counts grow with the corpus. One loop over the distinct
-keys then folds them into the monogram, digraph, trigram and junction
-tables, decoding only the grams that hold no boundary.
+so that only the counts grow with the corpus. The stream may also come
+in parts, such as the byte ranges of ``corpus.byte_parts``: the first is
+counted in this process and each later one in a forked child, which
+sends back its packed keys and counts and its first three and last two
+characters; the windows of each seam are counted here, behind the part
+before it, and the child's counts merged after them, so the tables and
+their key order are those of the whole stream. One loop over the
+distinct keys then folds them into the monogram, digraph, trigram and
+junction tables, decoding only the grams that hold no boundary.
 
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
@@ -23,13 +29,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
-from .corpus import BOUNDARY, refuse_bare_stream
+from .corpus import BOUNDARY, refuse_bare_stream, seamed
 from .errors import EmptyCorpus, MalformedInput, NoInvolvement
 
 NGRAM_SIZES = (1, 2, 3)
@@ -66,24 +74,21 @@ _CODE_MASK = (1 << 21) - 1
 _BLOCK = 1 << 14
 
 
-def _count_windows(texts: Iterable[str]) -> Counter:
-    """Count the trigram windows of the joined texts plus two boundaries, by packed key.
+def _count_pieces(windows: Counter, pieces: Iterable[str], carry: str = "") -> str:
+    """Count each window that lies wholly in ``carry`` and the pieces joined; return the last two.
 
     The window at position i is keyed ``c[i] | c[i+1] << 21 | c[i+2] << 42``.
-    Each text is counted behind the last two characters of the one before
+    Each piece is counted behind the last two characters of the one before
     it, which start the windows that straddle the seam, so every window is
-    counted once however the texts split the whole; two boundaries follow
-    the last text. Within a text, blocks of ``_BLOCK`` windows overlap by
-    two characters. Each block is packed in C: its code points fill the low
-    halves of 8-byte little-endian slots, the slots read as one int ``x``,
-    and ``x | (x >> 64) << 21 | (x >> 128) << 42`` holds the key of the
-    window that starts in each slot. Its first ``size - 2`` slots are then
-    counted by ``Counter.update``.
+    counted once however the pieces split the whole. Within a piece, blocks
+    of ``_BLOCK`` windows overlap by two characters. Each block is packed in
+    C: its code points fill the low halves of 8-byte little-endian slots,
+    the slots read as one int ``x``, and ``x | (x >> 64) << 21 | (x >> 128)
+    << 42`` holds the key of the window that starts in each slot. Its first
+    ``size - 2`` slots are then counted by ``Counter.update``.
     """
-    windows: Counter = Counter()
-    carry = ""
-    for text in itertools.chain(texts, (BOUNDARY + BOUNDARY,)):
-        text = carry + text
+    for piece in pieces:
+        text = carry + piece
         for start in range(0, len(text) - 2, _BLOCK):
             chunk = text[start:start + _BLOCK + 2]
             size = len(chunk)  # characters, two more than windows
@@ -95,27 +100,172 @@ def _count_windows(texts: Iterable[str]) -> Counter:
             # A big-endian machine lists the slots last one first.
             windows.update(keys[:size - 2] if sys.byteorder == "little" else keys[:1:-1])
         carry = text[-2:]
+    return carry
+
+
+def _part_windows(part: Iterable[str]) -> tuple[str, Counter, str]:
+    """What a child counts of a part after the first: the windows it holds on its own, and its ends.
+
+    Those windows start at its second character or later and end within
+    it. Its first three characters start the windows of the seam before
+    it, however that seam trims or extends it, and its last two those of
+    the seam after it; a part shorter than three characters holds no
+    window of its own and is sent whole.
+    """
+    pieces = iter(part)
+    first = ""
+    for piece in pieces:
+        first += piece
+        if len(first) >= 3:
+            break
+    windows: Counter = Counter()
+    last = _count_pieces(windows, itertools.chain([first[1:]], pieces))
+    return first[:3], windows, last
+
+
+# Window pairs read from a child at a time: 64 KiB, below the size at which
+# the C library maps a block of its own, whose release would raise that
+# threshold and leave the heap larger for the rest of the run.
+_PAIRS_READ = 1 << 12
+
+
+def _serve(part: Iterable[str], fd: int) -> NoReturn:
+    """In a forked child: count a part, send what ``_part_windows`` gives through ``fd``, and leave.
+
+    The message is native 8-byte words: 0, the number of windows, then
+    the length and code points of the first characters and of the last
+    two, then each window's key and count in order of first occurrence.
+    A part that fails sends 1 and then its error, pickled. The child
+    always leaves by ``os._exit``, so it runs none of the parent's
+    clean-up and flushes none of its buffers.
+    """
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                first, windows, last = _part_windows(part)
+            except BaseException as exc:  # the parent raises it in its turn
+                import pickle
+
+                pipe.write(array("Q", [1]))
+                pipe.write(pickle.dumps(exc))
+            else:
+                pipe.write(array("Q", [0, len(windows), len(first), *map(ord, first),
+                                       len(last), *map(ord, last)]))
+                pipe.write(array("Q", itertools.chain.from_iterable(windows.items())))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _Child:
+    """A forked process that counts one part, and the pipe it sends its result back by."""
+
+    def __init__(self, part: Iterable[str]):
+        read_end, write_end = os.pipe()
+        self.pipe = open(read_end, "rb")
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                _serve(part, write_end)
+        finally:
+            os.close(write_end)
+
+    def _words(self, count: int) -> memoryview:
+        data = self.pipe.read(8 * count)
+        if len(data) < 8 * count:
+            raise RuntimeError("a counting process ended before it sent its whole result")
+        return memoryview(data).cast("Q")
+
+    def _text(self) -> str:
+        return "".join(map(chr, self._words(self._words(1)[0])))
+
+    def result(self) -> tuple[str, Iterator[tuple[int, int]], str]:
+        """The first characters, window counts and last two characters of the child's part.
+
+        Where the part failed, its error is raised instead. The counts are
+        read as they are merged, a block at a time.
+        """
+        if self._words(1)[0]:
+            import pickle
+
+            raise pickle.loads(self.pipe.read())
+        count = self._words(1)[0]
+        first, last = self._text(), self._text()
+        return first, self._pairs(count), last
+
+    def _pairs(self, count: int) -> Iterator[tuple[int, int]]:
+        while count:
+            words = self._words(2 * min(count, _PAIRS_READ))
+            count -= len(words) // 2
+            yield from zip(words[0::2], words[1::2])
+
+    def end(self) -> None:
+        """Stop the child, if it still runs, and reap it."""
+        import signal
+
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _count_windows(parts: Sequence[Iterable[str]], *, seams: bool) -> Counter:
+    """Count the trigram windows of the parts joined, plus two boundaries, by packed key.
+
+    The first part is counted here, each later one in a forked child
+    (``_part_windows``) while this process counts the first. Each child's
+    part is then stitched in behind what came before it: its first three
+    characters, ``seamed`` when ``seams`` is set, are counted behind the
+    last two characters so far, which gives the windows of the seam; the
+    child's counts are merged after those, so every key keeps its place
+    of first occurrence, and its last two characters carry on. Two
+    boundaries follow the last part. Every child is stopped, if it still
+    runs, and reaped before this returns or raises; the error raised is
+    that of the earliest part that failed.
+    """
+    windows: Counter = Counter()
+    children: list[_Child] = []
+    try:
+        for part in parts[1:]:
+            children.append(_Child(part))
+        carry = _count_pieces(windows, parts[0] if parts else ())
+        for child in children:
+            first, pairs, last = child.result()
+            carry = _count_pieces(windows, [seamed(carry, first) if seams else first], carry)
+            if len(first) == 3:
+                get = windows.get
+                for key, count in pairs:
+                    windows[key] = get(key, 0) + count
+                carry = last
+        _count_pieces(windows, [BOUNDARY + BOUNDARY], carry)
+    finally:
+        for child in children:
+            child.end()
     return windows
 
 
-def count_all(corpus: Iterable[str], *, span_boundaries: bool = False
+def count_all(*parts: Iterable[str], span_boundaries: bool = False
               ) -> tuple[NGramTable, NGramTable, NGramTable, NGramTable]:
     """Count the 1-, 2- and 3-gram tables of a stream in one pass, plus its junctions.
 
-    The stream comes as its pieces in order (``read_pieces``); a whole
-    stream is one piece, ``[stream]``, and any split gives the same
-    tables. Windows never cross a word boundary unless
+    The stream comes as one or more parts, each its pieces in order
+    (``read_pieces``); a whole stream is one part of one piece,
+    ``[stream]``. The parts are joined as ``concat_streams`` joins
+    streams, and any split gives the same tables. Each part after the
+    first is counted in a forked child (``_count_windows``), so a split
+    needs ``os.fork``. Windows never cross a word boundary unless
     ``span_boundaries`` is set (a sensitivity knob; alternation across a
-    space is not meaningful). Every trigram window of the text with two
-    boundaries appended is counted under one int key that packs its three
-    code points (``_count_windows``), so each position of the text starts
-    exactly one window. One loop over the distinct keys then folds the
-    tables: a window that starts with a boundary is dropped; any other
-    adds its first letter to the monograms, its first two letters to the
-    digraphs unless the second is a boundary, and itself to the trigrams
-    unless it holds a boundary. Only these surviving grams are decoded to
-    strings. Each table lists its grams in order of first occurrence, and
-    the monograms add up to the letter total.
+    space is not meaningful); then every boundary is dropped first. Every
+    trigram window of the text with two boundaries appended is counted
+    under one int key that packs its three code points, so each position
+    of the text starts exactly one window. One loop over the distinct
+    keys then folds the tables: a window that starts with a boundary is
+    dropped; any other adds its first letter to the monograms, its first
+    two letters to the digraphs unless the second is a boundary, and
+    itself to the trigrams unless it holds a boundary. Only these
+    surviving grams are decoded to strings. Each table lists its grams in
+    order of first occurrence, and the monograms add up to the letter
+    total.
 
     The fourth table, of 2-grams, holds the junctions: the letter pairs
     that meet across one word boundary, folded from the windows ``x·LF·y``.
@@ -124,10 +274,12 @@ def count_all(corpus: Iterable[str], *, span_boundaries: bool = False
     empty, since the digraphs already hold those pairs. No file carries
     it: it serves scoring from the tables (``evaluator.score_tables``).
     """
-    refuse_bare_stream(corpus)
+    for part in parts:
+        refuse_bare_stream(part)
+    if span_boundaries:
+        parts = tuple((piece.replace(BOUNDARY, "") for piece in part) for part in parts)
+    windows = _count_windows(parts, seams=not span_boundaries)
     boundary = ord(BOUNDARY)  # compared with the code points a key unpacks to
-    windows = _count_windows(piece.replace(BOUNDARY, "") if span_boundaries else piece
-                             for piece in corpus)
     monograms: Counter = Counter()
     digraphs: Counter = Counter()
     trigrams: Counter = Counter()
