@@ -11,9 +11,12 @@ counted in this process and each later one in a forked child, which
 sends back its packed keys and counts and its first three and last two
 characters; the windows of each seam are counted here, behind the part
 before it, and the child's counts merged after them, so the tables and
-their key order are those of the whole stream. One loop over the
-distinct keys then folds them into the monogram, digraph, trigram and
-junction tables, decoding only the grams that hold no boundary.
+their key order are those of the whole stream. A part that no child can
+take, for want of a process or a pipe, is counted here in its turn, and
+a child that dies is reaped and named by its exit status or signal. One
+loop over the distinct keys then folds them into the monogram, digraph,
+trigram and junction tables, decoding only the grams that hold no
+boundary.
 
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
@@ -22,7 +25,14 @@ position (a doubled digraph counts once). That involvement is computed for
 every letter in one pass over the digraph table (``involvement_totals``),
 once per table, and handed to ``side_scores``. Side scores accumulate both
 quantities for a candidate letter against the letters already on one hand,
-taking both orientations of each pair.
+taking both orientations of each pair, with one lookup per gram.
+
+The tables are read and written as TSV in bulk. The reader takes a block
+of text at a time, splits it at LF only, and parses a block of rows
+alone with one split and a map of ``int``; any other block is read line
+by line, which keeps every layout it accepts and names the row at fault.
+The writer orders the rows by two sorts keyed in C and formats each
+distinct count once.
 """
 
 from __future__ import annotations
@@ -165,17 +175,27 @@ class _Child:
         read_end, write_end = os.pipe()
         self.pipe = open(read_end, "rb")
         try:
-            self.pid = os.fork()
+            self.pid: int | None = os.fork()
             if self.pid == 0:
                 _serve(part, write_end)
+        except BaseException:
+            self.pipe.close()
+            raise
         finally:
             os.close(write_end)
 
     def _words(self, count: int) -> memoryview:
         data = self.pipe.read(8 * count)
         if len(data) < 8 * count:
-            raise RuntimeError("a counting process ended before it sent its whole result")
+            raise RuntimeError(f"a counting process {self._reap()} before it sent its whole"
+                               " result")
         return memoryview(data).cast("Q")
+
+    def _reap(self) -> str:
+        """Wait for the child to end, and say how it ended."""
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
 
     def _text(self) -> str:
         return "".join(map(chr, self._words(self._words(1)[0])))
@@ -201,19 +221,36 @@ class _Child:
             yield from zip(words[0::2], words[1::2])
 
     def end(self) -> None:
-        """Stop the child, if it still runs, and reap it."""
+        """Stop the child, if it still runs, and reap it, unless it was reaped already."""
         import signal
 
         self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+class _Here:
+    """A part that no child could take, for want of a process or a pipe: counted here in turn."""
+
+    def __init__(self, part: Iterable[str]):
+        self.part = part
+
+    def result(self) -> tuple[str, Iterator[tuple[int, int]], str]:
+        first, windows, last = _part_windows(self.part)
+        return first, iter(windows.items()), last
+
+    def end(self) -> None:
+        pass
 
 
 def _count_windows(parts: Sequence[Iterable[str]], *, seams: bool) -> Counter:
     """Count the trigram windows of the parts joined, plus two boundaries, by packed key.
 
     The first part is counted here, each later one in a forked child
-    (``_part_windows``) while this process counts the first. Each child's
+    (``_part_windows``) while this process counts the first; a part for
+    which no process or pipe can be had is counted here in its turn
+    (``_Here``), as its child would have counted it. Each child's
     part is then stitched in behind what came before it: its first three
     characters, ``seamed`` when ``seams`` is set, are counted behind the
     last two characters so far, which gives the windows of the seam; the
@@ -224,10 +261,13 @@ def _count_windows(parts: Sequence[Iterable[str]], *, seams: bool) -> Counter:
     that of the earliest part that failed.
     """
     windows: Counter = Counter()
-    children: list[_Child] = []
+    children: list[_Child | _Here] = []
     try:
         for part in parts[1:]:
-            children.append(_Child(part))
+            try:
+                children.append(_Child(part))
+            except OSError:  # EAGAIN, ENOMEM or EMFILE
+                children.append(_Here(part))
         carry = _count_pieces(windows, parts[0] if parts else ())
         for child in children:
             first, pairs, last = child.result()
@@ -361,17 +401,27 @@ def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
     pass an ordered sequence.
     """
     inv = involvement.get(focus_letter, 0)
+    total = digraphs.total_letters
+    get = digraphs.counts.get
+    # One lookup per gram. Each term is the one ``support`` (or the
+    # confidence) gives, added in turn, xm before mx, so the floats match.
     sup = 0.0
     conf = 0.0
-    for member in side:
-        if member == focus_letter:
-            grams = (focus_letter + focus_letter,)
-        else:
-            grams = (focus_letter + member, member + focus_letter)
-        for gram in grams:
-            sup += support(digraphs, gram)
-            if inv:
-                conf += 100.0 * digraphs.counts.get(gram, 0) / inv
+    try:
+        for member in side:
+            if member == focus_letter:
+                count = get(focus_letter + focus_letter, 0)
+                sup += 100.0 * count / total
+                if inv:
+                    conf += 100.0 * count / inv
+            else:
+                ahead = get(focus_letter + member, 0)
+                behind = get(member + focus_letter, 0)
+                sup = sup + 100.0 * ahead / total + 100.0 * behind / total
+                if inv:
+                    conf = conf + 100.0 * ahead / inv + 100.0 * behind / inv
+    except ZeroDivisionError:  # a letter total of 0, as ``support`` refuses it
+        raise EmptyCorpus("empty corpus: no letters to take percentages of") from None
     return SideScore(cumulative_support=sup, cumulative_confidence=conf)
 
 
@@ -379,8 +429,11 @@ def frequency_order(counts: Mapping[str, int]) -> list[tuple[str, int]]:
     """(gram, count) pairs by descending count, then ascending code point.
 
     The order of table rows, of the partition's ranking and of key placement.
+    Both sorts are keyed in C; the second is stable, so equal counts keep
+    the ascending order of the first.
     """
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    grams = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    return list(zip(grams, map(counts.__getitem__, grams)))
 
 
 def ranked_monograms(mono: NGramTable) -> list[tuple[str, int, float]]:
@@ -398,16 +451,30 @@ def ranked_monograms(mono: NGramTable) -> list[tuple[str, int, float]]:
 # carry n, the letter total, and the config echo, so a table file alone is
 # enough to rebuild the NGramTable it came from.
 
+# Rows joined into one write. A table's text is never held whole.
+_ROWS_WRITTEN = 4096
+
+
 def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict | None = None) -> None:
+    """Write the table as TSV: a '#' header, a column header, then rows in ``frequency_order``.
+
+    A row's count and percentage depend on its count alone, so each
+    distinct count is formatted once, and the rows are written a few
+    thousand at a time.
+    """
     out.write("# layoutforge ngram table\n")
     out.write(f"# n\t{table.n}\n")
     out.write(f"# total_letters\t{table.total_letters}\n")
     if config_echo is not None:
         out.write(f"# config\t{json.dumps(config_echo, sort_keys=True, ensure_ascii=False)}\n")
     out.write("gram\tcount\tpercentage\n")
-    for gram, count in frequency_order(table.counts):
-        pct = 100.0 * count / table.total_letters if table.total_letters else 0.0
-        out.write(f"{gram}\t{count}\t{pct:.6f}\n")
+    total = table.total_letters
+    tails = {count: f"\t{count}\t{100.0 * count / total if total else 0.0:.6f}\n"
+             for count in set(table.counts.values())}
+    rows = frequency_order(table.counts)
+    for start in range(0, len(rows), _ROWS_WRITTEN):
+        out.write("".join([gram + tails[count]
+                           for gram, count in rows[start:start + _ROWS_WRITTEN]]))
 
 
 def _read_comment(line: str, header: dict[str, int]) -> None:
@@ -416,34 +483,73 @@ def _read_comment(line: str, header: dict[str, int]) -> None:
         header[parts[0]] = int(parts[1])
 
 
+# Characters of a table read at a time, run on to the end of the line they
+# end in.
+_TSV_BLOCK = 1 << 14
+
+
+def _tsv_blocks(handle: TextIO) -> Iterator[str]:
+    """The handle's text, ``_TSV_BLOCK`` characters and the rest of their last line at a time."""
+    while block := handle.read(_TSV_BLOCK):
+        if not block.endswith("\n"):
+            block += handle.readline()
+        yield block
+
+
+def _rows_only(block: str, lines: list[str]) -> bool:
+    """Whether every line of the block has two tabs and none is a comment.
+
+    A column header has two tabs too, but its count is no integer; one
+    whose count is, the reader drops as a row named ``gram``.
+    """
+    return (not block.startswith("#") and "\n#" not in block
+            and set(map(str.count, lines, itertools.repeat("\t"))) == {2})
+
+
 def read_ngram_tsv(path: str | Path) -> NGramTable:
     """Rebuild a table from its TSV export (counts and totals, not percentages).
 
-    The file is read line by line, never whole. '#' lines carry the header
-    wherever they stand; blank lines and column headers are skipped. A
-    table whose ``n`` is not one of 1-3, that stores a gram of another
-    length, that holds a negative count or total, or whose counts add up
-    to more than its total (no gram occurs more often than there are
-    letters), is malformed.
+    The file is read a block at a time, never whole, and split at LF only:
+    ``str.splitlines`` would also split at characters a gram may hold. A
+    block of rows alone is parsed in bulk; any other block, or one whose
+    counts do not all read as integers, line by line, which names the row
+    at fault. '#' lines carry the header wherever they stand; blank lines
+    and column headers are skipped. A table whose ``n`` is not one of 1-3,
+    that stores a gram of another length, that holds a negative count or
+    total, or whose counts add up to more than its total (no gram occurs
+    more often than there are letters), is malformed.
     """
     header: dict[str, int] = {}
     counts: Counter = Counter()
     line = ""
     try:
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                if line[0] == "#":
-                    _read_comment(line, header)
-                    continue
-                try:
-                    gram, count, _pct = line.split("\t")
-                    counts[gram] = int(count)
-                except ValueError:
-                    if line != "\n" and not line.startswith("gram\t"):
-                        raise
+            for block in _tsv_blocks(handle):
+                lines = block.split("\n")
+                if not lines[-1]:  # the LF that ends the block
+                    lines.pop()
+                if _rows_only(block, lines):
+                    fields = "\t".join(lines).split("\t")
+                    try:
+                        # a later row of a gram overwrites it, as the loop below does
+                        dict.update(counts, zip(fields[0::3], map(int, fields[1::3])))
+                    except ValueError:
+                        pass  # the loop below names the row
+                    else:
+                        line = lines[-1]  # named should the next block not decode
+                        continue
+                for line in lines:
+                    if line[:1] == "#":
+                        _read_comment(line, header)
+                        continue
+                    try:
+                        gram, count, _pct = line.split("\t")
+                        counts[gram] = int(count)
+                    except ValueError:
+                        if line and not line.startswith("gram\t"):
+                            raise
     except ValueError as exc:  # not UTF-8, a short row, or a count that is no integer
-        row = line.rstrip("\n")
-        raise MalformedInput(f"{path}: bad row {row!r}: {exc}") from None
+        raise MalformedInput(f"{path}: bad row {line!r}: {exc}") from None
     # a column header whose count field reads as a number is still no row
     counts.pop("gram", None)
     if "n" not in header or "total_letters" not in header:

@@ -8,17 +8,21 @@ for that corpus, and running stats, partition from the tables, layout,
 evaluate and compare in turn, with the same flags given through one
 LAYOUTFORGE_CONFIG file, must write the same bytes, stdout included. A
 corpus with fewer than four letters at the coverage floor is refused
-with exit 2, and nothing is written.
+with exit 2, and nothing is written. A second run of the property cuts
+the corpus into parts of a few bytes, counted in forked children.
 """
 
 import json
+import os
 import unicodedata
 from contextlib import redirect_stdout
 from io import StringIO
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from layoutforge import corpus
 from layoutforge.cli import main
 from conftest import read_all_bytes, write_files
 import oracle
@@ -104,6 +108,27 @@ def corpora(draw):
 @given(case=corpora())
 def test_run_all_writes_what_the_oracle_and_the_stages_give(tmp_path_factory, monkeypatch,
                                                             case):
+    check_run_all_and_the_stages(tmp_path_factory, monkeypatch, case)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="parts are counted in forks")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=corpora(), cpus=st.integers(1, 4), min_part=st.integers(1, 8))
+def test_run_all_in_forked_parts_writes_what_the_oracle_and_the_stages_give(
+        tmp_path_factory, monkeypatch, case, cpus, min_part):
+    """Each '.' is an LF here, as both are boundaries, so that cuts fall inside files too."""
+    letters, texts, flags = case
+    case = letters, [text.replace(".", "\n") for text in texts], flags
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(corpus, "_MIN_PART", min_part)
+        check_run_all_and_the_stages(tmp_path_factory, monkeypatch, case)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def check_run_all_and_the_stages(tmp_path_factory, monkeypatch, case):
     letters, texts, flags = case
     tmp = tmp_path_factory.mktemp("case")
     paths = write_files(tmp, texts)

@@ -12,9 +12,11 @@ the serial one does, with the same files or the same error, and leave no
 child behind.
 """
 
+import errno
 import json
 import os
 import pickle
+import signal
 import threading
 
 import pytest
@@ -152,6 +154,64 @@ def test_bad_utf8_is_reported_before_a_missing_file_after_it(tmp_path, capsys, m
     assert split[0] == 2
     assert json.loads(split[2]) == {"error": "InvalidEncoding",
                                     "message": f"{paths[1]}: invalid UTF-8 at byte offset {offset}"}
+
+
+def open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+@pytest.mark.parametrize("fails", ["every fork", "the second fork", "the pipe"])
+@pytest.mark.parametrize("argv", [["stats"], ["run-all"]])
+def test_a_part_no_child_can_take_is_counted_here(tmp_path, capsys, monkeypatch, argv, fails):
+    """A fork refused for want of processes, or a pipe for want of descriptors."""
+    fork, forks = os.fork, []
+
+    def refused_fork():
+        forks.append(len(forks))
+        if fails == "every fork" or len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    def refused_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    if fails == "the pipe":
+        monkeypatch.setattr(os, "pipe", refused_pipe)
+    else:
+        monkeypatch.setattr(os, "fork", refused_fork)
+    before = open_descriptors()
+    split, serial = run_split_and_serial(monkeypatch, capsys, tmp_path, argv,
+                                         sample_files(tmp_path)[0])
+    assert open_descriptors() == before
+    assert len(forks) == (0 if fails == "the pipe" else 2)
+    assert split[0] == 0
+    assert split == serial
+
+
+@pytest.mark.parametrize("death, cause", [(lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                           f"was killed by signal {int(signal.SIGKILL)}"),
+                                          (lambda: os._exit(3), "exited with status 3")],
+                         ids=["signal", "exit status"])
+def test_a_child_that_dies_is_named_by_its_cause(tmp_path, capsys, monkeypatch, death, cause):
+    parent = os.getpid()
+
+    def dying(part):
+        if os.getpid() != parent:  # never this process, should a part be counted here
+            death()
+        raise AssertionError("a part was counted in this process")
+
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+    monkeypatch.setattr(stats, "_part_windows", dying)
+    out = tmp_path / "out"
+    assert main(["stats", *map(str, sample_files(tmp_path)[0]), "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert (stdout, out.exists()) == ("", False)
+    assert json.loads(stderr) == {
+        "error": "RuntimeError",
+        "message": f"a counting process {cause} before it sent its whole result"}
+    assert no_children_left()
 
 
 def test_a_process_that_runs_another_thread_counts_in_one_part(monkeypatch):

@@ -6,9 +6,11 @@ n-gram tables, partition files, reports, alphabet files, geometry files,
 layout files and the LAYOUTFORGE_CONFIG file. Each is fed as arbitrary
 bytes and as a well-formed file with one part replaced or dropped.
 
-The table reader streams its file; every table the line-by-line reader it
-replaced accepted must read back the same, and a gram whose length is not
-the header's ``n``, a negative count or a negative total is malformed.
+The table reader streams its file a block at a time; every table the
+line-by-line reader it replaced accepted must read back the same, every
+row it refused must be refused with the same message, at any block size,
+and a gram whose length is not the header's ``n``, a negative count or a
+negative total is malformed.
 """
 
 import io
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from layoutforge import stats
 from layoutforge.cli import main
 from layoutforge.errors import MalformedInput
 from layoutforge.layout import Geometry
@@ -49,8 +52,12 @@ def pipeline(tmp_path_factory):
     return out
 
 
+class BadRow(ValueError):
+    """A row the line-by-line reader refused; its message is the one the reader gives."""
+
+
 def line_by_line_reader(path):
-    """The reader before streaming, restated: (n, total, counts) or ValueError."""
+    """The reader before streaming, restated: (n, total, counts), BadRow or ValueError."""
     n = total = None
     counts = Counter()
     with open(path, encoding="utf-8") as handle:
@@ -58,17 +65,20 @@ def line_by_line_reader(path):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split("\t")
-                if len(parts) == 2 and parts[0] == "n":
-                    n = int(parts[1])
-                elif len(parts) == 2 and parts[0] == "total_letters":
-                    total = int(parts[1])
-                continue
-            if line.startswith("gram\t"):
-                continue
-            gram, count, _pct = line.split("\t")
-            counts[gram] = int(count)
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].strip().split("\t")
+                    if len(parts) == 2 and parts[0] == "n":
+                        n = int(parts[1])
+                    elif len(parts) == 2 and parts[0] == "total_letters":
+                        total = int(parts[1])
+                    continue
+                if line.startswith("gram\t"):
+                    continue
+                gram, count, _pct = line.split("\t")
+                counts[gram] = int(count)
+            except ValueError as exc:
+                raise BadRow(f"{path}: bad row {line!r}: {exc}") from None
     if n is None or total is None:
         raise ValueError("no header")
     return n, total, counts
@@ -77,6 +87,11 @@ def line_by_line_reader(path):
 def assert_reads_as_before(path):
     try:
         n, total, counts = line_by_line_reader(path)
+    except BadRow as bad:
+        with pytest.raises(MalformedInput) as refused:
+            read_ngram_tsv(path)
+        assert str(refused.value) == str(bad)
+        return
     except ValueError:
         with pytest.raises(MalformedInput):
             read_ngram_tsv(path)
@@ -95,6 +110,17 @@ def assert_reads_as_before(path):
 # The streaming reader reads what the line-by-line reader read.
 
 def test_table_layouts_read_as_before(pipeline, tmp_path):
+    assert_layouts_read_as_before(pipeline, tmp_path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_table_layouts_read_as_before_in_small_blocks(pipeline, tmp_path, monkeypatch, block):
+    """Blocks of a line or less, and of a few lines, so that every seam meets every layout."""
+    monkeypatch.setattr(stats, "_TSV_BLOCK", block)
+    assert_layouts_read_as_before(pipeline, tmp_path)
+
+
+def assert_layouts_read_as_before(pipeline, tmp_path):
     text = (pipeline / "digraphs.tsv").read_text(encoding="utf-8")
     header, body = text.split("gram\tcount\tpercentage\n")
     rows = body.splitlines(keepends=True)
@@ -118,20 +144,49 @@ def test_table_layouts_read_as_before(pipeline, tmp_path):
         assert len(read_ngram_tsv(path).counts) == len(rows), name
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, stats._TSV_BLOCK])
+@pytest.mark.parametrize("rows, named", [
+    # Two tabs a row on average: a block's fields line up however its rows split.
+    ("ab\t5\n7\tcd\t3\t1.0\n", "ab\t5"),
+    ("ab\t1\tx\tcd\n5\ty\n", "ab\t1\tx\tcd"),
+    ("ab\t5\t1.0\n#\tx\t1\n\t\n", "\t"),
+    ("ab\t5\t1.0\ngram\tx\nab\tfive\t1.0\n", "ab\tfive\t1.0"),
+])
+def test_bad_rows_are_named_in_any_block(tmp_path, monkeypatch, block, rows, named):
+    path = tmp_path / "table.tsv"
+    path.write_text(tsv_with_header(2, 99, "ab\t1\t1.0\n" * 9 + rows), encoding="utf-8")
+    monkeypatch.setattr(stats, "_TSV_BLOCK", block)
+    with pytest.raises(MalformedInput) as refused:
+        read_ngram_tsv(path)
+    assert str(refused.value).startswith(f"{path}: bad row {named!r}: ")
+    assert_reads_as_before(path)
+
+
 def tsv_with_header(n, total, body):
     return (f"# layoutforge ngram table\n# n\t{n}\n# total_letters\t{total}\n"
             f"gram\tcount\tpercentage\n{body}")
 
 
 table_bodies = st.text(alphabet=st.sampled_from("ab\t\n#-0123456789 .gram"), max_size=120)
+# Mostly rows, some of them bad, among odd lines: bodies whose blocks the
+# reader parses in bulk as well as line by line.
+rows = st.builds("{}\t{}\t{}".format, st.text("ab", min_size=1, max_size=3),
+                 st.integers(-2, 99) | st.sampled_from(["", "x", " 7", "1.0"]),
+                 st.sampled_from(["1.0", "", "x\t"]))
+row_bodies = st.builds(str.__add__,
+                       st.lists(rows | st.text(st.sampled_from("ab\t#-0 gram"), max_size=12),
+                                max_size=30).map("\n".join),
+                       st.sampled_from(["", "\n"]))
 
 
 @FUZZ
-@given(n=st.integers(0, 4), total=st.integers(-3, 10**6), body=table_bodies)
-def test_fuzzed_tables_read_as_before(tmp_path_factory, n, total, body):
+@given(n=st.integers(0, 4), total=st.integers(-3, 10**6), body=table_bodies | row_bodies,
+       block=st.sampled_from([1, 5, 16, 64, stats._TSV_BLOCK]))
+def test_fuzzed_tables_read_as_before(tmp_path_factory, n, total, body, block):
     path = tmp_path_factory.mktemp("tsv") / "table.tsv"
     path.write_text(tsv_with_header(n, total, body), encoding="utf-8")
-    assert_reads_as_before(path)
+    with mock.patch.object(stats, "_TSV_BLOCK", block):
+        assert_reads_as_before(path)
 
 
 # ---------------------------------------------------------------------------

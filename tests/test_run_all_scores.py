@@ -10,11 +10,15 @@ before the table route existed, the spanning one as it was before the
 counter keyed its windows by packed code points, the two replayed
 runs as they were while run-all still held the whole corpus as one
 stream, and the replay with both unplaced letters and resets as it was
-while each layout's replay merged per-piece scores.
+while each layout's replay merged per-piece scores. Under three flag
+sets, run-all writes the same bytes whatever the interpreter's hash seed.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,8 +27,8 @@ from layoutforge import cli
 from layoutforge.cli import main
 from layoutforge.evaluator import evaluate
 
-SAMPLE = [str(p) for p in sorted(
-    (Path(__file__).resolve().parent.parent / "data" / "bn_sample").glob("*.txt"))]
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = [str(p) for p in sorted((ROOT / "data" / "bn_sample").glob("*.txt"))]
 
 # Flag sets, and whether run-all replays the corpus under them: a spanning
 # count has no run-only digraphs to score resets from, and coverage 50
@@ -165,3 +169,23 @@ def test_run_all_writes_the_golden_bytes(tmp_path, capsys, key):
     digests = {"stdout": sha256(capsys.readouterr().out.encode("utf-8"))}
     digests.update((path.name, sha256(path.read_bytes())) for path in out.iterdir())
     assert digests == GOLDEN[key]
+
+
+@pytest.mark.parametrize("flags", [[], ["--coverage", "50", "--balance-tiebreak"],
+                                   ["--span-boundaries", "--reset-on-boundary"]],
+                         ids=["defaults", "coverage 50 and tiebreak", "span and reset"])
+def test_run_all_writes_the_same_bytes_under_any_hash_seed(tmp_path, flags):
+    """String hashing, and so set and dict order among grams, varies with PYTHONHASHSEED."""
+    written = {}
+    for seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        out = tmp_path / seed
+        done = subprocess.run([sys.executable, "-m", "layoutforge", "run-all", *SAMPLE,
+                               "--out", str(out), *flags],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written[seed] = {"stdout": done.stdout,
+                         **{path.name: path.read_bytes() for path in out.iterdir()}}
+    assert written["0"] == written["1"] == written["12345"]

@@ -6,11 +6,15 @@ without the block machinery the implementation uses.
 """
 
 import io
+import json
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from layoutforge import stats
 from layoutforge.corpus import BOUNDARY, tokenize
 from layoutforge.errors import EmptyCorpus, NoInvolvement
 from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
@@ -273,3 +277,50 @@ def test_ngram_tsv_shape():
     assert lines[0].startswith("#")
     assert "gram\tcount\tpercentage" in lines
     assert lines[-1] == "ক\t3\t100.000000"
+
+
+def row_by_row_writer(table, config_echo=None):
+    """The writer before it formatted each count once, restated: the text it wrote."""
+    out = io.StringIO()
+    out.write("# layoutforge ngram table\n")
+    out.write(f"# n\t{table.n}\n")
+    out.write(f"# total_letters\t{table.total_letters}\n")
+    if config_echo is not None:
+        out.write(f"# config\t{json.dumps(config_echo, sort_keys=True, ensure_ascii=False)}\n")
+    out.write("gram\tcount\tpercentage\n")
+    for gram, count in sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        pct = 100.0 * count / table.total_letters if table.total_letters else 0.0
+        out.write(f"{gram}\t{count}\t{pct:.6f}\n")
+    return out.getvalue()
+
+
+# Letters that str.splitlines breaks at, and two that it does not.
+LINE_BREAKING = "\x0b\x1c\x85\u2028a\u0995"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 3), data=st.data(), extra=st.integers(0, 50), empty=st.booleans(),
+       block=st.sampled_from([1, 6, 40, stats._TSV_BLOCK]), rows=st.integers(1, 5))
+def test_ngram_tsv_writes_as_row_by_row_and_reads_back(tmp_path, monkeypatch, n, data, extra,
+                                                         empty, block, rows):
+    """Many tied counts, grams of letters that end a line for splitlines, any block size.
+
+    The bytes are those of the row-by-row writer, a total of 0 included,
+    and the table reads back with its rows in the order written.
+    """
+    grams = st.text(st.sampled_from(LINE_BREAKING), min_size=n, max_size=n)
+    counts = Counter(data.draw(st.dictionaries(grams, st.integers(1, 3), max_size=60)))
+    table = NGramTable(n=n, counts=counts, total_letters=0 if empty else counts.total() + extra)
+    monkeypatch.setattr(stats, "_ROWS_WRITTEN", rows)
+    out = io.StringIO()
+    write_ngram_tsv(table, out, config_echo={"coverage": 1})
+    assert out.getvalue() == row_by_row_writer(table, {"coverage": 1})
+    if table.total_letters < counts.total():
+        return
+    path = tmp_path / "table.tsv"
+    path.write_bytes(out.getvalue().encode("utf-8"))
+    monkeypatch.setattr(stats, "_TSV_BLOCK", block)
+    back = read_ngram_tsv(path)
+    assert (back.n, back.total_letters, back.counts) == (n, table.total_letters, counts)
+    assert list(back.counts) == [gram for gram, _count in stats.frequency_order(counts)]
