@@ -9,14 +9,15 @@ hold it: it splits the rows of an n-gram table (``NOT_TABLE_LETTERS``).
 The letter unit is a single code point, so dependent vowel signs
 (matras) and the virama are letters in their own right.
 
-Files are read in blocks that end right after an LF (``read_pieces``),
-and each block is decoded, normalized and tokenized on its own, so only
-one block is held at a time. The pieces, joined in order, are the stream
-``read_corpus`` returns whole. A corpus of regular files can also be cut
-into byte ranges that end right after an LF, one part per CPU
-(``byte_parts``); each part reads as the blocks of its ranges, and the
-parts' streams, joined by the same seam rule (``seamed``), are the
-stream of the whole.
+Files are read in blocks of 16 KiB that end right after an LF
+(``blocks``), and each block is decoded, normalized and tokenized on its
+own, so only one block is held at a time (``read_pieces``); n-gram
+tables are read through the same blocks. The pieces, joined in order,
+are the stream ``read_corpus`` returns whole. A corpus of regular files
+can also be cut into byte ranges that end right after an LF, one part
+per CPU (``byte_parts``); each part reads as the blocks of its ranges,
+and the parts' streams, joined by the same seam rule (``seamed``), are
+the stream of the whole.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ NOT_TABLE_LETTERS = frozenset("#\t\n\r")
 # backslash, so it stands as its own replacement template in ``re.sub``.
 BOUNDARY = "\n"
 
-# Bytes read from a file at a time; each block then runs on to the end of
-# its line.
-_READ_BLOCK = 1 << 16
+# Bytes read at a time from a corpus file or an n-gram table; each block
+# then runs on to the end of its line.
+_READ_BLOCK = 1 << 14
 # The fewest bytes worth a part of their own (``byte_parts``): below that,
 # forking and merging cost more than a second core saves.
-_MIN_PART = 4 * _READ_BLOCK
+_MIN_PART = 1 << 18
 
 ALPHABET_SHAPE = {"ranges": OptionalField([(str, str)]), "include": OptionalField([str]),
                   "exclude": OptionalField([str])}
@@ -214,7 +215,7 @@ def refuse_bare_stream(corpus: Iterable[str]) -> None:
         raise TypeError("a stream is given as its pieces in order: pass [stream], not a str")
 
 
-def _blocks(handle: BinaryIO, size: int = sys.maxsize) -> Iterator[bytes]:
+def blocks(handle: BinaryIO, size: int = sys.maxsize) -> Iterator[bytes]:
     """The handle's next ``size`` bytes in blocks that end right after an LF, bar perhaps the last.
 
     A block is ``_READ_BLOCK`` bytes and the rest of the line they end in,
@@ -257,7 +258,7 @@ def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str
     with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
         if offset:
             handle.seek(offset)
-        for block in _blocks(handle, size):
+        for block in blocks(handle, size):
             try:
                 text = normalize_text(block)
             except InvalidEncoding as exc:

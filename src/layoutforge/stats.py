@@ -8,15 +8,15 @@ once. The keys are built and counted in C, a block of windows at a time,
 so that only the counts grow with the corpus. The stream may also come
 in parts, such as the byte ranges of ``corpus.byte_parts``: the first is
 counted in this process and each later one in a forked child, which
-sends back its packed keys and counts and its first three and last two
-characters; the windows of each seam are counted here, behind the part
-before it, and the child's counts merged after them, so the tables and
-their key order are those of the whole stream. A part that no child can
-take, for want of a process or a pipe, is counted here in its turn, and
-a child that dies is reaped and named by its exit status or signal. One
-loop over the distinct keys then folds them into the monogram, digraph,
-trigram and junction tables, decoding only the grams that hold no
-boundary.
+sends back one pickle: its first three and last two characters and its
+keys and counts packed as 8-byte words, or its error. The windows of
+each seam are counted here, behind the part before it, and the child's
+counts merged after them, so the tables and their key order are those of
+the whole stream. A part that no child can take, for want of a process
+or a pipe, is counted here in its turn, and a child that dies is reaped
+and named by its exit status or signal. One loop over the distinct keys
+then folds them into the monogram, digraph, trigram and junction tables,
+decoding only the grams that hold no boundary.
 
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
@@ -27,12 +27,15 @@ once per table, and handed to ``side_scores``. Side scores accumulate both
 quantities for a candidate letter against the letters already on one hand,
 taking both orientations of each pair, with one lookup per gram.
 
-The tables are read and written as TSV in bulk. The reader takes a block
-of text at a time, splits it at LF only, and parses a block of rows
-alone with one split and a map of ``int``; any other block is read line
-by line, which keeps every layout it accepts and names the row at fault.
-The writer orders the rows by two sorts keyed in C and formats each
-distinct count once.
+The tables are read and written as TSV in bulk. The reader takes the
+file through the corpus's block reader (``corpus.blocks``), a block of
+bytes that ends right after an LF at a time; it decodes each block
+strictly, naming a byte that is not UTF-8 by its offset in the file,
+reads CRLF and a lone CR as LF, splits at LF only, and parses a block of
+rows alone with one split and a map of ``int``; any other block is read
+line by line, which keeps every layout it accepts and names the row at
+fault. The writer orders the rows by two sorts keyed in C and formats
+each distinct count once.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Iterable, Mapping, NoReturn, Sequence, TextIO
 
-from .corpus import BOUNDARY, refuse_bare_stream, seamed
+from .corpus import BOUNDARY, blocks, refuse_bare_stream, seamed
 from .errors import EmptyCorpus, MalformedInput, NoInvolvement
 
 NGRAM_SIZES = (1, 2, 3)
@@ -133,36 +136,28 @@ def _part_windows(part: Iterable[str]) -> tuple[str, Counter, str]:
     return first[:3], windows, last
 
 
-# Window pairs read from a child at a time: 64 KiB, below the size at which
-# the C library maps a block of its own, whose release would raise that
-# threshold and leave the heap larger for the rest of the run.
-_PAIRS_READ = 1 << 12
-
-
 def _serve(part: Iterable[str], fd: int) -> NoReturn:
     """In a forked child: count a part, send what ``_part_windows`` gives through ``fd``, and leave.
 
-    The message is native 8-byte words: 0, the number of windows, then
-    the length and code points of the first characters and of the last
-    two, then each window's key and count in order of first occurrence.
-    A part that fails sends 1 and then its error, pickled. The child
-    always leaves by ``os._exit``, so it runs none of the parent's
-    clean-up and flushes none of its buffers.
+    The message is one pickle: the part's error, or its first characters,
+    the keys and the counts of its windows in order of first occurrence,
+    each packed as the native 8-byte words of an ``array("Q")``, and its
+    last two characters. The parent reads the words where the pickle put
+    them, with no copy. The child always leaves by ``os._exit``, so it
+    runs none of the parent's clean-up and flushes none of its buffers.
     """
     code = 1
     try:
-        with open(fd, "wb") as pipe:
-            try:
-                first, windows, last = _part_windows(part)
-            except BaseException as exc:  # the parent raises it in its turn
-                import pickle
+        import pickle
 
-                pipe.write(array("Q", [1]))
-                pipe.write(pickle.dumps(exc))
-            else:
-                pipe.write(array("Q", [0, len(windows), len(first), *map(ord, first),
-                                       len(last), *map(ord, last)]))
-                pipe.write(array("Q", itertools.chain.from_iterable(windows.items())))
+        try:
+            first, windows, last = _part_windows(part)
+            result = (first, array("Q", windows.keys()).tobytes(),
+                      array("Q", windows.values()).tobytes(), last)
+        except BaseException as exc:  # the parent raises it in its turn
+            result = exc
+        with open(fd, "wb") as pipe:
+            pickle.dump(result, pipe)
         code = 0
     finally:
         os._exit(code)
@@ -184,41 +179,28 @@ class _Child:
         finally:
             os.close(write_end)
 
-    def _words(self, count: int) -> memoryview:
-        data = self.pipe.read(8 * count)
-        if len(data) < 8 * count:
-            raise RuntimeError(f"a counting process {self._reap()} before it sent its whole"
-                               " result")
-        return memoryview(data).cast("Q")
-
-    def _reap(self) -> str:
-        """Wait for the child to end, and say how it ended."""
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-
-    def _text(self) -> str:
-        return "".join(map(chr, self._words(self._words(1)[0])))
-
-    def result(self) -> tuple[str, Iterator[tuple[int, int]], str]:
+    def result(self) -> tuple[str, Iterable[tuple[int, int]], str]:
         """The first characters, window counts and last two characters of the child's part.
 
-        Where the part failed, its error is raised instead. The counts are
-        read as they are merged, a block at a time.
+        The child's one pickle is read whole, and its packed keys and
+        counts are read in place. Where the part failed, its error is
+        raised instead; where the pickle ends short, the child is reaped
+        and named by its exit status or signal.
         """
-        if self._words(1)[0]:
-            import pickle
+        import pickle
 
-            raise pickle.loads(self.pipe.read())
-        count = self._words(1)[0]
-        first, last = self._text(), self._text()
-        return first, self._pairs(count), last
-
-    def _pairs(self, count: int) -> Iterator[tuple[int, int]]:
-        while count:
-            words = self._words(2 * min(count, _PAIRS_READ))
-            count -= len(words) // 2
-            yield from zip(words[0::2], words[1::2])
+        try:
+            result = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"a counting process {how} before it sent its whole"
+                               " result") from None
+        if isinstance(result, BaseException):
+            raise result
+        first, keys, counts, last = result
+        return first, zip(memoryview(keys).cast("Q"), memoryview(counts).cast("Q")), last
 
     def end(self) -> None:
         """Stop the child, if it still runs, and reap it, unless it was reaped already."""
@@ -236,9 +218,9 @@ class _Here:
     def __init__(self, part: Iterable[str]):
         self.part = part
 
-    def result(self) -> tuple[str, Iterator[tuple[int, int]], str]:
+    def result(self) -> tuple[str, Iterable[tuple[int, int]], str]:
         first, windows, last = _part_windows(self.part)
-        return first, iter(windows.items()), last
+        return first, windows.items(), last
 
     def end(self) -> None:
         pass
@@ -251,7 +233,8 @@ def _count_windows(parts: Sequence[Iterable[str]], *, seams: bool) -> Counter:
     (``_part_windows``) while this process counts the first; a part for
     which no process or pipe can be had is counted here in its turn
     (``_Here``), as its child would have counted it. Each child's
-    part is then stitched in behind what came before it: its first three
+    part, read back whole from its one pickle (``_Child.result``), is
+    then stitched in behind what came before it: its first three
     characters, ``seamed`` when ``seams`` is set, are counted behind the
     last two characters so far, which gives the windows of the seam; the
     child's counts are merged after those, so every key keeps its place
@@ -483,19 +466,6 @@ def _read_comment(line: str, header: dict[str, int]) -> None:
         header[parts[0]] = int(parts[1])
 
 
-# Characters of a table read at a time, run on to the end of the line they
-# end in.
-_TSV_BLOCK = 1 << 14
-
-
-def _tsv_blocks(handle: TextIO) -> Iterator[str]:
-    """The handle's text, ``_TSV_BLOCK`` characters and the rest of their last line at a time."""
-    while block := handle.read(_TSV_BLOCK):
-        if not block.endswith("\n"):
-            block += handle.readline()
-        yield block
-
-
 def _rows_only(block: str, lines: list[str]) -> bool:
     """Whether every line of the block has two tabs and none is a comment.
 
@@ -509,22 +479,33 @@ def _rows_only(block: str, lines: list[str]) -> bool:
 def read_ngram_tsv(path: str | Path) -> NGramTable:
     """Rebuild a table from its TSV export (counts and totals, not percentages).
 
-    The file is read a block at a time, never whole, and split at LF only:
-    ``str.splitlines`` would also split at characters a gram may hold. A
-    block of rows alone is parsed in bulk; any other block, or one whose
-    counts do not all read as integers, line by line, which names the row
-    at fault. '#' lines carry the header wherever they stand; blank lines
-    and column headers are skipped. A table whose ``n`` is not one of 1-3,
-    that stores a gram of another length, that holds a negative count or
-    total, or whose counts add up to more than its total (no gram occurs
-    more often than there are letters), is malformed.
+    The file is read as ``corpus.blocks`` reads a corpus, a block of bytes
+    that ends right after an LF at a time, never whole. Each block is
+    decoded strictly on its own, since no UTF-8 sequence holds an LF byte,
+    and a byte that is not UTF-8 is named by its offset from the start of
+    the file. CRLF and a lone CR read as LF, as in text mode, and the text
+    is split at LF only: ``str.splitlines`` would also split at characters
+    a gram may hold. A block of rows alone is parsed in bulk; any other
+    block, or one whose counts do not all read as integers, line by line,
+    which names the row at fault. '#' lines carry the header wherever they
+    stand; blank lines and column headers are skipped. A table whose ``n``
+    is not one of 1-3, that stores a gram of another length, that holds a
+    negative count or total, or whose counts add up to more than its total
+    (no gram occurs more often than there are letters), is malformed.
     """
     header: dict[str, int] = {}
     counts: Counter = Counter()
-    line = ""
+    offset = 0
     try:
-        with open(path, encoding="utf-8") as handle:
-            for block in _tsv_blocks(handle):
+        with open(path, "rb") as handle:
+            for data in blocks(handle):
+                try:
+                    block = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise MalformedInput(f"{path}: invalid UTF-8 at byte offset"
+                                         f" {offset + exc.start}") from None
+                offset += len(data)
+                block = block.replace("\r\n", "\n").replace("\r", "\n")
                 lines = block.split("\n")
                 if not lines[-1]:  # the LF that ends the block
                     lines.pop()
@@ -536,7 +517,6 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
                     except ValueError:
                         pass  # the loop below names the row
                     else:
-                        line = lines[-1]  # named should the next block not decode
                         continue
                 for line in lines:
                     if line[:1] == "#":
@@ -548,7 +528,7 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
                     except ValueError:
                         if line and not line.startswith("gram\t"):
                             raise
-    except ValueError as exc:  # not UTF-8, a short row, or a count that is no integer
+    except ValueError as exc:  # a short row, or a count that is no integer
         raise MalformedInput(f"{path}: bad row {line!r}: {exc}") from None
     # a column header whose count field reads as a number is still no row
     counts.pop("gram", None)

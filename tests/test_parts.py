@@ -3,13 +3,13 @@
 ``byte_parts`` cuts the files right after an LF near each 1/P mark, P
 being the CPUs this process may use, and ``count_all`` counts the first
 part here and each later one in a child, then stitches each seam. With
-the least part size, the read block and the block of counts read from a
-child cut to a few bytes, and P set from 1 to 4, the parts fall inside
-words, files and boundary runs, and a part may be shorter than three
-characters or hold no letter; the tables must still be those
-of the whole stream, key order included. A split command must exit as
-the serial one does, with the same files or the same error, and leave no
-child behind.
+the least part size and the read block cut to a few bytes, and P set
+from 1 to 4, the parts fall inside words, files and boundary runs, and a
+part may be shorter than three characters or hold no letter; the tables
+must still be those of the whole stream, key order included. A split
+command must exit as the serial one does, with the same files or the
+same error, and leave no child behind, even one that dies part-way
+through the pickle it sends back.
 """
 
 import errno
@@ -66,7 +66,6 @@ def test_parts_count_what_the_whole_stream_counts(tmp_path_factory, monkeypatch,
         use_cpus(patch, cpus)
         patch.setattr(corpus, "_MIN_PART", min_part)
         patch.setattr(corpus, "_READ_BLOCK", read_block)
-        patch.setattr(stats, "_PAIRS_READ", read_block)
         parts = byte_parts(paths)
         assert 1 <= len(parts) <= cpus
         for source in (source for part in parts for source in part):
@@ -212,6 +211,37 @@ def test_a_child_that_dies_is_named_by_its_cause(tmp_path, capsys, monkeypatch, 
         "error": "RuntimeError",
         "message": f"a counting process {cause} before it sent its whole result"}
     assert no_children_left()
+
+
+def test_a_child_that_dies_part_way_through_its_result_is_named_by_its_cause(tmp_path, capsys,
+                                                                           monkeypatch):
+    """Half a pickle reaches the parent, which cannot unpickle it: not the end of the pipe."""
+    halves = tmp_path / "halves"
+    halves.mkdir()
+
+    def half_dump(obj, file):
+        data = pickle.dumps(obj)
+        (halves / str(os.getpid())).write_bytes(data[:len(data) // 2])
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(3)
+
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+    monkeypatch.setattr(pickle, "dump", half_dump)
+    out = tmp_path / "out"
+    assert main(["stats", *map(str, sample_files(tmp_path)[0]), "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert (stdout, out.exists()) == ("", False)
+    assert json.loads(stderr) == {
+        "error": "RuntimeError",
+        "message": "a counting process exited with status 3 before it sent its whole result"}
+    assert no_children_left()
+    sent = list(halves.iterdir())
+    assert sent
+    for half in sent:
+        with pytest.raises(pickle.UnpicklingError):
+            pickle.loads(half.read_bytes())
 
 
 def test_a_process_that_runs_another_thread_counts_in_one_part(monkeypatch):

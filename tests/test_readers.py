@@ -10,7 +10,8 @@ The table reader streams its file a block at a time; every table the
 line-by-line reader it replaced accepted must read back the same, every
 row it refused must be refused with the same message, at any block size,
 and a gram whose length is not the header's ``n``, a negative count or a
-negative total is malformed.
+negative total is malformed. A table that is not UTF-8 is named by the
+offset of its first bad byte from the start of the file.
 """
 
 import io
@@ -25,11 +26,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge import stats
+from layoutforge import corpus
 from layoutforge.cli import main
 from layoutforge.errors import MalformedInput
 from layoutforge.layout import Geometry
-from layoutforge.stats import read_ngram_tsv
+from layoutforge.stats import NGramTable, read_ngram_tsv, write_ngram_tsv
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "bn_sample" / "part1.txt"
 
@@ -116,7 +117,7 @@ def test_table_layouts_read_as_before(pipeline, tmp_path):
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_table_layouts_read_as_before_in_small_blocks(pipeline, tmp_path, monkeypatch, block):
     """Blocks of a line or less, and of a few lines, so that every seam meets every layout."""
-    monkeypatch.setattr(stats, "_TSV_BLOCK", block)
+    monkeypatch.setattr(corpus, "_READ_BLOCK", block)
     assert_layouts_read_as_before(pipeline, tmp_path)
 
 
@@ -135,6 +136,9 @@ def assert_layouts_read_as_before(pipeline, tmp_path):
         "repeated column header": text + "gram\tcount\tpercentage\ngram\t5\t1.0\n",
         "no final newline": text.rstrip("\n"),
         "CRLF": text.replace("\n", "\r\n"),
+        "lone CR": text.replace("\n", "\r"),
+        "CR, CRLF and LF mixed": "".join(line + ("\r", "\r\n", "\n")[i % 3]
+                                         for i, line in enumerate(text.split("\n"))),
         "n restated": text + "# n\t2\t\n",
     }
     for name, variant in variants.items():
@@ -144,7 +148,7 @@ def assert_layouts_read_as_before(pipeline, tmp_path):
         assert len(read_ngram_tsv(path).counts) == len(rows), name
 
 
-@pytest.mark.parametrize("block", [1, 7, 64, stats._TSV_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 64, corpus._READ_BLOCK])
 @pytest.mark.parametrize("rows, named", [
     # Two tabs a row on average: a block's fields line up however its rows split.
     ("ab\t5\n7\tcd\t3\t1.0\n", "ab\t5"),
@@ -155,11 +159,34 @@ def assert_layouts_read_as_before(pipeline, tmp_path):
 def test_bad_rows_are_named_in_any_block(tmp_path, monkeypatch, block, rows, named):
     path = tmp_path / "table.tsv"
     path.write_text(tsv_with_header(2, 99, "ab\t1\t1.0\n" * 9 + rows), encoding="utf-8")
-    monkeypatch.setattr(stats, "_TSV_BLOCK", block)
+    monkeypatch.setattr(corpus, "_READ_BLOCK", block)
     with pytest.raises(MalformedInput) as refused:
         read_ngram_tsv(path)
     assert str(refused.value).startswith(f"{path}: bad row {named!r}: ")
     assert_reads_as_before(path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, corpus._READ_BLOCK])
+def test_a_table_that_is_not_utf8_names_the_byte_offset(pipeline, tmp_path, monkeypatch, block):
+    """The offset counts from the start of the file, whatever block the bad byte falls in."""
+    letters = [chr(cp) for cp in [*range(0x0905, 0x0939), *range(0x0995, 0x09B9)]]
+    counts = Counter({a + b: 1 + (i % 7) for i, (a, b) in
+                      enumerate((a, b) for a in letters for b in letters)})
+    out = io.StringIO()
+    write_ngram_tsv(NGramTable(2, counts, counts.total()), out)
+    data = out.getvalue().encode("utf-8")
+    offset = data.index(b"\n", 2 * len(data) // 3) + 1  # a row's start, past the first blocks
+    assert offset > 2 * corpus._READ_BLOCK
+    digraphs = tmp_path / "digraphs.tsv"
+    digraphs.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    monkeypatch.setattr(corpus, "_READ_BLOCK", block)
+    code, err = run_quiet(["partition", "--mono", pipeline / "monograms.tsv",
+                           "--digraphs", digraphs, "--out", tmp_path / "p"])
+    assert code == 2
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": "MalformedInput",
+        "message": f"{digraphs}: invalid UTF-8 at byte offset {offset}"}
+    assert not (tmp_path / "p").exists()
 
 
 def tsv_with_header(n, total, body):
@@ -167,7 +194,7 @@ def tsv_with_header(n, total, body):
             f"gram\tcount\tpercentage\n{body}")
 
 
-table_bodies = st.text(alphabet=st.sampled_from("ab\t\n#-0123456789 .gram"), max_size=120)
+table_bodies = st.text(alphabet=st.sampled_from("ab\t\n\r#-0123456789 .gram"), max_size=120)
 # Mostly rows, some of them bad, among odd lines: bodies whose blocks the
 # reader parses in bulk as well as line by line.
 rows = st.builds("{}\t{}\t{}".format, st.text("ab", min_size=1, max_size=3),
@@ -181,11 +208,11 @@ row_bodies = st.builds(str.__add__,
 
 @FUZZ
 @given(n=st.integers(0, 4), total=st.integers(-3, 10**6), body=table_bodies | row_bodies,
-       block=st.sampled_from([1, 5, 16, 64, stats._TSV_BLOCK]))
+       block=st.sampled_from([1, 5, 16, 64, corpus._READ_BLOCK]))
 def test_fuzzed_tables_read_as_before(tmp_path_factory, n, total, body, block):
     path = tmp_path_factory.mktemp("tsv") / "table.tsv"
     path.write_text(tsv_with_header(n, total, body), encoding="utf-8")
-    with mock.patch.object(stats, "_TSV_BLOCK", block):
+    with mock.patch.object(corpus, "_READ_BLOCK", block):
         assert_reads_as_before(path)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge import stats
+from layoutforge import corpus, stats
 from layoutforge.corpus import BOUNDARY, tokenize
 from layoutforge.errors import EmptyCorpus, NoInvolvement
 from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
@@ -301,7 +301,7 @@ LINE_BREAKING = "\x0b\x1c\x85\u2028a\u0995"
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(n=st.integers(1, 3), data=st.data(), extra=st.integers(0, 50), empty=st.booleans(),
-       block=st.sampled_from([1, 6, 40, stats._TSV_BLOCK]), rows=st.integers(1, 5))
+       block=st.sampled_from([1, 6, 40, corpus._READ_BLOCK]), rows=st.integers(1, 5))
 def test_ngram_tsv_writes_as_row_by_row_and_reads_back(tmp_path, monkeypatch, n, data, extra,
                                                          empty, block, rows):
     """Many tied counts, grams of letters that end a line for splitlines, any block size.
@@ -320,7 +320,7 @@ def test_ngram_tsv_writes_as_row_by_row_and_reads_back(tmp_path, monkeypatch, n,
         return
     path = tmp_path / "table.tsv"
     path.write_bytes(out.getvalue().encode("utf-8"))
-    monkeypatch.setattr(stats, "_TSV_BLOCK", block)
+    monkeypatch.setattr(corpus, "_READ_BLOCK", block)
     back = read_ngram_tsv(path)
     assert (back.n, back.total_letters, back.counts) == (n, table.total_letters, counts)
     assert list(back.counts) == [gram for gram, _count in stats.frequency_order(counts)]
