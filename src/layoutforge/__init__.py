@@ -14,7 +14,7 @@ from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, CorpusChang
                      LayoutForgeError, MalformedInput, MalformedLayout,
                      NoInvolvement, TooFewLetters)
 from .evaluator import (Comparison, ComparisonRow, EvaluationReport, compare, evaluate,
-                        evaluate_all, evaluate_chunked, format_comparison, score_tables)
+                        evaluate_all, format_comparison, score_tables)
 from .layout import (Geometry, KeyPosition, KeyboardLayout, build_layout,
                      load_geometry, load_layout, parse_layout, render_grid,
                      serialize_layout, write_layout)
@@ -40,7 +40,6 @@ __all__ = [
     "read_partition_json", "write_partition_json",
     "Geometry", "KeyPosition", "KeyboardLayout", "build_layout", "load_geometry",
     "load_layout", "parse_layout", "serialize_layout", "write_layout", "render_grid",
-    "EvaluationReport", "score_tables", "evaluate",
-    "evaluate_all", "evaluate_chunked",
+    "EvaluationReport", "score_tables", "evaluate", "evaluate_all",
     "Comparison", "ComparisonRow", "compare", "format_comparison",
 ]

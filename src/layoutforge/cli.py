@@ -12,7 +12,8 @@ at a time into the n-gram tables, or into the scores of every layout
 score its layout. Regular files are read again from disk. A corpus of
 regular files of at least two parts' bytes is counted in parts, one per
 CPU this process may use: this process counts the first and a forked
-child each other (``corpus.byte_parts``, ``stats.count_all``), with the
+child each other (``corpus.byte_parts``, ``stats.count_all``), or this
+process where no child can take a part or its child raised, with the
 same tables and files as one part gives. Stdin and any named file that
 is not a regular file (a pipe, say) are counted here, and streamed like
 a file, except by a ``run-all`` whose flags can call for a replay

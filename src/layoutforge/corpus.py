@@ -17,7 +17,8 @@ are the stream ``read_corpus`` returns whole. A corpus of regular files
 can also be cut into byte ranges that end right after an LF, one part
 per CPU (``byte_parts``); each part reads as the blocks of its ranges,
 and the parts' streams, joined by the same seam rule (``seamed``), are
-the stream of the whole.
+the stream of the whole. Whether a part is counted in a forked child or
+in this process, ``stats`` alone decides.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import os
 import re
 import stat
 import sys
-import threading
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,20 +278,19 @@ def _line_end(path: str | Path, position: int) -> int:
 def byte_parts(sources: Sequence[Source]) -> list[list[Source]]:
     """The sources cut into parts of about equal bytes, one for each CPU this process may use.
 
-    Only a corpus of regular files is cut, and only where ``os.fork`` can
-    count the parts side by side: on a platform that has it, in a process
-    that runs no other thread, which a fork could leave holding a lock. A
-    file that cannot be opened counts as empty, so reading it fails in its
-    part as it fails in the whole. Each cut falls right after the LF that
-    ends the line holding a 1/P mark, or at a file's end, so it splits the
-    corpus where a block may end: the parts' streams, joined as
-    ``read_pieces`` joins pieces, are the stream of the whole. P is capped
-    so that the marks lie ``_MIN_PART`` bytes apart or more; a corpus of
-    fewer than two such parts, or any other kind of source, is one part.
+    Only a corpus of regular files is cut, on a platform that tells the
+    CPUs a process may use; whether each part is counted in a forked
+    child or here, ``stats.count_all`` decides. A file that cannot be
+    opened counts as empty, so reading it fails in its part as it fails
+    in the whole. Each cut falls right after the LF that ends the line
+    holding a 1/P mark, or at a file's end, so it splits the corpus where
+    a block may end: the parts' streams, joined as ``read_pieces`` joins
+    pieces, are the stream of the whole. P is capped so that the marks
+    lie ``_MIN_PART`` bytes apart or more; a corpus of fewer than two
+    such parts, or any other kind of source, is one part.
     """
     whole = [list(sources)]
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
-            or threading.active_count() > 1:
+    if not hasattr(os, "sched_getaffinity"):
         return whole
     sizes = []
     for source in sources:

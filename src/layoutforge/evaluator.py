@@ -11,8 +11,7 @@ given as its pieces in order, such as the blocks ``corpus.read_pieces``
 reads, for several layouts in one pass, so a replay holds one block at a
 time. Each piece is counted behind the previous piece's last hand marker,
 as ``count_all`` counts it behind the last two characters, so any split
-gives the same report; ``evaluate`` does so for one layout, and
-``evaluate_chunked`` cuts a whole stream into slices for it.
+gives the same report; ``evaluate`` does so for one layout.
 ``score_tables`` reads the same report off the tables of
 ``stats.count_all`` when the layout places every counted letter: the
 loads are monogram sums and the switches the cross-hand mass of the
@@ -90,16 +89,6 @@ def evaluate(layout: KeyboardLayout, corpus: Iterable[str],
              *, reset_on_boundary: bool = False) -> EvaluationReport:
     """Score one layout against a stream given as its pieces in order."""
     return evaluate_all([layout], corpus, reset_on_boundary=reset_on_boundary)[0]
-
-
-def evaluate_chunked(layout: KeyboardLayout, stream: str, *, chunks: int = 4,
-                     reset_on_boundary: bool = False) -> EvaluationReport:
-    """Score a stream cut into ``chunks`` slices; same result as evaluate on it whole."""
-    if chunks < 1:
-        raise ValueError(f"chunks must be positive, got {chunks}")
-    size = max(1, math.ceil(len(stream) / chunks))
-    slices = (stream[start:start + size] for start in range(0, len(stream), size))
-    return evaluate(layout, slices, reset_on_boundary=reset_on_boundary)
 
 
 def _cross_hand_mass(layout: KeyboardLayout, pairs: NGramTable) -> int:

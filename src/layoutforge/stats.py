@@ -8,15 +8,17 @@ once. The keys are built and counted in C, a block of windows at a time,
 so that only the counts grow with the corpus. The stream may also come
 in parts, such as the byte ranges of ``corpus.byte_parts``: the first is
 counted in this process and each later one in a forked child, which
-sends back one pickle: its first three and last two characters and its
-keys and counts packed as 8-byte words, or its error. The windows of
-each seam are counted here, behind the part before it, and the child's
-counts merged after them, so the tables and their key order are those of
-the whole stream. A part that no child can take, for want of a process
-or a pipe, is counted here in its turn, and a child that dies is reaped
-and named by its exit status or signal. One loop over the distinct keys
-then folds them into the monogram, digraph, trigram and junction tables,
-decoding only the grams that hold no boundary.
+sends back one marshal: its first three and last two characters and its
+keys and counts packed as 8-byte words. The windows of each seam are
+counted here, behind the part before it, and the part's counts merged
+after them, so the tables and their key order are those of the whole
+stream. A part is counted here, in its turn, where no child may be
+forked (``os.fork`` is missing or another thread runs), where the system
+refuses a pipe or a process, or where its child raised; a child that
+dies otherwise is reaped and named by its exit status or signal. This
+module alone decides where a part is counted. One loop over the
+distinct keys then folds them into the monogram, digraph, trigram and
+junction tables, decoding only the grams that hold no boundary.
 
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
@@ -42,8 +44,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
 import os
 import sys
+import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -139,121 +143,116 @@ def _part_windows(part: Iterable[str]) -> tuple[str, Counter, str]:
 def _serve(part: Iterable[str], fd: int) -> NoReturn:
     """In a forked child: count a part, send what ``_part_windows`` gives through ``fd``, and leave.
 
-    The message is one pickle: the part's error, or its first characters,
-    the keys and the counts of its windows in order of first occurrence,
-    each packed as the native 8-byte words of an ``array("Q")``, and its
-    last two characters. The parent reads the words where the pickle put
-    them, with no copy. The child always leaves by ``os._exit``, so it
+    The message is one marshal: the part's first characters, the keys and
+    the counts of its windows in order of first occurrence, each packed as
+    the native 8-byte words of an ``array("Q")``, and its last two
+    characters. Where the part fails, the child sends nothing and exits
+    with status 1, so that the parent counts the part itself and raises
+    the error in its turn. The child always leaves by ``os._exit``, so it
     runs none of the parent's clean-up and flushes none of its buffers.
     """
     code = 1
     try:
-        import pickle
-
-        try:
-            first, windows, last = _part_windows(part)
-            result = (first, array("Q", windows.keys()).tobytes(),
-                      array("Q", windows.values()).tobytes(), last)
-        except BaseException as exc:  # the parent raises it in its turn
-            result = exc
+        first, windows, last = _part_windows(part)
         with open(fd, "wb") as pipe:
-            pickle.dump(result, pipe)
+            marshal.dump((first, array("Q", windows.keys()).tobytes(),
+                          array("Q", windows.values()).tobytes(), last), pipe)
         code = 0
     finally:
         os._exit(code)
 
 
-class _Child:
-    """A forked process that counts one part, and the pipe it sends its result back by."""
+class _Part:
+    """A part after the first: counted in a forked child where one can be had, else here.
+
+    No child is forked where ``os.fork`` is missing or another thread
+    runs, which a fork could leave holding a lock, nor where the system
+    refuses a pipe or a process. Such a part, and one whose child
+    raised, is counted here in its turn (``result``).
+    """
 
     def __init__(self, part: Iterable[str]):
-        read_end, write_end = os.pipe()
+        self.part = part
+        self.pid: int | None = None
+        self.pipe = None
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return
+        try:
+            read_end, write_end = os.pipe()
+        except OSError:  # EMFILE
+            return
         self.pipe = open(read_end, "rb")
         try:
-            self.pid: int | None = os.fork()
+            self.pid = os.fork()
             if self.pid == 0:
                 _serve(part, write_end)
-        except BaseException:
-            self.pipe.close()
-            raise
+        except OSError:  # EAGAIN or ENOMEM
+            pass
         finally:
             os.close(write_end)
+            if self.pid is None:
+                self.pipe.close()
+                self.pipe = None
 
     def result(self) -> tuple[str, Iterable[tuple[int, int]], str]:
-        """The first characters, window counts and last two characters of the child's part.
+        """The first characters, window counts and last two characters of the part.
 
-        The child's one pickle is read whole, and its packed keys and
-        counts are read in place. Where the part failed, its error is
-        raised instead; where the pickle ends short, the child is reaped
-        and named by its exit status or signal.
+        A child's one marshal is read whole, and its packed keys and counts
+        are read in place. Where it ends short, the child is reaped: one
+        that exited with status 1 raised, and the part is counted here,
+        which raises the same error; any other is named by its exit status
+        or signal.
         """
-        import pickle
-
-        try:
-            result = pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            self.pid = None
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise RuntimeError(f"a counting process {how} before it sent its whole"
-                               " result") from None
-        if isinstance(result, BaseException):
-            raise result
-        first, keys, counts, last = result
-        return first, zip(memoryview(keys).cast("Q"), memoryview(counts).cast("Q")), last
+        if self.pipe is not None:
+            try:
+                first, keys, counts, last = marshal.load(self.pipe)
+            except EOFError:
+                code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+                self.pid = None
+                if code != 1:
+                    how = (f"was killed by signal {-code}" if code < 0
+                           else f"exited with status {code}")
+                    raise RuntimeError(f"a counting process {how} before it sent its whole"
+                                       " result") from None
+            else:
+                return first, zip(memoryview(keys).cast("Q"), memoryview(counts).cast("Q")), last
+        first, windows, last = _part_windows(self.part)
+        return first, windows.items(), last
 
     def end(self) -> None:
         """Stop the child, if it still runs, and reap it, unless it was reaped already."""
         import signal
 
-        self.pipe.close()
+        if self.pipe is not None:
+            self.pipe.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
 
 
-class _Here:
-    """A part that no child could take, for want of a process or a pipe: counted here in turn."""
-
-    def __init__(self, part: Iterable[str]):
-        self.part = part
-
-    def result(self) -> tuple[str, Iterable[tuple[int, int]], str]:
-        first, windows, last = _part_windows(self.part)
-        return first, windows.items(), last
-
-    def end(self) -> None:
-        pass
-
-
 def _count_windows(parts: Sequence[Iterable[str]], *, seams: bool) -> Counter:
     """Count the trigram windows of the parts joined, plus two boundaries, by packed key.
 
-    The first part is counted here, each later one in a forked child
-    (``_part_windows``) while this process counts the first; a part for
-    which no process or pipe can be had is counted here in its turn
-    (``_Here``), as its child would have counted it. Each child's
-    part, read back whole from its one pickle (``_Child.result``), is
-    then stitched in behind what came before it: its first three
-    characters, ``seamed`` when ``seams`` is set, are counted behind the
-    last two characters so far, which gives the windows of the seam; the
-    child's counts are merged after those, so every key keeps its place
-    of first occurrence, and its last two characters carry on. Two
-    boundaries follow the last part. Every child is stopped, if it still
-    runs, and reaped before this returns or raises; the error raised is
-    that of the earliest part that failed.
+    The first part is counted here, each later one (``_Part``) in a
+    forked child (``_part_windows``) while this process counts the first,
+    or here in its turn where no child can take it or its child raised.
+    Each later part is then stitched in behind what came before it: its
+    first three characters, ``seamed`` when ``seams`` is set, are counted
+    behind the last two characters so far, which gives the windows of
+    the seam; the part's counts are merged after those, so every key
+    keeps its place of first occurrence, and its last two characters
+    carry on. Two boundaries follow the last part. Every child is
+    stopped, if it still runs, and reaped before this returns or raises;
+    the error raised is that of the earliest part that failed.
     """
     windows: Counter = Counter()
-    children: list[_Child | _Here] = []
+    later: list[_Part] = []
     try:
         for part in parts[1:]:
-            try:
-                children.append(_Child(part))
-            except OSError:  # EAGAIN, ENOMEM or EMFILE
-                children.append(_Here(part))
+            later.append(_Part(part))
         carry = _count_pieces(windows, parts[0] if parts else ())
-        for child in children:
-            first, pairs, last = child.result()
+        for part in later:
+            first, pairs, last = part.result()
             carry = _count_pieces(windows, [seamed(carry, first) if seams else first], carry)
             if len(first) == 3:
                 get = windows.get
@@ -262,8 +261,8 @@ def _count_windows(parts: Sequence[Iterable[str]], *, seams: bool) -> Counter:
                 carry = last
         _count_pieces(windows, [BOUNDARY + BOUNDARY], carry)
     finally:
-        for child in children:
-            child.end()
+        for part in later:
+            part.end()
     return windows
 
 
@@ -275,8 +274,8 @@ def count_all(*parts: Iterable[str], span_boundaries: bool = False
     (``read_pieces``); a whole stream is one part of one piece,
     ``[stream]``. The parts are joined as ``concat_streams`` joins
     streams, and any split gives the same tables. Each part after the
-    first is counted in a forked child (``_count_windows``), so a split
-    needs ``os.fork``. Windows never cross a word boundary unless
+    first is counted in a forked child where one can be had, else here
+    (``_count_windows``). Windows never cross a word boundary unless
     ``span_boundaries`` is set (a sensitivity knob; alternation across a
     space is not meaningful); then every boundary is dropped first. Every
     trigram window of the text with two boundaries appended is counted

@@ -9,6 +9,7 @@ side scores over the seed hands are unaffected by it.
 """
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -92,6 +93,12 @@ def letter_config(letters) -> AlphabetConfig:
 def make_stream(tokens) -> str:
     """The letter stream of a token list (letters and None boundaries)."""
     return "".join(BOUNDARY if t is None else t for t in tokens)
+
+
+def slices(stream: str, chunks: int) -> list[str]:
+    """The stream cut into ``chunks`` slices of equal length, bar the last; fewer if it is short."""
+    size = max(1, math.ceil(len(stream) / chunks))
+    return [stream[start:start + size] for start in range(0, len(stream), size)]
 
 
 def letter_count(stream: str) -> int:

@@ -10,7 +10,7 @@ import random
 import time
 
 from layoutforge.cli import main
-from layoutforge.evaluator import EvaluationReport, compare, evaluate, evaluate_chunked
+from layoutforge.evaluator import EvaluationReport, compare, evaluate
 from layoutforge.layout import KeyPosition, build_layout, parse_layout, serialize_layout
 from layoutforge.partition import assign, initialize, partition_all
 from layoutforge.stats import (count_ngrams, digraph_confidence, involvement_totals,
@@ -18,7 +18,7 @@ from layoutforge.stats import (count_ngrams, digraph_confidence, involvement_tot
 
 from conftest import (FOCUS, SAMPLE, K_LEFT_SCORE, K_RIGHT_SCORE, TABLE2_ROWS, layout_from_hands,
                       make_stream, make_tables, mirrored, partition_of, random_corpus,
-                      random_tokens, read_all_bytes, trace_rows)
+                      random_tokens, read_all_bytes, slices, trace_rows)
 import oracle
 
 
@@ -111,7 +111,7 @@ def test_criterion_5_evaluator_oracle():
         ok &= flipped.not_determined == report.not_determined
         ok &= (flipped.left_load, flipped.right_load) == (report.right_load,
                                                           report.left_load)
-        chunked = evaluate_chunked(layout, stream, chunks=rng.randrange(1, 9))
+        chunked = evaluate(layout, slices(stream, rng.randrange(1, 9)))
         ok &= chunked == report
     verdict(5, "200 random evaluations: conservation, rescan, mirror, chunks", ok)
 

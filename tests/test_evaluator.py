@@ -13,10 +13,9 @@ import pytest
 
 from layoutforge.corpus import BOUNDARY
 from layoutforge.errors import EmptyInput
-from layoutforge.evaluator import (EvaluationReport, compare, evaluate, evaluate_chunked,
-                                   format_comparison, read_report_json, write_report_json,
-                                   write_report_tsv)
-from conftest import layout_from_hands, letter_count, make_stream, mirrored, random_tokens
+from layoutforge.evaluator import (EvaluationReport, compare, evaluate, format_comparison,
+                                   read_report_json, write_report_json, write_report_tsv)
+from conftest import layout_from_hands, letter_count, make_stream, mirrored, random_tokens, slices
 import oracle
 
 
@@ -132,7 +131,7 @@ def test_concatenation_adds_loads_and_at_most_one_switch():
 
 
 # ---------------------------------------------------------------------------
-# Chunked evaluation.
+# Evaluation of a stream cut into slices.
 
 def test_chunked_equals_sequential():
     rng = random.Random(79)
@@ -143,8 +142,8 @@ def test_chunked_equals_sequential():
         stream = make_stream(tokens)
         reset = rng.random() < 0.5
         sequential = evaluate(layout, [stream], reset_on_boundary=reset)
-        chunked = evaluate_chunked(layout, stream, chunks=rng.randrange(1, 11),
-                                   reset_on_boundary=reset)
+        chunked = evaluate(layout, slices(stream, rng.randrange(1, 11)),
+                           reset_on_boundary=reset)
         assert chunked == sequential
 
 
@@ -168,25 +167,16 @@ def test_chunked_matches_rescan_at_every_chunk_count():
             tokens = tokens + [None]
         stream = make_stream(tokens)
         for chunks in range(1, len(stream) + 2):
-            size = max(1, math.ceil(len(stream) / chunks))
-            for start in range(0, len(stream), size):
-                piece = stream[start:start + size]
+            for piece in slices(stream, chunks):
                 seen.add("edge boundary" if BOUNDARY in (piece[0], piece[-1]) else None)
                 seen.add("only boundaries" if set(piece) == {BOUNDARY} else None)
                 seen.add("only unplaced" if set(piece) <= {"x", "y"} else None)
             for reset in (False, True):
-                report = evaluate_chunked(layout, stream, chunks=chunks,
-                                          reset_on_boundary=reset)
+                report = evaluate(layout, slices(stream, chunks), reset_on_boundary=reset)
                 assert (report.left_load, report.right_load, report.not_determined,
                         report.hand_switching) == oracle.replay(hand_of, tokens, reset)
                 assert report.total_letters == letter_count(stream)
     assert seen >= {"edge boundary", "only boundaries", "only unplaced"}
-
-
-def test_chunked_rejects_bad_chunk_count():
-    layout = layout_from_hands("a", "b")
-    with pytest.raises(ValueError):
-        evaluate_chunked(layout, make_stream([]), chunks=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ part may be shorter than three characters or hold no letter; the tables
 must still be those of the whole stream, key order included. A split
 command must exit as the serial one does, with the same files or the
 same error, and leave no child behind, even one that dies part-way
-through the pickle it sends back.
+through the marshal it sends back. A part no child can take, or whose
+child raised, is counted in the command itself, with the same tables.
 """
 
 import errno
 import json
+import marshal
 import os
 import pickle
 import signal
@@ -27,7 +29,7 @@ from layoutforge import corpus, stats
 from layoutforge.cli import PipelineConfig, _count, main
 from layoutforge.corpus import (FileRange, byte_parts, concat_streams, normalize_text, read_pieces,
                                tokenize)
-from layoutforge.errors import CapacityExceeded, EmptyCorpus, InvalidEncoding
+from layoutforge.errors import CapacityExceeded, EmptyCorpus, InvalidEncoding, LayoutForgeError
 from layoutforge.stats import count_all
 from conftest import SAMPLE, letter_config, read_all_bytes, write_files
 
@@ -215,12 +217,12 @@ def test_a_child_that_dies_is_named_by_its_cause(tmp_path, capsys, monkeypatch, 
 
 def test_a_child_that_dies_part_way_through_its_result_is_named_by_its_cause(tmp_path, capsys,
                                                                            monkeypatch):
-    """Half a pickle reaches the parent, which cannot unpickle it: not the end of the pipe."""
+    """Half a marshal reaches the parent, which cannot load it: not the end of the pipe."""
     halves = tmp_path / "halves"
     halves.mkdir()
 
-    def half_dump(obj, file):
-        data = pickle.dumps(obj)
+    def half_dump(value, file):
+        data = marshal.dumps(value)
         (halves / str(os.getpid())).write_bytes(data[:len(data) // 2])
         file.write(data[:len(data) // 2])
         file.flush()
@@ -228,7 +230,7 @@ def test_a_child_that_dies_part_way_through_its_result_is_named_by_its_cause(tmp
 
     use_cpus(monkeypatch, 3)
     monkeypatch.setattr(corpus, "_MIN_PART", 4096)
-    monkeypatch.setattr(pickle, "dump", half_dump)
+    monkeypatch.setattr(marshal, "dump", half_dump)
     out = tmp_path / "out"
     assert main(["stats", *map(str, sample_files(tmp_path)[0]), "--out", str(out)]) == 1
     stdout, stderr = capsys.readouterr()
@@ -240,23 +242,104 @@ def test_a_child_that_dies_part_way_through_its_result_is_named_by_its_cause(tmp
     sent = list(halves.iterdir())
     assert sent
     for half in sent:
-        with pytest.raises(pickle.UnpicklingError):
-            pickle.loads(half.read_bytes())
+        with pytest.raises(EOFError):
+            marshal.loads(half.read_bytes())
 
 
-def test_a_process_that_runs_another_thread_counts_in_one_part(monkeypatch):
-    use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
-    assert len(byte_parts(SAMPLE)) == 3
+@pytest.mark.parametrize("raised_in", ["every process", "the children"])
+def test_a_childs_error_reaches_the_user_as_itself(tmp_path, capsys, monkeypatch, raised_in):
+    """An error pickle could not carry: the part whose child raised it is counted here."""
+
+    class PartError(LayoutForgeError):
+        pass
+
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(PartError("local"))
+    parent, part_windows = os.getpid(), stats._part_windows
+    raised = tmp_path / "raised"
+    raised.mkdir()
+
+    def failing(part):
+        if os.getpid() != parent:
+            (raised / str(os.getpid())).touch()
+        elif raised_in == "the children":
+            return part_windows(part)
+        raise PartError("this part cannot be counted")
+
+    monkeypatch.setattr(stats, "_part_windows", failing)
+    paths = sample_files(tmp_path)[0]
+    if raised_in == "the children":
+        split, serial = run_split_and_serial(monkeypatch, capsys, tmp_path, ["stats"], paths)
+        assert split[0] == 0
+        assert split == serial
+    else:
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+        out = tmp_path / "out"
+        assert main(["stats", *map(str, paths), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert (stdout, out.exists()) == ("", False)
+        assert json.loads(stderr) == {"error": "PartError",
+                                      "message": "this part cannot be counted"}
+        assert no_children_left()
+    assert len(list(raised.iterdir())) == 2
+
+
+def forbidden_fork():
+    raise AssertionError("a child was forked")
+
+
+def running_another_thread(run):
+    """What ``run()`` gives while another thread of this process waits."""
     release = threading.Event()
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        assert byte_parts(SAMPLE) == [SAMPLE]
+        return run()
     finally:
         release.set()
         waiting.join(60)
-    assert not waiting.is_alive()
+        assert not waiting.is_alive()
+
+
+def test_a_process_that_runs_another_thread_counts_every_part_itself(tmp_path, capsys,
+                                                                     monkeypatch):
+    paths = sample_files(tmp_path)[0]
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    split, serial = running_another_thread(
+        lambda: run_split_and_serial(monkeypatch, capsys, tmp_path, ["stats"], paths))
+    assert split[0] == 0
+    assert split == serial
+
+
+def sample_parts():
+    """A few thousand letters of the sample cut into three parts inside words, and their join."""
+    stream = "".join(read_pieces(SAMPLE[:1]))[:6000]
+    cuts = [stream.index("\n", 2000) - 2, stream.index("\n", 4000) - 1]
+    parts = [stream[:cuts[0]], stream[cuts[0]:cuts[1]], stream[cuts[1]:]]
+    return [[part] for part in parts], concat_streams(parts)
+
+
+def assert_same_tables(tables, expected):
+    assert tables == expected
+    assert [list(table.counts) for table in tables] == [list(table.counts) for table in expected]
+
+
+@pytest.mark.parametrize("span", [False, True])
+def test_parts_are_counted_where_os_fork_is_missing(monkeypatch, span):
+    parts, whole = sample_parts()
+    expected = count_all([whole], span_boundaries=span)
+    monkeypatch.delattr(os, "fork")
+    assert_same_tables(count_all(*parts, span_boundaries=span), expected)
+
+
+@pytest.mark.parametrize("span", [False, True])
+def test_parts_are_counted_here_while_another_thread_runs(monkeypatch, span):
+    parts, whole = sample_parts()
+    expected = count_all([whole], span_boundaries=span)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    tables = running_another_thread(lambda: count_all(*parts, span_boundaries=span))
+    assert_same_tables(tables, expected)
 
 
 @pytest.mark.parametrize("error", [InvalidEncoding(7, "a.txt"), InvalidEncoding(0),

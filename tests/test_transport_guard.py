@@ -1,8 +1,10 @@
 """Parts are sent back in one place, and files are read in blocks in one place.
 
-``stats`` forks the counting children and reads each one's result as one
-pickle. A module that forked or unpickled on its own would be a second
-transport, with its own framing and its own way for a child to die.
+``stats`` alone decides where a part is counted: it forks the counting
+children, looks for other threads, and reads each child's result as one
+marshal. A module that forked, marshalled or watched threads on its own
+would be a second transport, with its own framing and its own way for a
+child to die, and no module imports ``pickle``.
 
 ``corpus.blocks`` reads a file a block that ends right after an LF at a
 time, and is the only reader that runs a block on to the end of its line.
@@ -32,8 +34,18 @@ def calls(path, module, names):
     return sorted(lines)
 
 
-def fork_and_unpickle_calls(path):
-    return sorted(calls(path, "os", ("fork",)) + calls(path, "pickle", ("load", "loads")))
+def imports(path, modules):
+    """Line numbers of imports of any of ``modules``, or of a name from one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) and any(alias.name in modules
+                                                          for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module in modules)
+
+
+def transport_calls(path):
+    """Line numbers of ``os.fork``, and of imports of ``marshal`` or ``threading``."""
+    return sorted(calls(path, "os", ("fork",)) + imports(path, ("marshal", "threading")))
 
 
 def readline_calls(path):
@@ -51,9 +63,15 @@ def offenders(find, owner):
     return {name: lines for name, lines in found.items() if lines}
 
 
-def test_only_stats_forks_and_unpickles():
-    assert offenders(fork_and_unpickle_calls, "stats.py") == {}
-    assert fork_and_unpickle_calls(PACKAGE / "stats.py")
+def test_only_stats_forks_and_loads_results():
+    assert offenders(transport_calls, "stats.py") == {}
+    assert calls(PACKAGE / "stats.py", "os", ("fork",))
+    assert calls(PACKAGE / "stats.py", "marshal", ("load",))
+
+
+def test_no_module_imports_pickle():
+    found = {path.name: imports(path, ("pickle",)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_only_corpus_reads_lines():
@@ -64,8 +82,11 @@ def test_only_corpus_reads_lines():
 def test_the_guard_sees_every_spelling(tmp_path):
     module = tmp_path / "transport.py"
     module.write_text("import os, pickle\nfrom pickle import loads\nfrom os import fork\n"
-                      "def run(pipe):\n    os.fork()\n    return pickle.load(pipe)\n"
-                      "def lines(handle):\n    return handle.readline() + handle.read()\n",
+                      "def run(pipe):\n    os.fork()\n    return marshal.load(pipe)\n"
+                      "def lines(handle):\n    return handle.readline() + handle.read()\n"
+                      "import threading as t, marshal\nfrom threading import Thread\n",
                       encoding="utf-8")
-    assert fork_and_unpickle_calls(module) == [2, 3, 5, 6]
+    assert transport_calls(module) == [3, 5, 9, 10]
+    assert calls(module, "marshal", ("load",)) == [6]
+    assert imports(module, ("pickle",)) == [1, 2]
     assert readline_calls(module) == [8]
