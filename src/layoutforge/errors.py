@@ -24,9 +24,6 @@ class InvalidEncoding(LayoutForgeError):
         self.position = position
         self.path = path
 
-    def __reduce__(self):  # unpickled from its arguments, so its message survives
-        return type(self), (self.position, self.path)
-
 
 class EmptyCorpus(LayoutForgeError):
     """An operation needs at least one letter but the corpus has none."""
@@ -55,9 +52,6 @@ class CapacityExceeded(LayoutForgeError):
         super().__init__(f"{hand} hand overflows its slots by {overflow} letter(s)")
         self.hand = hand
         self.overflow = overflow
-
-    def __reduce__(self):
-        return type(self), (self.hand, self.overflow)
 
 
 class MalformedLayout(LayoutForgeError):

@@ -36,8 +36,11 @@ strictly, naming a byte that is not UTF-8 by its offset in the file,
 reads CRLF and a lone CR as LF, splits at LF only, and parses a block of
 rows alone with one split and a map of ``int``; any other block is read
 line by line, which keeps every layout it accepts and names the row at
-fault. The writer orders the rows by two sorts keyed in C and formats
-each distinct count once.
+fault. Whether a block holds rows alone is told from its bytes, with one
+``bytes.translate`` that keeps only its TABs, LFs and '#'s: a UTF-8
+letter of two or more bytes never holds a TAB, LF, CR or '#' byte. The writer
+orders the rows by two sorts keyed in C and formats each distinct count
+once.
 """
 
 from __future__ import annotations
@@ -465,14 +468,44 @@ def _read_comment(line: str, header: dict[str, int]) -> None:
         header[parts[0]] = int(parts[1])
 
 
-def _rows_only(block: str, lines: list[str]) -> bool:
-    """Whether every line of the block has two tabs and none is a comment.
+# Every byte but TAB, LF and '#': deleting them leaves a block's tabs, line
+# ends and comment marks.
+_NOT_TAB_LF_OR_HASH = bytes(byte for byte in range(256) if byte not in b"\t\n#")
 
-    A column header has two tabs too, but its count is no integer; one
-    whose count is, the reader drops as a row named ``gram``.
+
+def _rows_only(data: bytes) -> bool:
+    """Whether the block ends in LF, every line has two tabs and none holds a '#'.
+
+    The check runs on the bytes, in C, once CRLF and a lone CR are LF: no
+    UTF-8 sequence of two or more bytes holds a TAB, LF, CR or '#' byte,
+    so the bytes show every tab, line end and '#' that the text holds. '#' is never a table letter
+    (``corpus.NOT_TABLE_LETTERS``), so no row the writer writes holds one;
+    a block with a '#' anywhere is read line by line, which reads a row
+    as the bulk parse does. A column header has two tabs too, but its
+    count is no integer; one whose count is, the reader drops as a row
+    named ``gram``.
     """
-    return (not block.startswith("#") and "\n#" not in block
-            and set(map(str.count, lines, itertools.repeat("\t"))) == {2})
+    marks = data.translate(None, _NOT_TAB_LF_OR_HASH)
+    return data.endswith(b"\n") and marks == b"\t\t\n" * (len(marks) // 3)
+
+
+def _read_lines(path: str | Path, lines: list[str], counts: Counter,
+                header: dict[str, int]) -> None:
+    """Read a block line by line: '#' lines into ``header``, rows into ``counts``.
+
+    Blank lines and column headers are skipped; any other line that is no
+    row is malformed, and named.
+    """
+    for line in lines:
+        try:
+            if line[:1] == "#":
+                _read_comment(line, header)
+            else:
+                gram, count, _pct = line.split("\t")
+                counts[gram] = int(count)
+        except ValueError as exc:  # a short row, or a count or header value that is no integer
+            if line and not line.startswith("gram\t"):
+                raise MalformedInput(f"{path}: bad row {line!r}: {exc}") from None
 
 
 def read_ngram_tsv(path: str | Path) -> NGramTable:
@@ -484,51 +517,42 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     and a byte that is not UTF-8 is named by its offset from the start of
     the file. CRLF and a lone CR read as LF, as in text mode, and the text
     is split at LF only: ``str.splitlines`` would also split at characters
-    a gram may hold. A block of rows alone is parsed in bulk; any other
-    block, or one whose counts do not all read as integers, line by line,
-    which names the row at fault. '#' lines carry the header wherever they
-    stand; blank lines and column headers are skipped. A table whose ``n``
-    is not one of 1-3, that stores a gram of another length, that holds a
-    negative count or total, or whose counts add up to more than its total
-    (no gram occurs more often than there are letters), is malformed.
+    a gram may hold. A block of rows alone, which ``_rows_only`` tells
+    from its bytes, is parsed in bulk; any other block, or one whose
+    counts do not all read as integers, line by line, which names the row
+    at fault. '#' lines carry the header wherever they stand; blank lines
+    and column headers are skipped. A table whose ``n`` is not one of 1-3,
+    that stores a gram of another length, that holds a negative count or
+    total, or whose counts add up to more than its total (no gram occurs
+    more often than there are letters), is malformed.
     """
     header: dict[str, int] = {}
     counts: Counter = Counter()
     offset = 0
-    try:
-        with open(path, "rb") as handle:
-            for data in blocks(handle):
-                try:
-                    block = data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise MalformedInput(f"{path}: invalid UTF-8 at byte offset"
-                                         f" {offset + exc.start}") from None
-                offset += len(data)
+    with open(path, "rb") as handle:
+        for data in blocks(handle):
+            try:
+                block = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedInput(f"{path}: invalid UTF-8 at byte offset"
+                                     f" {offset + exc.start}") from None
+            offset += len(data)
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 block = block.replace("\r\n", "\n").replace("\r", "\n")
-                lines = block.split("\n")
-                if not lines[-1]:  # the LF that ends the block
-                    lines.pop()
-                if _rows_only(block, lines):
-                    fields = "\t".join(lines).split("\t")
-                    try:
-                        # a later row of a gram overwrites it, as the loop below does
-                        dict.update(counts, zip(fields[0::3], map(int, fields[1::3])))
-                    except ValueError:
-                        pass  # the loop below names the row
-                    else:
-                        continue
-                for line in lines:
-                    if line[:1] == "#":
-                        _read_comment(line, header)
-                        continue
-                    try:
-                        gram, count, _pct = line.split("\t")
-                        counts[gram] = int(count)
-                    except ValueError:
-                        if line and not line.startswith("gram\t"):
-                            raise
-    except ValueError as exc:  # a short row, or a count that is no integer
-        raise MalformedInput(f"{path}: bad row {line!r}: {exc}") from None
+            lines = block.split("\n")
+            if not lines[-1]:  # the LF that ends the block
+                lines.pop()
+            if _rows_only(data):
+                fields = "\t".join(lines).split("\t")
+                try:
+                    # a later row of a gram overwrites it, as _read_lines does
+                    dict.update(counts, zip(fields[0::3], map(int, fields[1::3])))
+                except ValueError:
+                    pass  # _read_lines names the row
+                else:
+                    continue
+            _read_lines(path, lines, counts, header)
     # a column header whose count field reads as a number is still no row
     counts.pop("gram", None)
     if "n" not in header or "total_letters" not in header:

@@ -29,7 +29,7 @@ from layoutforge import corpus, stats
 from layoutforge.cli import PipelineConfig, _count, main
 from layoutforge.corpus import (FileRange, byte_parts, concat_streams, normalize_text, read_pieces,
                                tokenize)
-from layoutforge.errors import CapacityExceeded, EmptyCorpus, InvalidEncoding, LayoutForgeError
+from layoutforge.errors import EmptyCorpus, LayoutForgeError
 from layoutforge.stats import count_all
 from conftest import SAMPLE, letter_config, read_all_bytes, write_files
 
@@ -340,12 +340,3 @@ def test_parts_are_counted_here_while_another_thread_runs(monkeypatch, span):
     monkeypatch.setattr(os, "fork", forbidden_fork)
     tables = running_another_thread(lambda: count_all(*parts, span_boundaries=span))
     assert_same_tables(tables, expected)
-
-
-@pytest.mark.parametrize("error", [InvalidEncoding(7, "a.txt"), InvalidEncoding(0),
-                                   CapacityExceeded("left", 3)])
-def test_errors_survive_pickling(error):
-    copy = pickle.loads(pickle.dumps(error))
-    assert type(copy) is type(error)
-    assert str(copy) == str(error)
-    assert copy.__dict__ == error.__dict__

@@ -11,7 +11,12 @@ line-by-line reader it replaced accepted must read back the same, every
 row it refused must be refused with the same message, at any block size,
 and a gram whose length is not the header's ``n``, a negative count or a
 negative total is malformed. A table that is not UTF-8 is named by the
-offset of its first bad byte from the start of the file.
+offset of its first bad byte from the start of the file. Every table
+reads with its grams in the order of their first rows. A block of rows
+alone is told from its bytes: bodies at the edges of that rule (no final
+LF, CR line ends, '#' inside a row or at a line's start, 4-byte letters,
+a column header among rows) read as before, and a written table's blocks
+of rows never reach the per-line loop.
 """
 
 import io
@@ -26,11 +31,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge import corpus
+from layoutforge import corpus, stats
 from layoutforge.cli import main
 from layoutforge.errors import MalformedInput
 from layoutforge.layout import Geometry
-from layoutforge.stats import NGramTable, read_ngram_tsv, write_ngram_tsv
+from layoutforge.stats import NGramTable, frequency_order, read_ngram_tsv, write_ngram_tsv
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "bn_sample" / "part1.txt"
 
@@ -105,6 +110,7 @@ def assert_reads_as_before(path):
         return
     table = read_ngram_tsv(path)
     assert (table.n, table.total_letters, dict(table.counts)) == (n, total, dict(counts))
+    assert list(table.counts) == list(counts)  # each gram stands at its first row
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,58 @@ def test_fuzzed_tables_read_as_before(tmp_path_factory, n, total, body, block):
     path.write_text(tsv_with_header(n, total, body), encoding="utf-8")
     with mock.patch.object(corpus, "_READ_BLOCK", block):
         assert_reads_as_before(path)
+
+
+ROWS = "".join(f"{a}{b}\t{1 + i}\t1.0\n" for i, (a, b) in enumerate(zip("abcab", "bcaca")))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, corpus._READ_BLOCK])
+@pytest.mark.parametrize("body", [
+    "0",
+    ROWS + "ab\t9\t1.0",
+    ROWS + "ab\t5\n" + ROWS + "cd\t3\t1.0\tx\n" + ROWS,
+    ROWS.replace("\n", "\r\n"),
+    ROWS.replace("\n", "\r"),
+    ROWS + "ab\t5\rcd\t2\n" + ROWS,
+    ROWS + "a#\t4\t#\n" + ROWS,
+    ROWS + "# n\t2\n" + ROWS,
+    ROWS + "#\tx\t1\n" + ROWS,
+    "\U0001d49c\U0001d49e\t3\t1.0\n\U0001f600\U0001d49c\t2\t1.0\n" + ROWS,
+    ROWS + "gram\t5\tx\n" + ROWS,
+], ids=["only 0", "no final LF", "one tab then three", "CRLF", "lone CR",
+        "lone CR between one-tab rows", "# after a tab", "# line", "# row", "4-byte letters",
+        "column header among rows"])
+def test_the_rows_check_reads_as_before(tmp_path, monkeypatch, block, body):
+    """Bodies at the edges of telling a block of rows by its bytes, at any block size."""
+    path = tmp_path / "table.tsv"
+    path.write_text(tsv_with_header(2, 99, body), encoding="utf-8", newline="")
+    monkeypatch.setattr(corpus, "_READ_BLOCK", block)
+    assert_reads_as_before(path)
+
+
+def test_only_blocks_with_a_header_line_are_read_line_by_line(tmp_path, monkeypatch):
+    """A written table's blocks of rows alone take the bulk parse, never the per-line loop."""
+    letters = [*map(chr, [*range(0x0915, 0x0939), *range(0x0995, 0x09B9)]), "\U0001d49c"]
+    counts = Counter({a + b: 1 + (i % 11) for i, (a, b) in
+                      enumerate((a, b) for a in letters for b in letters)})
+    out = io.StringIO()
+    write_ngram_tsv(NGramTable(2, counts, counts.total()), out, config_echo={"k": "v"})
+    path = tmp_path / "digraphs.tsv"
+    path.write_text(out.getvalue(), encoding="utf-8")
+    read_lines, per_line = stats._read_lines, []
+
+    def spy(path, lines, counts, header):
+        per_line.append(lines)
+        read_lines(path, lines, counts, header)
+
+    monkeypatch.setattr(corpus, "_READ_BLOCK", 256)
+    monkeypatch.setattr(stats, "_read_lines", spy)
+    table = read_ngram_tsv(path)
+    assert list(table.counts.items()) == frequency_order(counts)
+    assert path.stat().st_size > 100 * corpus._READ_BLOCK
+    assert per_line
+    for lines in per_line:
+        assert any(line[:1] == "#" or line == "gram\tcount\tpercentage" for line in lines)
 
 
 # ---------------------------------------------------------------------------
