@@ -6,21 +6,21 @@ and inspected independently. ``run-all`` chains the whole pipeline.
 Outputs embed an echo of the knobs that produced them, never the input
 paths, so the same inputs give byte-identical files on every run.
 
-No command holds the whole corpus as text. The corpus is read one block
-at a time into the n-gram tables, or into the scores of every layout
-``evaluate`` is given; ``run-all`` reads it again where its tables cannot
-score its layout. Regular files are read again from disk. A corpus of
-regular files of at least two parts' bytes is counted in parts, one per
-CPU this process may use: this process counts the first and a forked
-child each other (``corpus.byte_parts``, ``stats.count_all``), or this
-process where no child can take a part or its child raised, with the
-same tables and files as one part gives. Stdin and any named file that
-is not a regular file (a pipe, say) are counted here, and streamed like
-a file, except by a ``run-all`` whose flags can call for a replay
-(``--coverage`` above 1, or ``--span-boundaries`` with
-``--reset-on-boundary``): it holds the bytes it read from them, since
-they might not give them twice. Scoring a corpus (``evaluate``, and a
-replay) is done in this process.
+Every command reads its corpus once, one block at a time, in order,
+into the n-gram tables or into the scores of every layout ``evaluate``
+is given; ``run-all`` replays it where its tables cannot score its
+layout. A corpus of regular files of at least two parts' bytes is
+counted in parts, one per CPU this process may use: this process counts
+the first and a forked child each other (``corpus.byte_parts``,
+``stats.count_all``), or this process where no child can take a part or
+its child raised, with the same tables and files as one part gives; a
+replay reads the files again. Stdin and any named file that is not a
+regular file (a pipe, say) are counted here, and streamed like a file,
+except by a ``run-all`` whose flags can call for a replay (``--coverage``
+above 1, or ``--span-boundaries`` with ``--reset-on-boundary``): such a
+corpus might not give its bytes twice, so that run holds the pieces of
+its letter stream, counts them and replays them. Scoring a corpus
+(``evaluate``, and a replay) is done in this process.
 
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.
 Errors are reported as a single JSON line on stderr.
@@ -33,12 +33,12 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
-from .corpus import AlphabetConfig, Source, byte_parts, read_pieces
+from .corpus import AlphabetConfig, Source, byte_parts, read_pieces, regular_file_size
 from .errors import ConfigError, CorpusChanged, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, evaluate_all, format_comparison,
                         read_report_json, score_tables, write_report_json, write_report_tsv)
@@ -118,20 +118,9 @@ def resolve_config(args: argparse.Namespace, environ=os.environ) -> PipelineConf
     return config
 
 
-def _corpus(paths: Sequence[str], *, replay: bool = False) -> list[Source]:
-    """The corpus files, or stdin when none are named, as sources for ``read_pieces``.
-
-    Each read goes from the start, one block at a time. Only a corpus
-    kept for a ``replay`` may be read more than once: a regular file is
-    opened again on each read, but stdin, and a named file that is not a
-    regular file, such as a pipe, might not give its bytes twice, so it
-    is read once, here, and its bytes are held.
-    """
-    if not replay:
-        return list(paths) or [sys.stdin.buffer]
-    if paths:
-        return [path if Path(path).is_file() else Path(path).read_bytes() for path in paths]
-    return [sys.stdin.buffer.read()]
+def _corpus(paths: Sequence[str]) -> list[Source]:
+    """The corpus files, or stdin when none are named, as sources for ``read_pieces``, unread."""
+    return list(paths) or [sys.stdin.buffer]
 
 
 def _refuse_empty(total_letters: int) -> None:
@@ -140,9 +129,13 @@ def _refuse_empty(total_letters: int) -> None:
         raise EmptyCorpus("empty corpus: input contains no alphabet letters")
 
 
-def _count(sources: Sequence[Source], config: PipelineConfig) -> tuple[NGramTable, ...]:
-    """The corpus's tables, counted in a part for each CPU where the sources allow it."""
-    parts = [read_pieces(part, config.alphabet) for part in byte_parts(sources)]
+def _parts(sources: Sequence[Source], config: PipelineConfig) -> list[Iterator[str]]:
+    """The corpus's pieces, in a part for each CPU where the sources allow it."""
+    return [read_pieces(part, config.alphabet) for part in byte_parts(sources)]
+
+
+def _count(parts: Sequence[Iterable[str]], config: PipelineConfig) -> tuple[NGramTable, ...]:
+    """The tables of a corpus given as its parts, each its pieces in order."""
     tables = count_all(*parts, span_boundaries=config.span_boundaries)
     _refuse_empty(tables[0].total_letters)
     return tables
@@ -168,25 +161,31 @@ def _write_partition(part: HandPartition, mono: NGramTable, config: PipelineConf
                          config_echo=config.echo())
 
 
-def _score_counted(layout: KeyboardLayout, sources: Sequence[Source],
+def _score_counted(layout: KeyboardLayout, corpus: Iterable[str],
                    tables: Sequence[NGramTable], config: PipelineConfig) -> EvaluationReport:
-    """Score a layout against a corpus whose tables ``_count`` gave.
+    """Score a layout against a counted corpus, which ``corpus`` gives again as its pieces.
 
     The tables give the replay's report exactly when the layout places
     every counted letter, unless boundaries both span and reset: resets
     need the digraphs within runs, and a spanning count has none of its
-    own. Elsewhere, as when ``--coverage`` leaves letters out, the corpus
-    is read again and replayed; a replay that does not give the counted
-    letter total read another corpus, and is refused.
+    own. Elsewhere, as when ``--coverage`` leaves letters out, ``corpus``
+    is replayed: the pieces held since they were read, or the files read
+    again. A replay whose letter total or hand loads are not the counted
+    ones read another corpus, and is refused.
     """
     mono, digraphs, _trigrams, junctions = tables
     reset = config.reset_on_boundary
+    counted = score_tables(layout, mono, digraphs, junctions, reset_on_boundary=reset)
     if all(map(layout.hand_of, mono.counts)) and not (config.span_boundaries and reset):
-        return score_tables(layout, mono, digraphs, junctions, reset_on_boundary=reset)
-    report = evaluate(layout, read_pieces(sources, config.alphabet), reset_on_boundary=reset)
-    if report.total_letters != mono.total_letters:
-        raise CorpusChanged(f"the corpus changed while it was read: {mono.total_letters}"
-                            f" letters were counted and {report.total_letters} replayed")
+        return counted
+    report = evaluate(layout, corpus, reset_on_boundary=reset)
+    # The loads of the tables are the per-hand monogram sums, exact whatever the layout.
+    if replace(counted, hand_switching=report.hand_switching) != report:
+        raise CorpusChanged(
+            f"the corpus changed while it was read: {counted.total_letters} letters were"
+            f" counted, {counted.left_load} left and {counted.right_load} right, and"
+            f" {report.total_letters} replayed, {report.left_load} left and"
+            f" {report.right_load} right")
     return report
 
 
@@ -214,7 +213,7 @@ def _write_comparison(reports: Sequence[EvaluationReport], path: str | Path | No
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    _write_stats_files(_count(_corpus(args.corpus), config), config)
+    _write_stats_files(_count(_parts(_corpus(args.corpus), config), config), config)
     return 0
 
 
@@ -233,7 +232,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             raise ConfigError(f"--mono counts {mono.total_letters} letters and --digraphs"
                               f" {digraphs.total_letters}; the tables come from different corpora")
     else:
-        mono, digraphs = _count(_corpus(args.corpus), config)[:2]
+        mono, digraphs = _count(_parts(_corpus(args.corpus), config), config)[:2]
     _write_partition(_partition(mono, digraphs, config), mono, config)
     return 0
 
@@ -271,16 +270,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     check_layout_name(args.name)  # before the corpus is read
     config = resolve_config(args)
-    # Below coverage 2 the layout places every counted letter or refuses,
-    # so only spanning counts scored with resets need the corpus again.
-    replay = config.coverage > 1 or (config.span_boundaries and config.reset_on_boundary)
-    sources = _corpus(args.corpus, replay=replay)
     geometry = config.geometry
-    tables = _count(sources, config)
+    sources = _corpus(args.corpus)
+    corpus = read_pieces(sources, config.alphabet)
+    # Below coverage 2 the layout places every counted letter or refuses,
+    # so only spanning counts scored with resets need the corpus again. A
+    # corpus that is not all regular files might not give it twice: its
+    # pieces are read in order and held, and counted as one part.
+    replay = config.coverage > 1 or (config.span_boundaries and config.reset_on_boundary)
+    if replay and None in map(regular_file_size, sources):
+        corpus = list(corpus)
+        tables = _count([corpus], config)
+    else:
+        tables = _count(_parts(sources, config), config)
     mono, digraphs = tables[:2]
     part = _partition(mono, digraphs, config)
     layout = build_layout(part, mono, geometry, name=args.name)
-    report = _score_counted(layout, sources, tables, config)
+    report = _score_counted(layout, corpus, tables, config)
     out = Path(config.out_dir)
     _write_stats_files(tables, config)
     _write_partition(part, mono, config)

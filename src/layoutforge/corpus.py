@@ -13,12 +13,12 @@ Files are read in blocks of 16 KiB that end right after an LF
 (``blocks``), and each block is decoded, normalized and tokenized on its
 own, so only one block is held at a time (``read_pieces``); n-gram
 tables are read through the same blocks. The pieces, joined in order,
-are the stream ``read_corpus`` returns whole. A corpus of regular files
-can also be cut into byte ranges that end right after an LF, one part
-per CPU (``byte_parts``); each part reads as the blocks of its ranges,
-and the parts' streams, joined by the same seam rule (``seamed``), are
-the stream of the whole. Whether a part is counted in a forked child or
-in this process, ``stats`` alone decides.
+are the stream ``read_corpus`` returns whole. Only named regular files
+(``regular_file_size``) can be read twice, and cut into byte ranges
+that end right after an LF, one part per CPU (``byte_parts``); each part
+reads as the blocks of its ranges, and the parts' streams, joined by the
+same seam rule (``seamed``), are the stream of the whole. Whether a part
+is counted in a forked child or in this process, ``stats`` alone decides.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import io
 import itertools
 import os
 import re
@@ -237,11 +236,11 @@ class FileRange(NamedTuple):
     stop: int
 
 
-Source = str | Path | FileRange | bytes | BinaryIO
+Source = str | Path | FileRange | BinaryIO
 
 
 def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str]:
-    """The letter stream of each block of a file or a range of one, of bytes, or of a handle.
+    """The letter stream of each block of a file or a range of one, or of a handle.
 
     LF is never a letter, and it is a starter that composes with nothing,
     so decoding, normalizing and tokenizing each block gives the stream
@@ -253,8 +252,6 @@ def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str
     if isinstance(source, FileRange):
         source, offset, size = source.path, source.start, source.stop - source.start
     path = source if isinstance(source, (str, Path)) else None
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
     with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
         if offset:
             handle.seek(offset)
@@ -275,35 +272,34 @@ def _line_end(path: str | Path, position: int) -> int:
         return handle.tell()
 
 
+def regular_file_size(source: Source) -> int | None:
+    """The size of a named regular file, which can be read again; None for any other source."""
+    if not isinstance(source, (str, Path)):
+        return None
+    try:
+        info = os.stat(source)
+    except OSError:  # as if empty: reading it then fails in its turn
+        return 0
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
+
+
 def byte_parts(sources: Sequence[Source]) -> list[list[Source]]:
     """The sources cut into parts of about equal bytes, one for each CPU this process may use.
 
-    Only a corpus of regular files is cut, on a platform that tells the
-    CPUs a process may use; whether each part is counted in a forked
-    child or here, ``stats.count_all`` decides. A file that cannot be
-    opened counts as empty, so reading it fails in its part as it fails
-    in the whole. Each cut falls right after the LF that ends the line
-    holding a 1/P mark, or at a file's end, so it splits the corpus where
-    a block may end: the parts' streams, joined as ``read_pieces`` joins
-    pieces, are the stream of the whole. P is capped so that the marks
-    lie ``_MIN_PART`` bytes apart or more; a corpus of fewer than two
-    such parts, or any other kind of source, is one part.
+    Only a corpus of regular files (``regular_file_size``) is cut, on a
+    platform that tells the CPUs a process may use; whether each part is
+    counted in a forked child or here, ``stats.count_all`` decides. Each
+    cut falls right after the LF that ends the line holding a 1/P mark,
+    or at a file's end, so it splits the corpus where a block may end:
+    the parts' streams, joined as ``read_pieces`` joins pieces, are the
+    stream of the whole. P is capped so that the marks lie ``_MIN_PART``
+    bytes apart or more; a corpus of fewer than two such parts, or any
+    other kind of source, is one part.
     """
     whole = [list(sources)]
-    if not hasattr(os, "sched_getaffinity"):
+    sizes = list(map(regular_file_size, sources))
+    if not hasattr(os, "sched_getaffinity") or None in sizes:
         return whole
-    sizes = []
-    for source in sources:
-        if not isinstance(source, (str, Path)):
-            return whole
-        try:
-            info = os.stat(source)
-        except OSError:
-            sizes.append(0)
-            continue
-        if not stat.S_ISREG(info.st_mode):
-            return whole
-        sizes.append(info.st_size)
     total = sum(sizes)
     count = min(len(os.sched_getaffinity(0)), total // _MIN_PART)
     if count < 2:

@@ -203,6 +203,10 @@ def _report_from_doc(doc: dict) -> EvaluationReport:
         raise MalformedInput(f"negative report counts: {negative}")
     if doc["left_load"] + doc["right_load"] + doc["not_determined"] != doc["total_letters"]:
         raise MalformedInput("left_load + right_load + not_determined != total_letters")
+    pairs = max(doc["left_load"] + doc["right_load"] - 1, 0)
+    if doc["hand_switching"] > pairs:  # a switch takes two adjacent determined letters
+        raise MalformedInput(f"hand_switching {doc['hand_switching']} is more than the {pairs}"
+                             " pairs of adjacent determined letters")
     check_layout_name(doc["layout_name"], MalformedInput)
     return EvaluationReport(**{name: doc[name] for name in _REPORT_FIELDS})
 

@@ -489,12 +489,27 @@ def _rows_only(data: bytes) -> bool:
     return data.endswith(b"\n") and marks == b"\t\t\n" * (len(marks) // 3)
 
 
+def _refuse_repeats(path: str | Path, grams: Sequence[str], counts: Counter,
+                    before: int) -> None:
+    """Refuse the first of ``grams`` already listed: earlier among them, or in ``counts``.
+
+    Only the first ``before`` grams of ``counts`` were listed before
+    ``grams``, which ``counts`` holds after them. A row named ``gram`` is
+    a column header, which may come again.
+    """
+    seen = set(itertools.islice(counts, before))
+    for gram in grams:
+        if gram in seen and gram != "gram":
+            raise MalformedInput(f"{path}: gram {gram!r} is listed twice")
+        seen.add(gram)
+
+
 def _read_lines(path: str | Path, lines: list[str], counts: Counter,
                 header: dict[str, int]) -> None:
     """Read a block line by line: '#' lines into ``header``, rows into ``counts``.
 
     Blank lines and column headers are skipped; any other line that is no
-    row is malformed, and named.
+    row, or a row of a gram listed before, is malformed, and named.
     """
     for line in lines:
         try:
@@ -502,7 +517,10 @@ def _read_lines(path: str | Path, lines: list[str], counts: Counter,
                 _read_comment(line, header)
             else:
                 gram, count, _pct = line.split("\t")
-                counts[gram] = int(count)
+                count = int(count)
+                if gram in counts and gram != "gram":
+                    raise MalformedInput(f"{path}: gram {gram!r} is listed twice")
+                counts[gram] = count
         except ValueError as exc:  # a short row, or a count or header value that is no integer
             if line and not line.startswith("gram\t"):
                 raise MalformedInput(f"{path}: bad row {line!r}: {exc}") from None
@@ -521,10 +539,13 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     from its bytes, is parsed in bulk; any other block, or one whose
     counts do not all read as integers, line by line, which names the row
     at fault. '#' lines carry the header wherever they stand; blank lines
-    and column headers are skipped. A table whose ``n`` is not one of 1-3,
-    that stores a gram of another length, that holds a negative count or
-    total, or whose counts add up to more than its total (no gram occurs
-    more often than there are letters), is malformed.
+    and column headers are skipped. A table that lists a gram twice is
+    malformed, and the gram named: a block parsed in bulk is searched for
+    it only when it adds fewer grams than it has rows. A table whose
+    ``n`` is not one of 1-3, that stores a gram of another length, that
+    holds a negative count or total, or whose counts add up to more than
+    its total (no gram occurs more often than there are letters), is
+    malformed.
     """
     header: dict[str, int] = {}
     counts: Counter = Counter()
@@ -546,11 +567,14 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
             if _rows_only(data):
                 fields = "\t".join(lines).split("\t")
                 try:
-                    # a later row of a gram overwrites it, as _read_lines does
-                    dict.update(counts, zip(fields[0::3], map(int, fields[1::3])))
+                    values = list(map(int, fields[1::3]))
                 except ValueError:
                     pass  # _read_lines names the row
                 else:
+                    before = len(counts)
+                    dict.update(counts, zip(fields[0::3], values))
+                    if len(counts) - before < len(values):  # a gram came again
+                        _refuse_repeats(path, fields[0::3], counts, before)
                     continue
             _read_lines(path, lines, counts, header)
     # a column header whose count field reads as a number is still no row

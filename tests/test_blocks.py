@@ -87,18 +87,24 @@ def test_bad_utf8_after_the_first_block_is_placed_from_the_file_start(tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+# run-all flags that call for a replay: a layout that leaves letters out,
+# and resets scored against a spanning count.
+REPLAYS = [["--coverage", "50"], ["--span-boundaries", "--reset-on-boundary"]]
+
+
 @pytest.mark.parametrize("read_block", [corpus._READ_BLOCK, 1000])
 def test_run_all_from_stdin_writes_what_the_files_give(tmp_path, capsys, monkeypatch,
                                                        read_block):
     monkeypatch.setattr(corpus, "_READ_BLOCK", read_block)
-    named, piped = tmp_path / "named", tmp_path / "piped"
-    assert main(["run-all", *map(str, SAMPLE), "--coverage", "50", "--out", str(named)]) == 0
-    named_stdout = capsys.readouterr().out
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
-        b"".join(path.read_bytes() for path in SAMPLE))))
-    assert main(["run-all", "--coverage", "50", "--out", str(piped)]) == 0
-    assert capsys.readouterr().out == named_stdout
-    assert read_all_bytes(named) == read_all_bytes(piped)
+    for i, flags in enumerate(REPLAYS):
+        named, piped = tmp_path / f"named{i}", tmp_path / f"piped{i}"
+        assert main(["run-all", *map(str, SAMPLE), *flags, "--out", str(named)]) == 0
+        named_stdout = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
+            b"".join(path.read_bytes() for path in SAMPLE))))
+        assert main(["run-all", *flags, "--out", str(piped)]) == 0
+        assert capsys.readouterr().out == named_stdout
+        assert read_all_bytes(named) == read_all_bytes(piped)
 
 
 class WholeReadRefused(io.BytesIO):
@@ -112,9 +118,11 @@ class WholeReadRefused(io.BytesIO):
 
 @pytest.mark.parametrize("command", [["stats"], ["partition", "--coverage", "50"], ["run-all"],
                                      ["run-all", "--reset-on-boundary"],
-                                     ["run-all", "--span-boundaries"]])
+                                     ["run-all", "--span-boundaries"],
+                                     ["run-all", "--coverage", "50"],
+                                     ["run-all", "--span-boundaries", "--reset-on-boundary"]])
 def test_a_single_read_streams_stdin(tmp_path, capsys, monkeypatch, command):
-    """Commands that cannot replay read stdin a block at a time, as they read a file."""
+    """Every command reads stdin a block at a time, as it reads a file, replay or not."""
     monkeypatch.setattr(corpus, "_READ_BLOCK", 1000)
     assert main([*command, *map(str, SAMPLE), "--out", str(tmp_path / "named")]) == 0
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(WholeReadRefused(
@@ -127,22 +135,26 @@ def test_a_single_read_streams_stdin(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 def test_run_all_replays_a_named_pipe_from_what_it_read(tmp_path, capsys):
-    """A pipe gives its bytes once: run-all holds them to replay, as for stdin.
+    """A pipe gives its bytes once: run-all holds the pieces it read to replay, as for stdin.
 
-    Opened a second time, the pipe ``/dev/stdin`` names reads as empty.
+    Opened a second time, the pipe ``/dev/stdin`` names reads as empty. A
+    corpus of a regular file and the pipe is held whole.
     """
-    text = b"".join(path.read_bytes() for path in SAMPLE)
-    whole, piped = tmp_path / "whole.txt", tmp_path / "piped"
-    whole.write_bytes(text)
-    assert main(["run-all", str(whole), "--coverage", "50", "--out", str(tmp_path / "named")]) == 0
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "layoutforge", "run-all", "/dev/stdin",
-                           "--coverage", "50", "--out", str(piped)],
-                          input=text, env=env, capture_output=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.decode("utf-8") == capsys.readouterr().out
-    assert read_all_bytes(piped) == read_all_bytes(tmp_path / "named")
+    for i, flags in enumerate(REPLAYS):
+        named = tmp_path / f"named{i}"
+        assert main(["run-all", *map(str, SAMPLE), *flags, "--out", str(named)]) == 0
+        named_stdout = capsys.readouterr().out
+        for j, files in enumerate([[], SAMPLE[:1]]):
+            piped = tmp_path / f"piped{i}-{j}"
+            text = b"".join(path.read_bytes() for path in SAMPLE[len(files):])
+            done = subprocess.run([sys.executable, "-m", "layoutforge", "run-all",
+                                   *map(str, files), "/dev/stdin", *flags, "--out", str(piped)],
+                                  input=text, env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.decode("utf-8") == named_stdout
+            assert read_all_bytes(piped) == read_all_bytes(named)
 
 
 def test_run_all_refuses_a_corpus_that_changed_before_its_replay(tmp_path, capsys, monkeypatch):
@@ -161,6 +173,55 @@ def test_run_all_refuses_a_corpus_that_changed_before_its_replay(tmp_path, capsy
     assert error["error"] == "CorpusChanged"
     assert error["message"].startswith("the corpus changed while it was read: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_all_refuses_a_replay_whose_hand_loads_moved(tmp_path, capsys, monkeypatch):
+    """Between count and replay, two letters on different hands swap: the letter total holds."""
+    path = tmp_path / "corpus.txt"
+    text = SAMPLE[0].read_text(encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    assert main(["run-all", str(path), "--coverage", "50", "--out", str(tmp_path / "first")]) == 0
+    capsys.readouterr()
+    hands = json.loads((tmp_path / "first" / "partition.json").read_text(encoding="utf-8"))
+    # Consonants, which NFC neither composes nor splits, so the swap keeps every letter.
+    left, right = (next(letter for letter in hands[hand] if letter in "কখগঘচজতদনপবমলসহ")
+                   for hand in ("left", "right"))
+    assert text.count(left) != text.count(right)
+    count_all = cli.count_all
+
+    def count_then_swap(*args, **kwargs):
+        tables = count_all(*args, **kwargs)
+        path.write_text(text.translate({ord(left): right, ord(right): left}), encoding="utf-8")
+        return tables
+
+    monkeypatch.setattr(cli, "count_all", count_then_swap)
+    assert main(["run-all", str(path), "--coverage", "50", "--out", str(tmp_path / "out")]) == 2
+    error = last_error(capsys)
+    assert error["error"] == "CorpusChanged"
+    summary = json.loads((tmp_path / "first" / "summary.json").read_text(encoding="utf-8"))
+    total = summary["total_letters"]
+    assert error["message"].startswith(f"the corpus changed while it was read: {total} letters"
+                                       " were counted, ")
+    assert f"and {total} replayed, " in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--coverage", "2"],
+                                   ["--span-boundaries", "--reset-on-boundary"]],
+                         ids=["no replay", "coverage", "span and reset"])
+@pytest.mark.parametrize("second", ["missing.txt", "directory"])
+def test_run_all_reports_the_first_bad_input_whatever_its_flags(tmp_path, capsys, flags,
+                                                                second):
+    """No input is read before its turn, so the first bad one is named, replay or not."""
+    head = "কাক খ\n".encode("utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(head + b"\xff\n")
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / "out"
+    assert main(["run-all", str(bad), str(tmp_path / second), *flags, "--out", str(out)]) == 2
+    assert last_error(capsys) == {"error": "InvalidEncoding",
+                                  "message": f"{bad}: invalid UTF-8 at byte offset {len(head)}"}
+    assert not out.exists()
 
 
 def test_evaluate_reads_the_corpus_once_for_all_its_layouts(tmp_path, capsys, monkeypatch):

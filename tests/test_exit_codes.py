@@ -457,6 +457,15 @@ DOCUMENT_EDITS = {
     "report loads do not add up": ("report",
                                    lambda doc: doc.update(total_letters=doc["total_letters"] + 1),
                                    "left_load + right_load + not_determined != total_letters"),
+    "more switches than pairs": ("report",
+                                 lambda doc: doc.update(hand_switching=doc["left_load"]
+                                                        + doc["right_load"]),
+                                 "pairs of adjacent determined letters"),
+    "a switch without a determined letter": ("report",
+                                             lambda doc: doc.update(
+                                                 hand_switching=1, left_load=0, right_load=0,
+                                                 not_determined=doc["total_letters"]),
+                                             "hand_switching 1 is more than the 0 pairs"),
     "report layout name not a file name": ("report",
                                            lambda doc: doc.update(layout_name="x/y\nz"),
                                            "a layout name must be a file name"),

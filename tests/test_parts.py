@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from layoutforge import corpus, stats
-from layoutforge.cli import PipelineConfig, _count, main
+from layoutforge.cli import PipelineConfig, _count, _parts, main
 from layoutforge.corpus import (FileRange, byte_parts, concat_streams, normalize_text, read_pieces,
                                tokenize)
 from layoutforge.errors import EmptyCorpus, LayoutForgeError
@@ -79,9 +79,9 @@ def test_parts_count_what_the_whole_stream_counts(tmp_path_factory, monkeypatch,
             expected = count_all([whole], span_boundaries=span)
             if expected[0].total_letters == 0:
                 with pytest.raises(EmptyCorpus):
-                    _count(paths, config)
+                    _count(_parts(paths, config), config)
                 continue
-            tables = _count(paths, config)
+            tables = _count(_parts(paths, config), config)
             assert tables == expected
             assert [list(table.counts) for table in tables] == \
                 [list(table.counts) for table in expected]

@@ -9,14 +9,16 @@ bytes and as a well-formed file with one part replaced or dropped.
 The table reader streams its file a block at a time; every table the
 line-by-line reader it replaced accepted must read back the same, every
 row it refused must be refused with the same message, at any block size,
-and a gram whose length is not the header's ``n``, a negative count or a
-negative total is malformed. A table that is not UTF-8 is named by the
-offset of its first bad byte from the start of the file. Every table
-reads with its grams in the order of their first rows. A block of rows
-alone is told from its bytes: bodies at the edges of that rule (no final
-LF, CR line ends, '#' inside a row or at a line's start, 4-byte letters,
-a column header among rows) read as before, and a written table's blocks
-of rows never reach the per-line loop.
+and a gram listed twice, a gram whose length is not the header's ``n``,
+a negative count or a negative total is malformed. The restated reader
+refuses a gram listed twice as well, where the reader it restates kept
+the last row. A table that is not UTF-8 is named by the offset of its
+first bad byte from the start of the file. Every table reads with its
+grams in the order of their first rows. A block of rows alone is told
+from its bytes: bodies at the edges of that rule (no final LF, CR line
+ends, '#' inside a row or at a line's start, 4-byte letters, a column
+header among rows) read as before, and a written table's blocks of rows
+never reach the per-line loop.
 """
 
 import io
@@ -82,9 +84,12 @@ def line_by_line_reader(path):
                 if line.startswith("gram\t"):
                     continue
                 gram, count, _pct = line.split("\t")
-                counts[gram] = int(count)
+                count = int(count)
             except ValueError as exc:
                 raise BadRow(f"{path}: bad row {line!r}: {exc}") from None
+            if gram in counts:
+                raise BadRow(f"{path}: gram {gram!r} is listed twice")
+            counts[gram] = count
     if n is None or total is None:
         raise ValueError("no header")
     return n, total, counts
@@ -164,7 +169,8 @@ def assert_layouts_read_as_before(pipeline, tmp_path):
 ])
 def test_bad_rows_are_named_in_any_block(tmp_path, monkeypatch, block, rows, named):
     path = tmp_path / "table.tsv"
-    path.write_text(tsv_with_header(2, 99, "ab\t1\t1.0\n" * 9 + rows), encoding="utf-8")
+    filler = "".join(f"x{i}\t1\t1.0\n" for i in range(9))
+    path.write_text(tsv_with_header(2, 99, filler + rows), encoding="utf-8")
     monkeypatch.setattr(corpus, "_READ_BLOCK", block)
     with pytest.raises(MalformedInput) as refused:
         read_ngram_tsv(path)
@@ -223,29 +229,50 @@ def test_fuzzed_tables_read_as_before(tmp_path_factory, n, total, body, block):
 
 
 ROWS = "".join(f"{a}{b}\t{1 + i}\t1.0\n" for i, (a, b) in enumerate(zip("abcab", "bcaca")))
+# The same rows of other grams.
+MORE, LAST = (ROWS.translate(str.maketrans("abc", letters)) for letters in ("xyz", "pqr"))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, corpus._READ_BLOCK])
 @pytest.mark.parametrize("body", [
     "0",
-    ROWS + "ab\t9\t1.0",
-    ROWS + "ab\t5\n" + ROWS + "cd\t3\t1.0\tx\n" + ROWS,
+    ROWS + "cc\t9\t1.0",
+    ROWS + "ab\t5\n" + MORE + "cd\t3\t1.0\tx\n" + LAST,
     ROWS.replace("\n", "\r\n"),
     ROWS.replace("\n", "\r"),
-    ROWS + "ab\t5\rcd\t2\n" + ROWS,
-    ROWS + "a#\t4\t#\n" + ROWS,
-    ROWS + "# n\t2\n" + ROWS,
-    ROWS + "#\tx\t1\n" + ROWS,
+    ROWS + "ab\t5\rcd\t2\n" + MORE,
+    ROWS + "a#\t4\t#\n" + MORE,
+    ROWS + "# n\t2\n" + MORE,
+    ROWS + "#\tx\t1\n" + MORE,
     "\U0001d49c\U0001d49e\t3\t1.0\n\U0001f600\U0001d49c\t2\t1.0\n" + ROWS,
-    ROWS + "gram\t5\tx\n" + ROWS,
+    ROWS + "gram\t5\tx\n" + MORE,
+    ROWS + "gram\t5\t1.0\n" + MORE + "gram\t6\t1.0\n" + LAST,
 ], ids=["only 0", "no final LF", "one tab then three", "CRLF", "lone CR",
         "lone CR between one-tab rows", "# after a tab", "# line", "# row", "4-byte letters",
-        "column header among rows"])
+        "column header among rows", "column headers with counts"])
 def test_the_rows_check_reads_as_before(tmp_path, monkeypatch, block, body):
     """Bodies at the edges of telling a block of rows by its bytes, at any block size."""
     path = tmp_path / "table.tsv"
     path.write_text(tsv_with_header(2, 99, body), encoding="utf-8", newline="")
     monkeypatch.setattr(corpus, "_READ_BLOCK", block)
+    assert_reads_as_before(path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, corpus._READ_BLOCK])
+@pytest.mark.parametrize("body, named", [
+    ("\u0995\u0996\t3\t1.0\n\u0995\u0996\t5\t1.0\n", "\u0995\u0996"),
+    (ROWS + MORE + "ca\t1\t1.0\n" + LAST, "ca"),
+    (ROWS + "# n\t2\n" + MORE + "xy\t1\t1.0\n", "xy"),
+    (ROWS + "gram\t5\t1.0\n" + MORE + "gram\t6\t1.0\nzx\t1\t1.0\n", "zx"),
+], ids=["adjacent rows", "rows apart", "after a header line", "after column headers"])
+def test_a_gram_listed_twice_is_refused_in_any_block(tmp_path, monkeypatch, block, body, named):
+    """The reader keeps no row of a gram over another; a column header may come again."""
+    path = tmp_path / "table.tsv"
+    path.write_text(tsv_with_header(2, 99, body), encoding="utf-8")
+    monkeypatch.setattr(corpus, "_READ_BLOCK", block)
+    with pytest.raises(MalformedInput) as refused:
+        read_ngram_tsv(path)
+    assert str(refused.value) == f"{path}: gram {named!r} is listed twice"
     assert_reads_as_before(path)
 
 

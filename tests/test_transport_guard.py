@@ -10,6 +10,11 @@ child to die, and no module imports ``pickle``.
 time, and is the only reader that runs a block on to the end of its line.
 A module that called ``readline`` itself would be a second block reader,
 with its own block size and its own way to place a bad byte.
+
+No module but ``atomic``, which reads JSON documents, reads anything
+whole: no ``.read_bytes()``, and no ``.read()`` without a size. A corpus
+is read a block at a time, from its files or once from stdin or a pipe,
+in its turn, so that the first bad input is named whatever the flags.
 """
 
 import ast
@@ -55,6 +60,15 @@ def readline_calls(path):
                   if isinstance(node, ast.Attribute) and node.attr == "readline")
 
 
+def whole_reads(path):
+    """Line numbers of ``.read_bytes()`` on anything, and of ``.read()`` with no argument."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and (node.func.attr == "read_bytes"
+                       or node.func.attr == "read" and not node.args and not node.keywords))
+
+
 def offenders(find, owner):
     """The modules other than ``owner`` in which ``find`` finds something, with its lines."""
     modules = sorted(PACKAGE.glob("*.py"))
@@ -79,14 +93,23 @@ def test_only_corpus_reads_lines():
     assert readline_calls(PACKAGE / "corpus.py")
 
 
+def test_only_atomic_reads_a_file_whole():
+    assert offenders(whole_reads, "atomic.py") == {}
+    assert whole_reads(PACKAGE / "atomic.py")
+
+
 def test_the_guard_sees_every_spelling(tmp_path):
     module = tmp_path / "transport.py"
     module.write_text("import os, pickle\nfrom pickle import loads\nfrom os import fork\n"
                       "def run(pipe):\n    os.fork()\n    return marshal.load(pipe)\n"
                       "def lines(handle):\n    return handle.readline() + handle.read()\n"
-                      "import threading as t, marshal\nfrom threading import Thread\n",
+                      "import threading as t, marshal\nfrom threading import Thread\n"
+                      "def whole(path, handle):\n"
+                      "    return Path(path).read_bytes() + handle.read() + handle.read(4)\n"
+                      "stdin = sys.stdin.buffer.read\nsys.stdin.buffer.read()\n",
                       encoding="utf-8")
     assert transport_calls(module) == [3, 5, 9, 10]
     assert calls(module, "marshal", ("load",)) == [6]
     assert imports(module, ("pickle",)) == [1, 2]
     assert readline_calls(module) == [8]
+    assert whole_reads(module) == [8, 12, 12, 14]
