@@ -17,7 +17,8 @@ class its caller names, with the path of each bad field
 (``trace.left_support``), so each document kind keeps its own error and
 the CLI maps all of them to exit code 2; so does any error of the caller's
 builder, and both name the file. The writer indents by two, keeps
-non-ASCII letters as they are and ends with a newline.
+non-ASCII letters as they are, ends with a newline and hands the whole
+text to the file in one write.
 """
 
 from __future__ import annotations
@@ -118,9 +119,8 @@ def read_json_object(path: str | Path, error: type[LayoutForgeError], name: str,
 
 
 def dump_json(doc: dict, handle: TextIO) -> None:
-    """Write ``doc`` to ``handle`` as the text of a JSON document."""
-    json.dump(doc, handle, ensure_ascii=False, indent=2)
-    handle.write("\n")
+    """Write ``doc`` to ``handle`` as the text of a JSON document, in one write."""
+    handle.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
 
 def write_json(doc: dict, path: str | Path) -> None:

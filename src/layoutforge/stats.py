@@ -33,14 +33,16 @@ The tables are read and written as TSV in bulk. The reader takes the
 file through the corpus's block reader (``corpus.blocks``), a block of
 bytes that ends right after an LF at a time; it decodes each block
 strictly, naming a byte that is not UTF-8 by its offset in the file,
-reads CRLF and a lone CR as LF, splits at LF only, and parses a block of
-rows alone with one split and a map of ``int``; any other block is read
-line by line, which keeps every layout it accepts and names the row at
-fault. Whether a block holds rows alone is told from its bytes, with one
-``bytes.translate`` that keeps only its TABs, LFs and '#'s: a UTF-8
-letter of two or more bytes never holds a TAB, LF, CR or '#' byte. The writer
-orders the rows by two sorts keyed in C and formats each distinct count
-once.
+and reads CRLF and a lone CR as LF. A block of rows alone is parsed with
+one replace and one split, and each distinct count string in it with one
+``int``: counts add up to at most the letter total, so a table holds few
+distinct counts. Only any other block is split into lines, at LF only,
+and read line by line, which keeps every layout it accepts and names the
+row at fault. Whether a block holds rows alone is told from its bytes,
+with one ``bytes.translate`` that keeps only its TABs, LFs and '#'s: a
+UTF-8 letter of two or more bytes never holds a TAB, LF, CR or '#' byte.
+The writer orders the rows by two sorts keyed in C and formats each
+distinct count once.
 """
 
 from __future__ import annotations
@@ -536,9 +538,11 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     the file. CRLF and a lone CR read as LF, as in text mode, and the text
     is split at LF only: ``str.splitlines`` would also split at characters
     a gram may hold. A block of rows alone, which ``_rows_only`` tells
-    from its bytes, is parsed in bulk; any other block, or one whose
-    counts do not all read as integers, line by line, which names the row
-    at fault. '#' lines carry the header wherever they stand; blank lines
+    from its bytes, is parsed in bulk: its LFs become TABs, one split
+    gives every field, and each distinct count string is parsed once.
+    Lines are split only for any other block, or one whose counts do not
+    all read as integers, which is read line by line and names the row at
+    fault. '#' lines carry the header wherever they stand; blank lines
     and column headers are skipped. A table that lists a gram twice is
     malformed, and the gram named: a block parsed in bulk is searched for
     it only when it adds fewer grams than it has rows. A table whose
@@ -561,21 +565,23 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
             if b"\r" in data:
                 data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 block = block.replace("\r\n", "\n").replace("\r", "\n")
-            lines = block.split("\n")
-            if not lines[-1]:  # the LF that ends the block
-                lines.pop()
             if _rows_only(data):
-                fields = "\t".join(lines).split("\t")
+                fields = block.replace("\n", "\t").split("\t")
+                texts = fields[1::3]
                 try:
-                    values = list(map(int, fields[1::3]))
+                    parsed = {text: int(text) for text in set(texts)}
                 except ValueError:
                     pass  # _read_lines names the row
                 else:
+                    grams = fields[0:-1:3]  # the last field is the empty one after the final LF
                     before = len(counts)
-                    dict.update(counts, zip(fields[0::3], values))
-                    if len(counts) - before < len(values):  # a gram came again
-                        _refuse_repeats(path, fields[0::3], counts, before)
+                    dict.update(counts, zip(grams, map(parsed.__getitem__, texts)))
+                    if len(counts) - before < len(texts):  # a gram came again
+                        _refuse_repeats(path, grams, counts, before)
                     continue
+            lines = block.split("\n")
+            if not lines[-1]:  # the LF that ends the block
+                lines.pop()
             _read_lines(path, lines, counts, header)
     # a column header whose count field reads as a number is still no row
     counts.pop("gram", None)

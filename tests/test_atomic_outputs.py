@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import layoutforge.atomic
 import layoutforge.cli
 from layoutforge.cli import main
 
@@ -54,9 +55,9 @@ def json_start_then_disk_full(doc, handle, **_kwargs):
 
 @pytest.mark.parametrize("argv, target, attribute, writer", [
     (["stats", str(SAMPLE)], layoutforge.cli, "write_ngram_tsv", tsv_header_then_disk_full),
-    (["partition", str(SAMPLE)], json, "dump", json_start_then_disk_full),
-    (["evaluate", "{out}/layout.json", "--corpus", str(SAMPLE)], json, "dump",
-     json_start_then_disk_full),
+    (["partition", str(SAMPLE)], layoutforge.atomic, "dump_json", json_start_then_disk_full),
+    (["evaluate", "{out}/layout.json", "--corpus", str(SAMPLE)], layoutforge.atomic,
+     "dump_json", json_start_then_disk_full),
 ])
 def test_writer_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, capsys,
                                                        argv, target, attribute, writer):

@@ -18,7 +18,9 @@ grams in the order of their first rows. A block of rows alone is told
 from its bytes: bodies at the edges of that rule (no final LF, CR line
 ends, '#' inside a row or at a line's start, 4-byte letters, a column
 header among rows) read as before, and a written table's blocks of rows
-never reach the per-line loop.
+never reach the per-line loop. A block of rows parses each distinct count
+string once: counts in any spelling ``int`` reads, many rows that share
+one count, and one bad count among many repeats read as before.
 """
 
 import io
@@ -159,6 +161,11 @@ def assert_layouts_read_as_before(pipeline, tmp_path):
         assert len(read_ngram_tsv(path).counts) == len(rows), name
 
 
+# Distinct two-letter grams, and 600 rows of them that share one count.
+GRAMS = [a + b for a in map(chr, range(0x0995, 0x09B4)) for b in map(chr, range(0x0995, 0x09B4))]
+SEVENS = "".join(f"{gram}\t7\t1.0\n" for gram in GRAMS[:600])
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, corpus._READ_BLOCK])
 @pytest.mark.parametrize("rows, named", [
     # Two tabs a row on average: a block's fields line up however its rows split.
@@ -166,6 +173,8 @@ def assert_layouts_read_as_before(pipeline, tmp_path):
     ("ab\t1\tx\tcd\n5\ty\n", "ab\t1\tx\tcd"),
     ("ab\t5\t1.0\n#\tx\t1\n\t\n", "\t"),
     ("ab\t5\t1.0\ngram\tx\nab\tfive\t1.0\n", "ab\tfive\t1.0"),
+    pytest.param(SEVENS.replace(GRAMS[300], "xx\t7x\t1.0\n" + GRAMS[300]), "xx\t7x\t1.0",
+                 id="7x among 600 rows of 7"),
 ])
 def test_bad_rows_are_named_in_any_block(tmp_path, monkeypatch, block, rows, named):
     path = tmp_path / "table.tsv"
@@ -273,6 +282,23 @@ def test_a_gram_listed_twice_is_refused_in_any_block(tmp_path, monkeypatch, bloc
     with pytest.raises(MalformedInput) as refused:
         read_ngram_tsv(path)
     assert str(refused.value) == f"{path}: gram {named!r} is listed twice"
+    assert_reads_as_before(path)
+
+
+SPELLINGS = ["07", "+7", " 7 ", "7_0", "\u0667", " 7"]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, corpus._READ_BLOCK])
+@pytest.mark.parametrize("body", [
+    *(ROWS + "".join(f"{gram}\t{spelling if i % 3 else 7}\t1.0\n"
+                     for i, gram in enumerate(GRAMS[:12])) for spelling in SPELLINGS),
+    SEVENS,
+], ids=[*map(repr, SPELLINGS), "600 rows of one count"])
+def test_counts_read_as_int_reads_them(tmp_path, monkeypatch, block, body):
+    """A block of rows parses each distinct count string once, by ``int``."""
+    path = tmp_path / "table.tsv"
+    path.write_text(tsv_with_header(2, 10**6, body), encoding="utf-8")
+    monkeypatch.setattr(corpus, "_READ_BLOCK", block)
     assert_reads_as_before(path)
 
 

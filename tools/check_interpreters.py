@@ -1,0 +1,101 @@
+"""Check that every given Python interpreter writes the pipeline's bytes.
+
+    python3 tools/check_interpreters.py python3.10 python3.11 python3.12 python3.13
+
+Each interpreter (this one when none is given) runs, under ``-W error``:
+
+- ``run-all`` over ``data/bn_sample`` with the default flags and with the
+  replayed flag set ``coverage 50``; every file and the stdout must match
+  the golden digests of ``tests/test_run_all_scores.py``;
+- ``partition --mono --digraphs`` from the tables the default run wrote,
+  then ``layout`` from its partition; these files and stdouts must be the
+  same bytes under every interpreter.
+
+The golden digests and flag sets are read from the test file's source with
+``ast.literal_eval``, so the script needs neither pytest nor hypothesis.
+It prints one line per check and exits 1 on any mismatch or failed run.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = [str(path) for path in sorted((ROOT / "data" / "bn_sample").glob("*.txt"))]
+CHECKED_FLAG_SETS = ("defaults", "coverage 50")
+
+
+def scores_test_literals(*names: str) -> list:
+    """The values of the module-level literals ``names`` in the run-all scores test."""
+    tree = ast.parse((ROOT / "tests" / "test_run_all_scores.py").read_text(encoding="utf-8"))
+    values = {target.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name) and target.id in names}
+    return [values[name] for name in names]
+
+
+def run(python: str, argv: list[str]) -> bytes:
+    """The stdout of one CLI call under ``python``; RuntimeError with its stderr if it fails."""
+    env = {key: value for key, value in os.environ.items() if key != "LAYOUTFORGE_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([python, "-W", "error", "-m", "layoutforge", *argv],
+                          env=env, capture_output=True, timeout=300)
+    if done.returncode:
+        raise RuntimeError(f"exit {done.returncode} from {argv[0]}:\n"
+                           f"{done.stderr.decode('utf-8', 'replace')}")
+    return done.stdout
+
+
+def written(stdout: bytes, out: Path) -> dict[str, bytes]:
+    """The stdout of a call and every file it wrote, by name."""
+    return {"stdout": stdout, **{path.name: path.read_bytes() for path in sorted(out.iterdir())}}
+
+
+def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[str], dict]:
+    """The mismatches of ``python`` against the golden digests, and its partition and layout."""
+    faults = []
+    for key in CHECKED_FLAG_SETS:
+        out = work / key.replace(" ", "-")
+        files = written(run(python, ["run-all", *SAMPLE, "--out", str(out), *flag_sets[key]]),
+                        out)
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+        faults += [f"run-all {key}: {name}" for name in sorted(digests.keys() | golden[key].keys())
+                   if digests.get(name) != golden[key].get(name)]
+    tables, out = work / "defaults", work / "tables"
+    stdout = run(python, ["partition", "--mono", str(tables / "monograms.tsv"),
+                          "--digraphs", str(tables / "digraphs.tsv"), "--out", str(out)])
+    stdout += run(python, ["layout", str(out / "partition.json"), "--out", str(out)])
+    return faults, written(stdout, out)
+
+
+def main(pythons: list[str]) -> int:
+    flag_sets, golden = scores_test_literals("FLAG_SETS", "GOLDEN")
+    failed = False
+    first = None
+    with tempfile.TemporaryDirectory() as temp:
+        for i, python in enumerate(pythons):
+            try:
+                faults, files = check(python, Path(temp) / str(i), flag_sets, golden)
+            except (OSError, RuntimeError, subprocess.TimeoutExpired) as exc:
+                print(f"{python}: FAILED {exc}")
+                failed = True
+                continue
+            first = first or (python, files)
+            if files != first[1]:
+                faults.append(f"partition and layout differ from {first[0]}: "
+                              + ", ".join(name for name in sorted(files.keys() | first[1].keys())
+                                          if files.get(name) != first[1].get(name)))
+            print(f"{python}: " + ("ok" if not faults else "MISMATCH " + "; ".join(faults)))
+            failed = failed or bool(faults)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:] or [sys.executable]))
