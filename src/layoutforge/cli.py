@@ -10,16 +10,17 @@ Every command reads its corpus once, one block at a time, in order,
 into the n-gram tables or into the scores of every layout ``evaluate``
 is given; ``run-all`` replays it where its tables cannot score its
 layout. A corpus of regular files of at least two parts' bytes is
-counted in parts, one per CPU this process may use: this process counts
-the first and a forked child each other (``corpus.byte_parts``,
-``stats.count_all``), or this process where no child can take a part or
-its child raised, with the same tables and files as one part gives; a
-replay reads the files again. Stdin and any named file that is not a
-regular file (a pipe, say) are counted here, and streamed like a file,
-except by a ``run-all`` whose flags can call for a replay (``--coverage``
-above 1, or ``--span-boundaries`` with ``--reset-on-boundary``): such a
-corpus might not give its bytes twice, so that run holds the pieces of
-its letter stream, counts them and replays them. Scoring a corpus
+counted in parts, one per CPU this process may use, each the lines that
+start in a byte range: this process counts the first and a forked child
+each other (``corpus.byte_parts``, ``stats.count_all``), or this
+process where no child can take a part or its child raised, with the
+same tables and files as one part gives; a replay reads the files
+again. Stdin and any named file that is not a regular file (a pipe,
+say) are counted here, and streamed like a file, except by a
+``run-all`` whose flags can call for a replay (``--coverage`` above 1,
+or ``--span-boundaries`` with ``--reset-on-boundary``): such a corpus
+might not give its bytes twice, so that run holds the pieces of its
+letter stream, counts them and replays them. Scoring a corpus
 (``evaluate``, and a replay) is done in this process.
 
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.

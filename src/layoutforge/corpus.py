@@ -14,16 +14,16 @@ Files are read in blocks of 16 KiB that end right after an LF
 own, so only one block is held at a time (``read_pieces``); n-gram
 tables are read through the same blocks. The pieces, joined in order,
 are the stream ``read_corpus`` returns whole. Only named regular files
-(``regular_file_size``) can be read twice, and cut into byte ranges
-that end right after an LF, one part per CPU (``byte_parts``); each part
-reads as the blocks of its ranges, and the parts' streams, joined by the
-same seam rule (``seamed``), are the stream of the whole. Whether a part
-is counted in a forked child or in this process, ``stats`` alone decides.
+(``regular_file_size``) can be read twice, and cut at their 1/P byte
+marks into one part per CPU (``byte_parts``). ``blocks`` alone decides
+where a line starts: a part reads the lines that start in its byte
+ranges, and the parts' streams, joined by the same seam rule
+(``seamed``), are the stream of the whole. Whether a part is counted in
+a forked child or in this process, ``stats`` alone decides.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import itertools
@@ -214,22 +214,30 @@ def refuse_bare_stream(corpus: Iterable[str]) -> None:
         raise TypeError("a stream is given as its pieces in order: pass [stream], not a str")
 
 
-def blocks(handle: BinaryIO, size: int = sys.maxsize) -> Iterator[bytes]:
-    """The handle's next ``size`` bytes in blocks that end right after an LF, bar perhaps the last.
+def blocks(handle: BinaryIO, start: int = 0,
+           stop: int = sys.maxsize) -> Iterator[tuple[int, bytes]]:
+    """The lines of the handle that start at byte ``start`` or later and before ``stop``.
 
-    A block is ``_READ_BLOCK`` bytes and the rest of the line they end in,
-    so a line longer than a block is read whole. With no ``size``, the
-    handle is read to its end.
+    They come as ``(offset, block)`` pairs, the block at ``offset`` from
+    the handle's start. A block is ``_READ_BLOCK`` bytes and the rest of
+    the line they end in, so a line longer than a block is read whole.
+    From a ``start`` past 0, the rest of the line that holds byte
+    ``start - 1`` is skipped; from 0, the handle is read from where it
+    stands, unsought.
     """
-    while block := handle.read(min(_READ_BLOCK, size)):
+    offset = start
+    if start:
+        handle.seek(start - 1)
+        offset += len(handle.readline()) - 1
+    while offset < stop and (block := handle.read(min(_READ_BLOCK, stop - offset))):
         if not block.endswith(b"\n"):
-            block += handle.readline(size - len(block))
-        size -= len(block)
-        yield block
+            block += handle.readline()
+        yield offset, block
+        offset += len(block)
 
 
 class FileRange(NamedTuple):
-    """The bytes of a file from ``start`` up to ``stop``, a cut that ``byte_parts`` made."""
+    """The lines of a file that start at byte ``start`` or later and before ``stop``."""
 
     path: str | Path
     start: int
@@ -248,28 +256,17 @@ def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str
     its offset from the start of the file, or of the source. A handle is
     read from where it stands and left open.
     """
-    offset, size = 0, sys.maxsize
+    start, stop = 0, sys.maxsize
     if isinstance(source, FileRange):
-        source, offset, size = source.path, source.start, source.stop - source.start
+        source, start, stop = source
     path = source if isinstance(source, (str, Path)) else None
     with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
-        if offset:
-            handle.seek(offset)
-        for block in blocks(handle, size):
+        for offset, block in blocks(handle, start, stop):
             try:
                 text = normalize_text(block)
             except InvalidEncoding as exc:
                 raise InvalidEncoding(offset + exc.position, path) from None
-            offset += len(block)
             yield tokenize(text, config)
-
-
-def _line_end(path: str | Path, position: int) -> int:
-    """The offset past the LF that ends the line holding byte ``position``, or the file size."""
-    with open(path, "rb") as handle:
-        handle.seek(position)
-        handle.readline()
-        return handle.tell()
 
 
 def regular_file_size(source: Source) -> int | None:
@@ -288,10 +285,11 @@ def byte_parts(sources: Sequence[Source]) -> list[list[Source]]:
 
     Only a corpus of regular files (``regular_file_size``) is cut, on a
     platform that tells the CPUs a process may use; whether each part is
-    counted in a forked child or here, ``stats.count_all`` decides. Each
-    cut falls right after the LF that ends the line holding a 1/P mark,
-    or at a file's end, so it splits the corpus where a block may end:
-    the parts' streams, joined as ``read_pieces`` joins pieces, are the
+    counted in a forked child or here, ``stats.count_all`` decides. The
+    cuts lie at the 1/P byte marks of the files joined, found with no
+    file opened, and a part holds the lines that start in its byte range
+    (``FileRange``, ``blocks``), so each line is read by one part: the
+    parts' streams, joined as ``read_pieces`` joins pieces, are the
     stream of the whole. P is capped so that the marks lie ``_MIN_PART``
     bytes apart or more; a corpus of fewer than two such parts, or any
     other kind of source, is one part.
@@ -304,21 +302,16 @@ def byte_parts(sources: Sequence[Source]) -> list[list[Source]]:
     count = min(len(os.sched_getaffinity(0)), total // _MIN_PART)
     if count < 2:
         return whole
-    starts = list(itertools.accumulate(sizes, initial=0))
-    cuts = set()
-    for mark in (total * k // count for k in range(1, count)):
-        i = bisect.bisect_right(starts, mark) - 1  # the file that holds byte ``mark``
-        cuts.add(starts[i] + _line_end(sources[i], mark - starts[i]))
-    bounds = iter(sorted(cuts - {total}))
-    cut = next(bounds, total)
+    marks = (total * k // count for k in range(1, count))
+    cut = next(marks)
     parts: list[list[Source]] = [[]]
-    for path, first, size in zip(sources, starts, sizes):
+    for path, first, size in zip(sources, itertools.accumulate(sizes, initial=0), sizes):
         start = first
         while cut < first + size:
             if cut > start:
                 parts[-1].append(FileRange(path, start - first, cut - first))
             parts.append([])
-            start, cut = cut, next(bounds, total)
+            start, cut = cut, next(marks, total)
         parts[-1].append(path if start == first else FileRange(path, start - first, size))
     return parts
 

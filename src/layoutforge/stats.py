@@ -6,19 +6,20 @@ as its pieces in order, such as the blocks ``corpus.read_pieces`` reads
 one at a time, and the windows that straddle two pieces are counted
 once. The keys are built and counted in C, a block of windows at a time,
 so that only the counts grow with the corpus. The stream may also come
-in parts, such as the byte ranges of ``corpus.byte_parts``: the first is
-counted in this process and each later one in a forked child, which
-sends back one marshal: its first three and last two characters and its
-keys and counts packed as 8-byte words. The windows of each seam are
-counted here, behind the part before it, and the part's counts merged
-after them, so the tables and their key order are those of the whole
-stream. A part is counted here, in its turn, where no child may be
-forked (``os.fork`` is missing or another thread runs), where the system
-refuses a pipe or a process, or where its child raised; a child that
-dies otherwise is reaped and named by its exit status or signal. This
-module alone decides where a part is counted. One loop over the
-distinct keys then folds them into the monogram, digraph, trigram and
-junction tables, decoding only the grams that hold no boundary.
+in parts, such as the lines that start in each byte range of
+``corpus.byte_parts``: the first is counted in this process and each
+later one in a forked child, which sends back one marshal: its first
+three and last two characters and its keys and counts packed as 8-byte
+words. The windows of each seam are counted here, behind the part before
+it, and the part's counts merged after them, so the tables and their key
+order are those of the whole stream. A part is counted here, in its
+turn, where no child may be forked (``os.fork`` is missing or another
+thread runs), where the system refuses a pipe or a process, or where its
+child raised; a child that dies otherwise is reaped and named by its
+exit status or signal. This module alone decides where a part is
+counted. One loop over the distinct keys then folds them into the
+monogram, digraph, trigram and junction tables, decoding only the grams
+that hold no boundary.
 
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
@@ -31,18 +32,18 @@ taking both orientations of each pair, with one lookup per gram.
 
 The tables are read and written as TSV in bulk. The reader takes the
 file through the corpus's block reader (``corpus.blocks``), a block of
-bytes that ends right after an LF at a time; it decodes each block
-strictly, naming a byte that is not UTF-8 by its offset in the file,
-and reads CRLF and a lone CR as LF. A block of rows alone is parsed with
-one replace and one split, and each distinct count string in it with one
-``int``: counts add up to at most the letter total, so a table holds few
-distinct counts. Only any other block is split into lines, at LF only,
-and read line by line, which keeps every layout it accepts and names the
-row at fault. Whether a block holds rows alone is told from its bytes,
-with one ``bytes.translate`` that keeps only its TABs, LFs and '#'s: a
-UTF-8 letter of two or more bytes never holds a TAB, LF, CR or '#' byte.
-The writer orders the rows by two sorts keyed in C and formats each
-distinct count once.
+bytes that ends right after an LF at a time, with its offset in the
+file; it decodes each block strictly, naming a byte that is not UTF-8 by
+that offset, and reads CRLF and a lone CR as LF. A block of rows alone
+is parsed with one replace and one split, and each distinct count string
+in it with one ``int``: counts add up to at most the letter total, so a
+table holds few distinct counts. Only any other block is split into
+lines, at LF only, and read line by line, which keeps every layout it
+accepts and names the row at fault. Whether a block holds rows alone is
+told from its bytes, with one ``bytes.translate`` that keeps only its
+TABs, LFs and '#'s: a UTF-8 letter of two or more bytes never holds a
+TAB, LF, CR or '#' byte. The writer orders the rows by two sorts keyed
+in C and formats each distinct count once.
 """
 
 from __future__ import annotations
@@ -553,15 +554,13 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     """
     header: dict[str, int] = {}
     counts: Counter = Counter()
-    offset = 0
     with open(path, "rb") as handle:
-        for data in blocks(handle):
+        for offset, data in blocks(handle):
             try:
                 block = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedInput(f"{path}: invalid UTF-8 at byte offset"
                                      f" {offset + exc.start}") from None
-            offset += len(data)
             if b"\r" in data:
                 data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 block = block.replace("\r\n", "\n").replace("\r", "\n")

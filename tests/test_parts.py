@@ -1,19 +1,23 @@
 """Counting a corpus of regular files in parts, one forked child per part after the first.
 
-``byte_parts`` cuts the files right after an LF near each 1/P mark, P
-being the CPUs this process may use, and ``count_all`` counts the first
-part here and each later one in a child, then stitches each seam. With
-the least part size and the read block cut to a few bytes, and P set
-from 1 to 4, the parts fall inside words, files and boundary runs, and a
-part may be shorter than three characters or hold no letter; the tables
-must still be those of the whole stream, key order included. A split
-command must exit as the serial one does, with the same files or the
-same error, and leave no child behind, even one that dies part-way
-through the marshal it sends back. A part no child can take, or whose
-child raised, is counted in the command itself, with the same tables.
+``byte_parts`` cuts the files at each 1/P byte mark, P being the CPUs
+this process may use, without opening them, and a part reads the lines
+that start in its byte ranges; ``count_all`` counts the first part here
+and each later one in a child, then stitches each seam. With the least
+part size and the read block cut to a few bytes, and P set from 1 to 4,
+the cuts fall inside lines, UTF-8 sequences and CRLFs, and a part may
+be shorter than three characters or hold no letter; the tables must
+still be those of the whole stream, key order included, as they must
+for ranges cut at any bytes. A split command must exit as the serial
+one does, with the same files or the same error, and leave no child
+behind, even one that dies part-way through the marshal it sends back.
+A part no child can take, or whose child raised, is counted in the
+command itself, with the same tables.
 """
 
+import builtins
 import errno
+import itertools
 import json
 import marshal
 import os
@@ -22,7 +26,7 @@ import signal
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from layoutforge import corpus, stats
@@ -70,9 +74,11 @@ def test_parts_count_what_the_whole_stream_counts(tmp_path_factory, monkeypatch,
         patch.setattr(corpus, "_READ_BLOCK", read_block)
         parts = byte_parts(paths)
         assert 1 <= len(parts) <= cpus
-        for source in (source for part in parts for source in part):
-            if isinstance(source, FileRange) and source.stop < source.path.stat().st_size:
-                assert source.path.read_bytes()[source.stop - 1:source.stop] == b"\n"
+        sizes = [path.stat().st_size for path in paths]
+        starts = dict(zip(paths, itertools.accumulate(sizes, initial=0)))
+        cuts = [starts[first.path] + first.start if isinstance(first, FileRange) else starts[first]
+                for first, *_ in parts[1:]]
+        assert cuts == [sum(sizes) * k // len(parts) for k in range(1, len(parts))]
         assert concat_streams("".join(read_pieces(part, CONFIG)) for part in parts) == whole
         for span in (False, True):
             config = PipelineConfig(alphabet_path=str(alphabet), span_boundaries=span)
@@ -88,17 +94,65 @@ def test_parts_count_what_the_whole_stream_counts(tmp_path_factory, monkeypatch,
     assert no_children_left()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(texts=st.lists(st.lists(st.sampled_from(UNITS), max_size=20).map("".join),
+                      min_size=1, max_size=3),
+       cuts=st.lists(st.integers(0, 200), max_size=6), read_block=st.integers(1, 5))
+# Cuts inside a letter's UTF-8 sequence, between CR and LF, and in mid-line.
+@example(texts=["a\U0001F600\r\nb c\n"], cuts=[2, 6, 8], read_block=1)
+def test_ranges_cut_at_any_bytes_read_as_their_file(tmp_path_factory, monkeypatch, texts, cuts,
+                                                   read_block):
+    paths = write_files(tmp_path_factory.mktemp("corpus"), texts)
+    whole = concat_streams(tokenize(normalize_text(path.read_bytes()), CONFIG) for path in paths)
+    ranges = []
+    for path in paths:
+        size = path.stat().st_size
+        bounds = sorted({0, size, *(cut % (size + 1) for cut in cuts)})
+        ranges += [FileRange(path, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus, "_READ_BLOCK", read_block)
+        assert concat_streams("".join(read_pieces([source], CONFIG)) for source in ranges) == whole
+        for span in (False, True):
+            assert_same_tables(count_all(read_pieces(ranges, CONFIG), span_boundaries=span),
+                               count_all([whole], span_boundaries=span))
+
+
+def test_byte_parts_opens_no_file(tmp_path, monkeypatch):
+    paths = sample_files(tmp_path)[0]
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+    parts = byte_parts(paths)
+
+    def refused_open(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(builtins, "open", refused_open)
+    monkeypatch.setattr(os, "open", refused_open)
+    assert byte_parts(paths) == parts
+    assert len(parts) == 3
+
+
+# The first 1/3 byte mark of the sample with one byte put in: a byte of
+# its first file, in mid-line.
+MARK = (sum(path.stat().st_size for path in SAMPLE) + 1) // 3
+
+
 def sample_files(directory, bad=()):
-    """The sample's three files, with ``b"\\xff"`` put in at the start of a line near each
-    (file, offset) in ``bad``; the paths, and where the first bad byte went."""
+    """The sample's three files, with ``b"\\xff"`` put in for each (file, offset) in ``bad``: at
+    the start of a line near that offset, or at the offset itself, in mid-line, where a third
+    item says "at"; the paths, and the offset of the first byte that is not UTF-8."""
     paths, first = [], None
     for i, path in enumerate(SAMPLE):
         data = path.read_bytes()
-        for near in sorted((near for file, near in bad if file == i), reverse=True):
-            offset = data.index(b"\n", near) + 1
+        for _, near, *at in sorted((entry for entry in bad if entry[0] == i), reverse=True):
+            offset = near if at else data.index(b"\n", near) + 1
+            assert not at or b"\n" not in data[offset - 1:offset + 1]
             data = data[:offset] + b"\xff" + data[offset:]
-            if (i, near) == bad[0]:
-                first = offset
+        if bad and i == bad[0][0]:
+            with pytest.raises(UnicodeDecodeError) as error:
+                data.decode("utf-8")
+            first = error.value.start
         paths.append(directory / path.name)
         paths[-1].write_bytes(data)
     return paths, first
@@ -130,9 +184,11 @@ def test_a_split_command_writes_what_the_serial_one_writes(tmp_path, capsys, mon
 
 
 # (file, offset) of each bad byte: in the first part, counted here; in
-# the last, counted in a child; in two children; here and in a child.
+# the last, counted in a child; in two children; here and in a child; at
+# the first mark, and just before it, in a line the first part reads.
 @pytest.mark.parametrize("bad", [[(0, 100)], [(2, 16000)], [(1, 8000), (2, 16000)],
-                                 [(0, 9000), (2, 100)]])
+                                 [(0, 9000), (2, 100)], [(0, MARK, "at")],
+                                 [(0, MARK - 1, "at")]])
 @pytest.mark.parametrize("command", ["stats", "run-all"])
 def test_a_split_command_refuses_bad_utf8_as_the_serial_one_does(tmp_path, capsys, monkeypatch,
                                                                  bad, command):

@@ -9,7 +9,11 @@ Each interpreter (this one when none is given) runs, under ``-W error``:
   the golden digests of ``tests/test_run_all_scores.py``;
 - ``partition --mono --digraphs`` from the tables the default run wrote,
   then ``layout`` from its partition; these files and stdouts must be the
-  same bytes under every interpreter.
+  same bytes under every interpreter;
+- ``stats`` over the sample's files copied until they hold 600 KiB or
+  more, once from the named files, which are counted in parts on a
+  machine with two CPUs or more, and once from their bytes on stdin,
+  which are counted in one; both runs must write the same bytes.
 
 The golden digests and flag sets are read from the test file's source with
 ``ast.literal_eval``, so the script needs neither pytest nor hypothesis.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -29,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = [str(path) for path in sorted((ROOT / "data" / "bn_sample").glob("*.txt"))]
 CHECKED_FLAG_SETS = ("defaults", "coverage 50")
+# Above the 512 KiB a corpus needs before it is counted in parts.
+SPLIT_BYTES = 600 << 10
 
 
 def scores_test_literals(*names: str) -> list:
@@ -40,13 +47,14 @@ def scores_test_literals(*names: str) -> list:
     return [values[name] for name in names]
 
 
-def run(python: str, argv: list[str]) -> bytes:
-    """The stdout of one CLI call under ``python``; RuntimeError with its stderr if it fails."""
+def run(python: str, argv: list[str], stdin: bytes | None = None) -> bytes:
+    """The stdout of one CLI call under ``python``, fed ``stdin`` if given; RuntimeError with
+    its stderr if it fails."""
     env = {key: value for key, value in os.environ.items() if key != "LAYOUTFORGE_CONFIG"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run([python, "-W", "error", "-m", "layoutforge", *argv],
-                          env=env, capture_output=True, timeout=300)
+                          env=env, input=stdin, capture_output=True, timeout=300)
     if done.returncode:
         raise RuntimeError(f"exit {done.returncode} from {argv[0]}:\n"
                            f"{done.stderr.decode('utf-8', 'replace')}")
@@ -72,7 +80,26 @@ def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[
     stdout = run(python, ["partition", "--mono", str(tables / "monograms.tsv"),
                           "--digraphs", str(tables / "digraphs.tsv"), "--out", str(out)])
     stdout += run(python, ["layout", str(out / "partition.json"), "--out", str(out)])
-    return faults, written(stdout, out)
+    return faults + check_parts(python, work), written(stdout, out)
+
+
+def check_parts(python: str, work: Path) -> list[str]:
+    """The mismatch, if any, of ``stats`` over copies of the sample: named files against stdin."""
+    copies = work / "copies"
+    copies.mkdir()
+    data = [Path(path).read_bytes() for path in SAMPLE]
+    count = len(data) * (SPLIT_BYTES // sum(map(len, data)) + 1)
+    chunks = list(itertools.islice(itertools.cycle(data), count))
+    paths = [copies / f"{i}.txt" for i in range(count)]
+    for path, chunk in zip(paths, chunks):
+        path.write_bytes(chunk)
+    named, piped = work / "named", work / "piped"
+    named_files = written(run(python, ["stats", *map(str, paths), "--out", str(named)]), named)
+    piped_files = written(run(python, ["stats", "--out", str(piped)], stdin=b"".join(chunks)),
+                          piped)
+    return [f"stats from named files and from stdin: {name}"
+            for name in sorted(named_files.keys() | piped_files.keys())
+            if named_files.get(name) != piped_files.get(name)]
 
 
 def main(pythons: list[str]) -> int:
