@@ -18,7 +18,9 @@ class its caller names, with the path of each bad field
 the CLI maps all of them to exit code 2; so does any error of the caller's
 builder, and both name the file. The writer indents by two, keeps
 non-ASCII letters as they are, ends with a newline and hands the whole
-text to the file in one write.
+text to the file in one write. It writes the text ``json`` writes with
+``indent=2``, but encodes each container of scalars with the C encoder,
+which ``json`` uses only without an indent.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterator, TextIO, TypeVar, get_args
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar, get_args
 
 from .errors import LayoutForgeError
 
@@ -119,8 +123,62 @@ def read_json_object(path: str | Path, error: type[LayoutForgeError], name: str,
 
 
 def dump_json(doc: dict, handle: TextIO) -> None:
-    """Write ``doc`` to ``handle`` as the text of a JSON document, in one write."""
-    handle.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+    """Write ``doc`` to ``handle`` as the text of a JSON document, in one write.
+
+    The text is ``json.dumps(doc, ensure_ascii=False, indent=2)``, whose
+    ``indent`` would make ``json`` encode in Python; here the containers of
+    scalars are encoded in C (``_indented``). Object keys are strings.
+    """
+    handle.write(_indented(doc, "\n") + "\n")
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _encoder(indent: str) -> json.JSONEncoder:
+    """The C encoder that follows each comma with ``indent``."""
+    return json.JSONEncoder(ensure_ascii=False, separators=("," + indent, ": "))
+
+
+def _scalars(values: Iterable) -> bool:
+    """Whether ``values`` holds no array or object."""
+    return not any(map(isinstance, values, repeat(_CONTAINERS)))
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2)`` writes it
+    where each line after its first starts with ``newline``.
+
+    Only the nesting is written in Python. A container of scalars is one C
+    encoding whose commas are followed by the indent of its items, and so
+    is a list of nonempty containers of scalars of one kind, whose commas
+    between items are then indented by one replace: an encoded scalar never
+    ends in a bracket, and an LF stands in JSON text only where a separator
+    put it.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return _encoder("").encode(value)
+    inner = newline + "  "
+    if _scalars(value.values() if isinstance(value, dict) else value):
+        text = _encoder(inner).encode(value)
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(value, dict):
+        return ("{" + inner + ("," + inner).join(
+                    encode_basestring(key) + ": " + _indented(item, inner)
+                    for key, item in value.items())
+                + newline + "}")
+    kinds = set(map(type, value))
+    if all(value) and (kinds == {dict} and all(map(_scalars, map(dict.values, value)))
+                       or kinds <= {list, tuple} and all(map(_scalars, value))):
+        deep = inner + "  "
+        text = _encoder(deep).encode(value)
+        opening, closing = text[1], text[-2]
+        return ("[" + inner + opening + deep
+                + text[2:-2].replace(closing + "," + deep + opening,
+                                     inner + closing + "," + inner + opening + deep)
+                + inner + closing + newline + "]")
+    return ("[" + inner + ("," + inner).join(_indented(item, inner) for item in value)
+            + newline + "]")
 
 
 def write_json(doc: dict, path: str | Path) -> None:

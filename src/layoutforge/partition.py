@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 from .atomic import OptionalField, read_json_object, write_json
 from .errors import AlreadyAssigned, ConfigError, TooFewLetters
-from .stats import (NGramTable, SideScore, involvement_totals, ranked_monograms,
-                    side_scores)
+from .stats import (NGramTable, SideScore, involvement_sums, involvement_totals, partners,
+                    ranked_monograms, side_scores)
 
 RULE_SEED = "seed"
 RULE_LEFT_TO_RIGHT = "left-association-to-right"
@@ -87,7 +87,8 @@ def assign(letter: str, partition: HandPartition, digraphs: NGramTable,
            involvement: Mapping[str, int], *, balance_tiebreak: bool = False) -> HandPartition:
     """Place one letter by comparing its cumulative scores against both hands.
 
-    ``involvement`` is ``involvement_totals(digraphs)``. Mutates and returns
+    ``involvement`` maps at least ``letter`` to its involvement, as
+    ``involvement_totals(digraphs)`` does every letter. Mutates and returns
     the partition; the decision is appended to the trace.
     """
     if letter in partition.left or letter in partition.right:
@@ -113,17 +114,40 @@ def assign(letter: str, partition: HandPartition, digraphs: NGramTable,
 
 def partition_all(mono: NGramTable, digraphs: NGramTable, *, coverage: int = 1,
                   balance_tiebreak: bool = False) -> HandPartition:
-    """Run the full greedy partition over every letter meeting the coverage floor."""
+    """Run the full greedy partition over every letter meeting the coverage floor.
+
+    The involvement mapping holds at least every scored letter: the letters
+    after the four seeds.
+    """
     ranking = [r for r in ranked_monograms(mono) if r[1] >= coverage]
     if len(ranking) < 4:
         raise TooFewLetters(
             f"need at least 4 distinct letters to seed both hands, got {len(ranking)}"
             + (f" at coverage >= {coverage}" if coverage > 1 else ""))
     part = initialize(ranking)
-    involvement = involvement_totals(digraphs)
-    for letter, _count, _pct in ranking[4:]:
+    scored = [letter for letter, _count, _pct in ranking[4:]]
+    involvement = _involvement(scored, mono, digraphs)
+    for letter in scored:
         assign(letter, part, digraphs, involvement, balance_tiebreak=balance_tiebreak)
     return part
+
+
+def _involvement(scored: list[str], mono: NGramTable, digraphs: NGramTable) -> Mapping[str, int]:
+    """The involvement of at least every scored letter, by whichever route takes fewer steps.
+
+    Summing per scored letter (``involvement_sums``) takes two lookups for
+    each scored letter and each letter it sums over, the one pass of
+    ``involvement_totals`` one step per digraph row. The letters summed
+    over are the monogram letters and any found in digraphs alone; those
+    are looked for only where the monogram letters alone leave the sums
+    the shorter route.
+    """
+    rows = len(digraphs.counts)
+    if 2 * len(scored) * len(mono.counts) < rows:
+        letters = partners(digraphs, mono.counts)
+        if 2 * len(scored) * len(letters) < rows:
+            return involvement_sums(digraphs, scored, letters)
+    return involvement_totals(digraphs)
 
 
 # ---------------------------------------------------------------------------

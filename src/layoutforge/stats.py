@@ -24,11 +24,14 @@ that hold no boundary.
 Support of a gram is its share of all letters, as a percentage. Confidence
 of a digraph relative to a focus letter divides the digraph's count by the
 total count of every digraph that involves the focus letter in either
-position (a doubled digraph counts once). That involvement is computed for
-every letter in one pass over the digraph table (``involvement_totals``),
-once per table, and handed to ``side_scores``. Side scores accumulate both
-quantities for a candidate letter against the letters already on one hand,
-taking both orientations of each pair, with one lookup per gram.
+position (a doubled digraph counts once). That involvement is computed
+once per partition and handed to ``side_scores``, by one of two routes
+that give the same integers: for every letter in one pass over the
+digraph rows (``involvement_totals``), or for the scored letters alone by
+sums in C over every letter of the table (``involvement_sums`` with
+``partners``), whichever needs fewer steps. Side scores accumulate both
+quantities for a candidate letter against the letters already on one
+hand, taking both orientations of each pair, with one lookup per gram.
 
 The tables are read and written as TSV in bulk. The reader takes the
 file through the corpus's block reader (``corpus.blocks``), a block of
@@ -52,6 +55,7 @@ import itertools
 import json
 import marshal
 import os
+import re
 import sys
 import threading
 from array import array
@@ -365,6 +369,38 @@ def involvement_totals(digraphs: NGramTable) -> dict[str, int]:
     return totals
 
 
+def involvement_sums(digraphs: NGramTable, letters: Iterable[str],
+                     partners: Sequence[str]) -> dict[str, int]:
+    """The involvement of each of ``letters``, summed over its digraphs with each partner.
+
+    ``partners`` must hold every letter of the digraph table, each once, as
+    the function ``partners`` gives them. A letter x sums xy and then yx
+    over every partner y, less xx, which both sums hold: two lookups in C
+    per partner, so this beats the pass of ``involvement_totals`` over
+    every row when few letters are wanted. The totals are the ones that
+    pass gives, and 0 for a letter in no digraph.
+    """
+    get = digraphs.counts.get
+    zeros = itertools.repeat(0)
+    return {x: sum(map(get, map(x.__add__, partners), zeros))
+            + sum(map(get, map(str.__add__, partners, itertools.repeat(x)), zeros))
+            - get(x + x, 0)
+            for x in letters}
+
+
+def partners(digraphs: NGramTable, known: Iterable[str]) -> list[str]:
+    """The letters ``known``, each once, then every other letter of the digraph table.
+
+    The other letters are found in C, by one search of the joined digraphs
+    for any code point outside ``known``: a set of every letter of the
+    table takes several times as long. ``known`` letters are single code
+    points.
+    """
+    known = list(dict.fromkeys(known))
+    outside = f"[^{re.escape(''.join(known))}]" if known else "(?s:.)"
+    return known + sorted(set(re.findall(outside, "".join(digraphs.counts))))
+
+
 def digraph_confidence(digraphs: NGramTable, focus_letter: str, digraph: str) -> float:
     """The digraph's share, in percent, of all digraphs involving the focus letter."""
     if focus_letter not in digraph:
@@ -384,9 +420,9 @@ def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
     once. A focus letter with no digraph involvement scores confidence 0
     rather than failing, so rare letters still partition cleanly.
 
-    ``involvement`` maps letters to their totals, as ``involvement_totals``
-    returns them for ``digraphs``. ``side`` is consumed in its given order —
-    pass an ordered sequence.
+    ``involvement`` maps at least the focus letter to its total, as
+    ``involvement_totals`` maps every letter of ``digraphs``. ``side`` is
+    consumed in its given order — pass an ordered sequence.
     """
     inv = involvement.get(focus_letter, 0)
     total = digraphs.total_letters

@@ -9,9 +9,12 @@ sample under every flag set: the default and resetting runs as they were
 before the table route existed, the spanning one as it was before the
 counter keyed its windows by packed code points, the two replayed
 runs as they were while run-all still held the whole corpus as one
-stream, and the replay with both unplaced letters and resets as it was
-while each layout's replay merged per-piece scores. Under three flag
-sets, run-all writes the same bytes whatever the interpreter's hash seed.
+stream, the replay with both unplaced letters and resets as it was
+while each layout's replay merged per-piece scores, and the coverage 500
+run, whose partition sums involvement per scored letter (8 scored, 38
+table letters, 899 digraph rows), as it was while every partition took
+the pass over every row. Under three flag sets, run-all writes the same
+bytes whatever the interpreter's hash seed.
 """
 
 import hashlib
@@ -31,8 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = [str(p) for p in sorted((ROOT / "data" / "bn_sample").glob("*.txt"))]
 
 # Flag sets, and whether run-all replays the corpus under them: a spanning
-# count has no run-only digraphs to score resets from, and coverage 50
-# leaves letters off the layout.
+# count has no run-only digraphs to score resets from, and coverage 50 or
+# 500 leaves letters off the layout.
 FLAG_SETS = {
     "defaults": [],
     "reset": ["--reset-on-boundary"],
@@ -40,8 +43,9 @@ FLAG_SETS = {
     "span and reset": ["--span-boundaries", "--reset-on-boundary"],
     "coverage 50": ["--coverage", "50"],
     "coverage 50 and reset": ["--coverage", "50", "--reset-on-boundary"],
+    "coverage 500": ["--coverage", "500"],
 }
-REPLAYED = {"span and reset", "coverage 50", "coverage 50 and reset"}
+REPLAYED = {"span and reset", "coverage 50", "coverage 50 and reset", "coverage 500"}
 SCORING_FLAGS = {"--reset-on-boundary"}
 
 GOLDEN = {
@@ -128,6 +132,20 @@ GOLDEN = {
             "5262e4281fdbf3c505557cc40b04e73bcfd030da28808dcd5240a84b77fa5557",
         "summary.json": "3b0539ad55cafdc7bff8070e95c8bd3b3bdf62c61cf2b6c85db34d53049e1a54",
         "trigrams.tsv": "3ef536d582ca8f394dd723acaab617afe9a8b1fda0a5f03f3334ab4e839d34d4",
+    },
+    "coverage 500": {
+        "stdout": "c0ad00abdf1d4eac4f17b35a0b0c33e999e93b7055e1e997b2610284271aca74",
+        "comparison.txt": "c0ad00abdf1d4eac4f17b35a0b0c33e999e93b7055e1e997b2610284271aca74",
+        "digraphs.tsv": "5ccdb4fa5b0373820398ca4328dd8ff4a01fba0fa3c9d397d023cfb8a7f086f0",
+        "layout.json": "ca7f9ac28ac3ba3ac5c10f23e206231f179ad398b55b400d409ba0f922e61c16",
+        "monograms.tsv": "cb450039915df7561dc792ed6ae550f92aa647607a6278bf842f4bad1c7b22e6",
+        "partition.json": "89e508b063e964be40c0c9c8ff83e53236b382378edbf4efa2e33e6a42d6aad2",
+        "report-optimized.json":
+            "7842e0b1bc8b973fc8b303bcf2e2c7282f2b98923ff005e0114cf5ea50e6a2f8",
+        "report-optimized.tsv":
+            "5f48f051bc9dae61ba570bef3054eec4b1d31c7ada77dbc1d9f41837b637a595",
+        "summary.json": "e669cc0ce22cb60415098151e35e176405aab5ff9fe8be9e47717e22228e113f",
+        "trigrams.tsv": "28eb521444c89d78b7a049cbb496b9db4eeecf4811aab899f08b1d4a10c00e0b",
     },
 }
 

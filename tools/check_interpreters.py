@@ -8,8 +8,11 @@ Each interpreter (this one when none is given) runs, under ``-W error``:
   replayed flag set ``coverage 50``; every file and the stdout must match
   the golden digests of ``tests/test_run_all_scores.py``;
 - ``partition --mono --digraphs`` from the tables the default run wrote,
-  then ``layout`` from its partition; these files and stdouts must be the
-  same bytes under every interpreter;
+  then ``layout`` from its partition, once with the default coverage,
+  where the partition sums involvement in one pass over the digraph rows,
+  and once at ``--coverage 500``, where it sums involvement per scored
+  letter; these files and stdouts must be the same bytes under every
+  interpreter;
 - ``stats`` over the sample's files copied until they hold 600 KiB or
   more, once from the named files, which are counted in parts on a
   machine with two CPUs or more, and once from their bytes on stdin,
@@ -34,6 +37,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = [str(path) for path in sorted((ROOT / "data" / "bn_sample").glob("*.txt"))]
 CHECKED_FLAG_SETS = ("defaults", "coverage 50")
+# The partitions from tables: the first sums involvement in one pass over
+# the digraph rows, the second (8 letters scored) per scored letter.
+PARTITION_FLAG_SETS = ([], ["--coverage", "500"])
 # Above the 512 KiB a corpus needs before it is counted in parts.
 SPLIT_BYTES = 600 << 10
 
@@ -76,11 +82,16 @@ def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
         faults += [f"run-all {key}: {name}" for name in sorted(digests.keys() | golden[key].keys())
                    if digests.get(name) != golden[key].get(name)]
-    tables, out = work / "defaults", work / "tables"
-    stdout = run(python, ["partition", "--mono", str(tables / "monograms.tsv"),
-                          "--digraphs", str(tables / "digraphs.tsv"), "--out", str(out)])
-    stdout += run(python, ["layout", str(out / "partition.json"), "--out", str(out)])
-    return faults + check_parts(python, work), written(stdout, out)
+    tables, files = work / "defaults", {}
+    for i, flags in enumerate(PARTITION_FLAG_SETS):
+        out = work / f"tables{i}"
+        stdout = run(python, ["partition", "--mono", str(tables / "monograms.tsv"),
+                              "--digraphs", str(tables / "digraphs.tsv"), *flags,
+                              "--out", str(out)])
+        stdout += run(python, ["layout", str(out / "partition.json"), "--out", str(out)])
+        files.update((f"{' '.join(['partition', *flags])}: {name}", data)
+                     for name, data in written(stdout, out).items())
+    return faults + check_parts(python, work), files
 
 
 def check_parts(python: str, work: Path) -> list[str]:
