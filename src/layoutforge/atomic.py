@@ -12,8 +12,11 @@ caller declares: a type is a value of exactly that JSON type (``true`` is
 no ``int``, ``1`` no ``float``), ``str | None`` a value of either type,
 ``[shape]`` a list of such items, ``(shape, ...)`` a list of that length
 and ``{field: shape}`` an object with exactly those fields, of which those
-declared ``OptionalField`` may be left out. Any failure raises the error
-class its caller names, with the path of each bad field
+declared ``OptionalField`` may be left out. A list of scalars, of objects
+of scalar fields none of them optional, or of tuples of scalars is first
+checked in bulk, a field at a time over all its items; only a list that
+fails is walked item by item, and only the walk names faults. Any failure
+raises the error class its caller names, with the path of each bad field
 (``trace.left_support``), so each document kind keeps its own error and
 the CLI maps all of them to exit code 2; so does any error of the caller's
 builder, and both name the file. The writer indents by two, keeps
@@ -31,6 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar, get_args
 
@@ -69,7 +73,7 @@ def _check(value, shape, path: str, faults: dict[str, dict[str, None]]) -> None:
     if isinstance(shape, (dict, list, tuple)):
         fits = type(value) is (dict if isinstance(shape, dict) else list)
     else:
-        fits = type(value) is shape or type(value) in get_args(shape)
+        fits = type(value) in _types(shape)
     if not fits or (isinstance(shape, tuple) and len(value) != len(shape)):
         faults["wrongly typed"][path] = None
     elif isinstance(shape, dict):
@@ -81,9 +85,41 @@ def _check(value, shape, path: str, faults: dict[str, dict[str, None]]) -> None:
                 faults["missing"][f"{path}.{name}"] = None
         for name in sorted(value.keys() - shape.keys()):
             faults["unknown"][f"{path}.{name}"] = None
-    elif isinstance(shape, (list, tuple)):
-        for item, kind in zip(value, shape if isinstance(shape, tuple) else shape * len(value)):
+    elif isinstance(shape, tuple):
+        for item, kind in zip(value, shape):
             _check(item, kind, path, faults)
+    elif isinstance(shape, list) and not _all_fit(value, shape[0]):
+        for item in value:
+            _check(item, shape[0], path, faults)
+
+
+def _types(shape) -> set[type]:
+    """The types a value of a scalar ``shape`` may have; none for any other shape."""
+    if isinstance(shape, (dict, list, tuple, OptionalField)):
+        return set()
+    return set(get_args(shape)) or {shape}
+
+
+def _all_fit(items: list, shape) -> bool:
+    """Whether every item fits ``shape``, checked with a few passes in C over all of them.
+
+    Only a scalar shape, an object of scalar fields none of them optional,
+    or a tuple of scalars is checked so, a field at a time: False for any
+    other shape, as for any list with an item that does not fit.
+    """
+    if not isinstance(shape, (dict, tuple)):
+        return set(map(type, items)) <= _types(shape)
+    columns = [(key, _types(field))
+               for key, field in (shape.items() if isinstance(shape, dict) else enumerate(shape))]
+    if not all(types for _key, types in columns):
+        return False
+    if isinstance(shape, dict):
+        if not (set(map(type, items)) <= {dict}
+                and all(map(shape.keys().__eq__, map(dict.keys, items)))):
+            return False
+    elif not (set(map(type, items)) <= {list} and set(map(len, items)) <= {len(shape)}):
+        return False
+    return all(set(map(type, map(itemgetter(key), items))) <= types for key, types in columns)
 
 
 def check_shape(doc: dict, error: type[LayoutForgeError], name: str, shape: dict) -> None:

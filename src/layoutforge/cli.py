@@ -23,6 +23,10 @@ might not give its bytes twice, so that run holds the pieces of its
 letter stream, counts them and replays them. Scoring a corpus
 (``evaluate``, and a replay) is done in this process.
 
+A call builds the argument parser of the subcommand it names alone
+(``COMMANDS`` declares each subcommand's arguments once); help, no
+subcommand or an unknown one builds the parser of all six.
+
 Exit codes: 0 on success, 2 for input or usage problems, 1 for bugs.
 Errors are reported as a single JSON line on stderr.
 """
@@ -300,78 +304,73 @@ def cmd_run_all(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly and entry points.
 
-def _add_common(parser: argparse.ArgumentParser, *, alphabet=False, geometry=False,
-                out=True, coverage=False, balance=False, reset=False, span=False,
-                name=False) -> None:
-    if alphabet:
-        parser.add_argument("--alphabet", dest="alphabet_path", metavar="JSON",
-                            help="alphabet config file (ranges, include, exclude)")
-    if geometry:
-        parser.add_argument("--geometry", dest="geometry_path", metavar="JSON",
-                            help="geometry config file (rows, columns, layers)")
-    if out:
-        parser.add_argument("--out", dest="out_dir", metavar="DIR",
-                            help="directory for output files (default: current)")
-    if coverage:
-        parser.add_argument("--coverage", type=int, metavar="N",
-                            help="ignore letters occurring fewer than N times")
-    if balance:
-        parser.add_argument("--balance-tiebreak", dest="balance_tiebreak",
-                            action="store_true", default=None,
-                            help="send mixed-signal letters to the lighter hand")
-    if reset:
-        parser.add_argument("--reset-on-boundary", dest="reset_on_boundary",
-                            action="store_true", default=None,
-                            help="forget the previous hand at word boundaries")
-    if span:
-        parser.add_argument("--span-boundaries", dest="span_boundaries",
-                            action="store_true", default=None,
-                            help="let n-gram windows cross word boundaries")
-    if name:
-        parser.add_argument("--name", default="optimized",
-                            help="name for the built layout (default: optimized)")
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, as its flags and options."""
+    return flags, options
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CORPUS = _arg("corpus", nargs="*", help="corpus text files (stdin when omitted)")
+_ALPHABET = _arg("--alphabet", dest="alphabet_path", metavar="JSON",
+                 help="alphabet config file (ranges, include, exclude)")
+_GEOMETRY = _arg("--geometry", dest="geometry_path", metavar="JSON",
+                 help="geometry config file (rows, columns, layers)")
+_OUT = _arg("--out", dest="out_dir", metavar="DIR",
+            help="directory for output files (default: current)")
+_COVERAGE = _arg("--coverage", type=int, metavar="N",
+                 help="ignore letters occurring fewer than N times")
+_BALANCE = _arg("--balance-tiebreak", dest="balance_tiebreak", action="store_true", default=None,
+                help="send mixed-signal letters to the lighter hand")
+_RESET = _arg("--reset-on-boundary", dest="reset_on_boundary", action="store_true",
+              default=None, help="forget the previous hand at word boundaries")
+_SPAN = _arg("--span-boundaries", dest="span_boundaries", action="store_true", default=None,
+             help="let n-gram windows cross word boundaries")
+_NAME = _arg("--name", default="optimized",
+             help="name for the built layout (default: optimized)")
+
+# Each subcommand's help, handler and arguments, in the order of its help text.
+COMMANDS = {
+    "stats": ("count n-grams and write frequency tables", cmd_stats,
+              (_CORPUS, _ALPHABET, _OUT, _SPAN)),
+    "partition": ("split the alphabet across two hands", cmd_partition,
+                  (_CORPUS, _arg("--mono", metavar="TSV", help="precomputed 1-gram table"),
+                   _arg("--digraphs", metavar="TSV", help="precomputed 2-gram table"),
+                   _ALPHABET, _OUT, _COVERAGE, _BALANCE, _SPAN)),
+    "layout": ("place a partition onto the key grid", cmd_layout,
+               (_arg("partition", help="partition.json produced by the partition step"),
+                _GEOMETRY, _OUT, _NAME)),
+    "evaluate": ("score layouts against a corpus", cmd_evaluate,
+                 (_arg("layouts", nargs="+", help="layout JSON files"),
+                  _arg("--corpus", nargs="+", required=True, help="corpus text files"),
+                  _ALPHABET, _OUT, _RESET)),
+    "compare": ("rank evaluation reports by hand switching", cmd_compare,
+                (_arg("reports", nargs="+", help="report JSON files"),
+                 _arg("--out", metavar="FILE", help="also write the table to a file"))),
+    "run-all": ("run the whole pipeline in one go", cmd_run_all,
+                (_CORPUS, _ALPHABET, _GEOMETRY, _OUT, _COVERAGE, _BALANCE, _RESET, _SPAN,
+                 _NAME)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it is given.
+
+    A parser of one subcommand parses an argv that starts with its name
+    as the full parser does, with the same messages: the usage line of an
+    error names every subcommand all the same.
+    """
     parser = argparse.ArgumentParser(
         prog="layoutforge",
         description="derive and score two-handed keyboard layouts from a text corpus")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", help="count n-grams and write frequency tables")
-    p.add_argument("corpus", nargs="*", help="corpus text files (stdin when omitted)")
-    _add_common(p, alphabet=True, span=True)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("partition", help="split the alphabet across two hands")
-    p.add_argument("corpus", nargs="*", help="corpus text files (stdin when omitted)")
-    p.add_argument("--mono", metavar="TSV", help="precomputed 1-gram table")
-    p.add_argument("--digraphs", metavar="TSV", help="precomputed 2-gram table")
-    _add_common(p, alphabet=True, coverage=True, balance=True, span=True)
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("layout", help="place a partition onto the key grid")
-    p.add_argument("partition", help="partition.json produced by the partition step")
-    _add_common(p, geometry=True, name=True)
-    p.set_defaults(func=cmd_layout)
-
-    p = sub.add_parser("evaluate", help="score layouts against a corpus")
-    p.add_argument("layouts", nargs="+", help="layout JSON files")
-    p.add_argument("--corpus", nargs="+", required=True, help="corpus text files")
-    _add_common(p, alphabet=True, reset=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="rank evaluation reports by hand switching")
-    p.add_argument("reports", nargs="+", help="report JSON files")
-    p.add_argument("--out", metavar="FILE", help="also write the table to a file")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("run-all", help="run the whole pipeline in one go")
-    p.add_argument("corpus", nargs="*", help="corpus text files (stdin when omitted)")
-    _add_common(p, alphabet=True, geometry=True, coverage=True, balance=True,
-                reset=True, span=True, name=True)
-    p.set_defaults(func=cmd_run_all)
-
+    # One subparser's usage line still lists every name. The full parser
+    # takes no metavar, which would replace "command" in its errors.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if command else None)
+    for name in [command] if command else COMMANDS:
+        help_text, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -382,7 +381,8 @@ def _report_error(exc: BaseException) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -222,13 +222,18 @@ def blocks(handle: BinaryIO, start: int = 0,
     the handle's start. A block is ``_READ_BLOCK`` bytes and the rest of
     the line they end in, so a line longer than a block is read whole.
     From a ``start`` past 0, the rest of the line that holds byte
-    ``start - 1`` is skipped; from 0, the handle is read from where it
-    stands, unsought.
+    ``start - 1`` is skipped, in reads of at most ``_READ_BLOCK`` bytes,
+    and no further than ``stop``: past it no line starts in the range.
+    From 0, the handle is read from where it stands, unsought.
     """
     offset = start
     if start:
         handle.seek(start - 1)
-        offset += len(handle.readline()) - 1
+        offset -= 1
+        while offset < stop and (skipped := handle.readline(_READ_BLOCK)):
+            offset += len(skipped)
+            if skipped.endswith(b"\n"):
+                break
     while offset < stop and (block := handle.read(min(_READ_BLOCK, stop - offset))):
         if not block.endswith(b"\n"):
             block += handle.readline()

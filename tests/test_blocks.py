@@ -266,3 +266,20 @@ def test_counting_memory_does_not_grow_with_the_corpus(tmp_path):
     one_peak = counting_peak(SAMPLE)
     eight_peak = counting_peak(sorted(eight.iterdir()))
     assert eight_peak - one_peak < 1_000_000, (one_peak, eight_peak)
+
+
+@pytest.mark.parametrize("start, stop", [(1, 2), (7, 20), (33, 64), (64, 100), (100, 130)])
+def test_a_part_of_a_line_that_started_before_it_yields_nothing(monkeypatch, start, stop):
+    # A file with no LF is one line, which the part from byte 0 holds.
+    monkeypatch.setattr(corpus, "_READ_BLOCK", 8)
+    handle = io.BytesIO(b"a" * 200)
+    assert list(corpus.blocks(handle, start, stop)) == []
+    assert handle.tell() < stop + corpus._READ_BLOCK
+
+
+def test_a_part_starts_at_the_first_line_after_a_long_one(monkeypatch):
+    monkeypatch.setattr(corpus, "_READ_BLOCK", 8)
+    data = b"a" * 50 + b"\nbc\n" + b"d" * 30
+    assert list(corpus.blocks(io.BytesIO(data), 3, 52)) == [(51, b"bc\n")]
+    assert list(corpus.blocks(io.BytesIO(data), 3, 51)) == []
+    assert list(corpus.blocks(io.BytesIO(data), 51, 60)) == [(51, b"bc\n" + b"d" * 30)]

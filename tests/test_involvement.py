@@ -2,7 +2,7 @@
 
 ``partition_all`` takes the involvement of the letters it scores from the
 one pass of ``involvement_totals`` over every digraph row, or, where that
-needs fewer lookups, from ``involvement_sums`` over every letter of the
+is the faster route, from ``involvement_sums`` over every letter of the
 table. ``oracle.greedy`` takes the involvement of every placed letter by a
 full scan of the digraph table, letter by letter, and every trace float
 must equal its own, not approximately. Sparse tables at low floors take

@@ -16,10 +16,16 @@ Each interpreter (this one when none is given) runs, under ``-W error``:
 - ``stats`` over the sample's files copied until they hold 600 KiB or
   more, once from the named files, which are counted in parts on a
   machine with two CPUs or more, and once from their bytes on stdin,
-  which are counted in one; both runs must write the same bytes.
+  which are counted in one; both runs must write the same bytes;
+- each argv of ``ARGV_MATRIX`` in ``tests/test_parser.py``, parsed by the
+  full parser and by the parser of its subcommand alone, which ``main``
+  builds; both must print the same bytes, exit with the same code, or
+  parse to the same namespace (argparse's help and usage text differs
+  between Python versions, so each interpreter is checked against itself).
 
-The golden digests and flag sets are read from the test file's source with
-``ast.literal_eval``, so the script needs neither pytest nor hypothesis.
+The golden digests, flag sets and argvs are read from the test files'
+source with ``ast.literal_eval``, so the script needs neither pytest nor
+hypothesis.
 It prints one line per check and exits 1 on any mismatch or failed run.
 """
 
@@ -28,6 +34,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -44,9 +51,31 @@ PARTITION_FLAG_SETS = ([], ["--coverage", "500"])
 SPLIT_BYTES = 600 << 10
 
 
-def scores_test_literals(*names: str) -> list:
-    """The values of the module-level literals ``names`` in the run-all scores test."""
-    tree = ast.parse((ROOT / "tests" / "test_run_all_scores.py").read_text(encoding="utf-8"))
+# Run under each interpreter: prints each argv whose parse differs between
+# the full parser and the parser of its subcommand alone, one JSON list a line.
+PARSER_PROBE = """
+import contextlib, io, json, sys
+from layoutforge.cli import build_parser
+
+def outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode(), namespace
+
+for argv in json.loads(sys.stdin.read()):
+    if outcome(build_parser(argv[0]), argv) != outcome(build_parser(), argv):
+        print(json.dumps(argv))
+"""
+
+
+def literals_of(filename: str, *names: str) -> list:
+    """The values of the module-level literals ``names`` in ``tests/<filename>``."""
+    tree = ast.parse((ROOT / "tests" / filename).read_text(encoding="utf-8"))
     values = {target.id: ast.literal_eval(node.value) for node in tree.body
               if isinstance(node, ast.Assign) for target in node.targets
               if isinstance(target, ast.Name) and target.id in names}
@@ -55,11 +84,12 @@ def scores_test_literals(*names: str) -> list:
 
 def run(python: str, argv: list[str], stdin: bytes | None = None) -> bytes:
     """The stdout of one CLI call under ``python``, fed ``stdin`` if given; RuntimeError with
-    its stderr if it fails."""
+    its stderr if it fails. An argv that starts with ``-c`` runs that code instead."""
     env = {key: value for key, value in os.environ.items() if key != "LAYOUTFORGE_CONFIG"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([python, "-W", "error", "-m", "layoutforge", *argv],
+    command = argv if argv[0] == "-c" else ["-m", "layoutforge", *argv]
+    done = subprocess.run([python, "-W", "error", *command],
                           env=env, input=stdin, capture_output=True, timeout=300)
     if done.returncode:
         raise RuntimeError(f"exit {done.returncode} from {argv[0]}:\n"
@@ -91,7 +121,7 @@ def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[
         stdout += run(python, ["layout", str(out / "partition.json"), "--out", str(out)])
         files.update((f"{' '.join(['partition', *flags])}: {name}", data)
                      for name, data in written(stdout, out).items())
-    return faults + check_parts(python, work), files
+    return faults + check_parts(python, work) + check_parser(python), files
 
 
 def check_parts(python: str, work: Path) -> list[str]:
@@ -113,8 +143,16 @@ def check_parts(python: str, work: Path) -> list[str]:
             if named_files.get(name) != piped_files.get(name)]
 
 
+def check_parser(python: str) -> list[str]:
+    """The argvs of the matrix that one subcommand's parser and the full one parse apart."""
+    matrix, = literals_of("test_parser.py", "ARGV_MATRIX")
+    differ = run(python, ["-c", PARSER_PROBE], stdin=json.dumps(matrix).encode())
+    return [f"parsers of one and of every subcommand differ on {line}"
+            for line in differ.decode().splitlines()]
+
+
 def main(pythons: list[str]) -> int:
-    flag_sets, golden = scores_test_literals("FLAG_SETS", "GOLDEN")
+    flag_sets, golden = literals_of("test_run_all_scores.py", "FLAG_SETS", "GOLDEN")
     failed = False
     first = None
     with tempfile.TemporaryDirectory() as temp:
