@@ -9,19 +9,16 @@ paths, so the same inputs give byte-identical files on every run.
 Every command reads its corpus once, one block at a time, in order,
 into the n-gram tables or into the scores of every layout ``evaluate``
 is given; ``run-all`` replays it where its tables cannot score its
-layout. A corpus of regular files of at least two parts' bytes is
-counted in parts, one per CPU this process may use, each the lines that
-start in a byte range: this process counts the first and a forked child
-each other (``corpus.byte_parts``, ``stats.count_all``), or this
-process where no child can take a part or its child raised, with the
-same tables and files as one part gives; a replay reads the files
-again. Stdin and any named file that is not a regular file (a pipe,
-say) are counted here, and streamed like a file, except by a
-``run-all`` whose flags can call for a replay (``--coverage`` above 1,
-or ``--span-boundaries`` with ``--reset-on-boundary``): such a corpus
-might not give its bytes twice, so that run holds the pieces of its
-letter stream, counts them and replays them. Scoring a corpus
-(``evaluate``, and a replay) is done in this process.
+layout. ``stats``, ``partition`` and ``run-all`` first copy stdin, and
+each named file that is not a regular file (a pipe, say), to a
+temporary file (``corpus.spooled``), so their corpus is all regular
+files. One of at least two parts' bytes is counted in parts, one per
+CPU this process may use, each the lines that start in a byte range:
+this process counts the first and a forked child each other
+(``corpus.byte_parts``, ``stats.count_all``), or this process where no
+child can take a part or its child raised, with the same tables and
+files as one part gives; a replay reads the files again. Scoring a
+corpus (``evaluate``, and a replay) is done in this process.
 
 A call builds the argument parser of the subcommand it names alone
 (``COMMANDS`` declares each subcommand's arguments once); help, no
@@ -43,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
-from .corpus import AlphabetConfig, Source, byte_parts, read_pieces, regular_file_size
+from .corpus import AlphabetConfig, Source, byte_parts, read_pieces, spooled
 from .errors import ConfigError, CorpusChanged, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, evaluate_all, format_comparison,
                         read_report_json, score_tables, write_report_json, write_report_tsv)
@@ -123,11 +120,6 @@ def resolve_config(args: argparse.Namespace, environ=os.environ) -> PipelineConf
     return config
 
 
-def _corpus(paths: Sequence[str]) -> list[Source]:
-    """The corpus files, or stdin when none are named, as sources for ``read_pieces``, unread."""
-    return list(paths) or [sys.stdin.buffer]
-
-
 def _refuse_empty(total_letters: int) -> None:
     """A corpus without a letter of the alphabet is refused."""
     if total_letters == 0:
@@ -174,9 +166,8 @@ def _score_counted(layout: KeyboardLayout, corpus: Iterable[str],
     every counted letter, unless boundaries both span and reset: resets
     need the digraphs within runs, and a spanning count has none of its
     own. Elsewhere, as when ``--coverage`` leaves letters out, ``corpus``
-    is replayed: the pieces held since they were read, or the files read
-    again. A replay whose letter total or hand loads are not the counted
-    ones read another corpus, and is refused.
+    is replayed: its files are read again. A replay whose letter total or
+    hand loads are not the counted ones read another corpus, and is refused.
     """
     mono, digraphs, _trigrams, junctions = tables
     reset = config.reset_on_boundary
@@ -218,7 +209,8 @@ def _write_comparison(reports: Sequence[EvaluationReport], path: str | Path | No
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    _write_stats_files(_count(_parts(_corpus(args.corpus), config), config), config)
+    with spooled(args.corpus) as sources:
+        _write_stats_files(_count(_parts(sources, config), config), config)
     return 0
 
 
@@ -237,7 +229,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
             raise ConfigError(f"--mono counts {mono.total_letters} letters and --digraphs"
                               f" {digraphs.total_letters}; the tables come from different corpora")
     else:
-        mono, digraphs = _count(_parts(_corpus(args.corpus), config), config)[:2]
+        with spooled(args.corpus) as sources:
+            mono, digraphs = _count(_parts(sources, config), config)[:2]
     _write_partition(_partition(mono, digraphs, config), mono, config)
     return 0
 
@@ -276,22 +269,12 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     check_layout_name(args.name)  # before the corpus is read
     config = resolve_config(args)
     geometry = config.geometry
-    sources = _corpus(args.corpus)
-    corpus = read_pieces(sources, config.alphabet)
-    # Below coverage 2 the layout places every counted letter or refuses,
-    # so only spanning counts scored with resets need the corpus again. A
-    # corpus that is not all regular files might not give it twice: its
-    # pieces are read in order and held, and counted as one part.
-    replay = config.coverage > 1 or (config.span_boundaries and config.reset_on_boundary)
-    if replay and None in map(regular_file_size, sources):
-        corpus = list(corpus)
-        tables = _count([corpus], config)
-    else:
+    with spooled(args.corpus) as sources:
         tables = _count(_parts(sources, config), config)
-    mono, digraphs = tables[:2]
-    part = _partition(mono, digraphs, config)
-    layout = build_layout(part, mono, geometry, name=args.name)
-    report = _score_counted(layout, corpus, tables, config)
+        mono, digraphs = tables[:2]
+        part = _partition(mono, digraphs, config)
+        layout = build_layout(part, mono, geometry, name=args.name)
+        report = _score_counted(layout, read_pieces(sources, config.alphabet), tables, config)
     out = Path(config.out_dir)
     _write_stats_files(tables, config)
     _write_partition(part, mono, config)

@@ -13,13 +13,14 @@ Files are read in blocks of 16 KiB that end right after an LF
 (``blocks``), and each block is decoded, normalized and tokenized on its
 own, so only one block is held at a time (``read_pieces``); n-gram
 tables are read through the same blocks. The pieces, joined in order,
-are the stream ``read_corpus`` returns whole. Only named regular files
-(``regular_file_size``) can be read twice, and cut at their 1/P byte
-marks into one part per CPU (``byte_parts``). ``blocks`` alone decides
-where a line starts: a part reads the lines that start in its byte
-ranges, and the parts' streams, joined by the same seam rule
-(``seamed``), are the stream of the whole. Whether a part is counted in
-a forked child or in this process, ``stats`` alone decides.
+are the stream ``read_corpus`` returns whole. Only regular files
+(``regular_file_size``) can be read twice, or cut at their 1/P byte
+marks into one part per CPU (``byte_parts``), so stdin and pipes are
+first copied to one (``spooled``). ``blocks`` alone decides where a line
+starts: a part reads the lines that start in its byte ranges, and the
+parts' streams, joined by the same seam rule (``seamed``), are the
+stream of the whole. Whether a part is counted in a forked child or in
+this process, ``stats`` alone decides.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import functools
 import itertools
 import os
 import re
-import stat
+import shutil
 import sys
+import tempfile
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,7 +226,6 @@ def blocks(handle: BinaryIO, start: int = 0,
     From a ``start`` past 0, the rest of the line that holds byte
     ``start - 1`` is skipped, in reads of at most ``_READ_BLOCK`` bytes,
     and no further than ``stop``: past it no line starts in the range.
-    From 0, the handle is read from where it stands, unsought.
     """
     offset = start
     if start:
@@ -249,59 +250,85 @@ class FileRange(NamedTuple):
     stop: int
 
 
-Source = str | Path | FileRange | BinaryIO
+Source = str | Path | FileRange
 
 
 def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str]:
-    """The letter stream of each block of a file or a range of one, or of a handle.
+    """The letter stream of each block of a file or a range of one.
 
     LF is never a letter, and it is a starter that composes with nothing,
     so decoding, normalizing and tokenizing each block gives the stream
     that those steps give the whole source. An encoding error is placed by
-    its offset from the start of the file, or of the source. A handle is
-    read from where it stands and left open.
+    its offset from the start of the file.
     """
     start, stop = 0, sys.maxsize
     if isinstance(source, FileRange):
         source, start, stop = source
-    path = source if isinstance(source, (str, Path)) else None
-    with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
+    with open(source, "rb") as handle:
         for offset, block in blocks(handle, start, stop):
             try:
                 text = normalize_text(block)
             except InvalidEncoding as exc:
-                raise InvalidEncoding(offset + exc.position, path) from None
+                raise InvalidEncoding(offset + exc.position, source) from None
             yield tokenize(text, config)
 
 
-def regular_file_size(source: Source) -> int | None:
-    """The size of a named regular file, which can be read again; None for any other source."""
-    if not isinstance(source, (str, Path)):
-        return None
+def regular_file_size(path: str | Path) -> int | None:
+    """The size of a regular file, which can be read again; None for any other name."""
+    return os.path.getsize(path) if os.path.isfile(path) else None
+
+
+@contextlib.contextmanager
+def spooled(paths: Sequence[str]) -> Iterator[list[str]]:
+    """The files ``paths`` name, or stdin when they are none, as names of regular files.
+
+    Stdin and each name that opens but is no regular file (a pipe, say)
+    are copied byte for byte to temporary files, removed when the block
+    ends; a name that does not open stays, to fail in its turn.
+    """
+    copied: dict[str, str | None] = {}  # what each spool holds
     try:
-        info = os.stat(source)
-    except OSError:  # as if empty: reading it then fails in its turn
-        return 0
-    return info.st_size if stat.S_ISREG(info.st_mode) else None
+        yield [_spool(path, copied) for path in paths or [None]]
+    except InvalidEncoding as exc:  # named by what was copied, never by its copy
+        raise InvalidEncoding(exc.position, copied.get(exc.path, exc.path)) from None
+    finally:
+        for spool in copied:
+            os.remove(spool)
+
+
+def _spool(path: str | None, copied: dict[str, str | None]) -> str | None:
+    """``path``, or the name of a copy of it (of stdin when it is None) entered in ``copied``."""
+    if path is not None and regular_file_size(path) is not None:
+        return path
+    try:
+        source = open(path, "rb") if path is not None else contextlib.nullcontext(sys.stdin.buffer)
+    except OSError:  # fails in its turn
+        return path
+    with source as handle, tempfile.NamedTemporaryFile(prefix="layoutforge-",
+                                                        delete=False) as spool:
+        copied[spool.name] = path
+        shutil.copyfileobj(handle, spool)
+    return spool.name
 
 
 def byte_parts(sources: Sequence[Source]) -> list[list[Source]]:
     """The sources cut into parts of about equal bytes, one for each CPU this process may use.
 
-    Only a corpus of regular files (``regular_file_size``) is cut, on a
-    platform that tells the CPUs a process may use; whether each part is
-    counted in a forked child or here, ``stats.count_all`` decides. The
-    cuts lie at the 1/P byte marks of the files joined, found with no
-    file opened, and a part holds the lines that start in its byte range
-    (``FileRange``, ``blocks``), so each line is read by one part: the
-    parts' streams, joined as ``read_pieces`` joins pieces, are the
-    stream of the whole. P is capped so that the marks lie ``_MIN_PART``
-    bytes apart or more; a corpus of fewer than two such parts, or any
-    other kind of source, is one part.
+    The corpus is cut on a platform that tells the CPUs a process may
+    use; whether each part is counted in a forked child or here,
+    ``stats.count_all`` decides. The cuts lie at the 1/P byte marks of the
+    files joined, found with no file opened, and a part holds the lines
+    that start in its byte range (``FileRange``, ``blocks``), so each line
+    is read by one part: the parts' streams, joined as ``read_pieces``
+    joins pieces, are the stream of the whole. A file that is not regular
+    (``regular_file_size``), such as a name that does not open, counts as
+    empty, and its part reads it whole. P is capped so that the marks lie
+    ``_MIN_PART`` bytes apart or more; a corpus of fewer than two such
+    parts is one part.
     """
     whole = [list(sources)]
-    sizes = list(map(regular_file_size, sources))
-    if not hasattr(os, "sched_getaffinity") or None in sizes:
+    sizes = [regular_file_size(source) or 0 for source in sources]
+    if not hasattr(os, "sched_getaffinity"):
         return whole
     total = sum(sizes)
     count = min(len(os.sched_getaffinity(0)), total // _MIN_PART)

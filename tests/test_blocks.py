@@ -135,10 +135,10 @@ def test_a_single_read_streams_stdin(tmp_path, capsys, monkeypatch, command):
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 def test_run_all_replays_a_named_pipe_from_what_it_read(tmp_path, capsys):
-    """A pipe gives its bytes once: run-all holds the pieces it read to replay, as for stdin.
+    """A pipe gives its bytes once: run-all replays the copy it made of them, as of stdin.
 
-    Opened a second time, the pipe ``/dev/stdin`` names reads as empty. A
-    corpus of a regular file and the pipe is held whole.
+    Opened a second time, the pipe ``/dev/stdin`` names reads as empty. In
+    a corpus of a regular file and the pipe, the pipe alone is copied.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -24,6 +24,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -320,6 +321,10 @@ def test_a_childs_error_reaches_the_user_as_itself(tmp_path, capsys, monkeypatch
             (raised / str(os.getpid())).touch()
         elif raised_in == "the children":
             return part_windows(part)
+        else:  # the parent would stop a child that has not yet reached its part
+            deadline = time.monotonic() + 5
+            while len(list(raised.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
         raise PartError("this part cannot be counted")
 
     monkeypatch.setattr(stats, "_part_windows", failing)

@@ -13,8 +13,9 @@ with its own block size and its own way to place a bad byte.
 
 No module but ``atomic``, which reads JSON documents, reads anything
 whole: no ``.read_bytes()``, and no ``.read()`` without a size. A corpus
-is read a block at a time, from its files or once from stdin or a pipe,
-in its turn, so that the first bad input is named whatever the flags.
+is read a block at a time, in its turn, from its files, or from the
+temporary file that stdin or a pipe was copied to a chunk at a time, so
+that the first bad input is named whatever the flags.
 """
 
 import ast

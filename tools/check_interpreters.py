@@ -5,8 +5,11 @@
 Each interpreter (this one when none is given) runs, under ``-W error``:
 
 - ``run-all`` over ``data/bn_sample`` with the default flags and with the
-  replayed flag set ``coverage 50``; every file and the stdout must match
-  the golden digests of ``tests/test_run_all_scores.py``;
+  replayed flag set ``coverage 50``, and with ``coverage 50`` once more
+  from the sample's bytes on stdin, which is spooled to a temporary file
+  and then counted and replayed as the named files are; every file and
+  the stdout must match the golden digests of
+  ``tests/test_run_all_scores.py``;
 - ``partition --mono --digraphs`` from the tables the default run wrote,
   then ``layout`` from its partition, once with the default coverage,
   where the partition sums involvement in one pass over the digraph rows,
@@ -14,9 +17,9 @@ Each interpreter (this one when none is given) runs, under ``-W error``:
   letter; these files and stdouts must be the same bytes under every
   interpreter;
 - ``stats`` over the sample's files copied until they hold 600 KiB or
-  more, once from the named files, which are counted in parts on a
-  machine with two CPUs or more, and once from their bytes on stdin,
-  which are counted in one; both runs must write the same bytes;
+  more, once from the named files and once from their bytes on stdin,
+  both counted in parts on a machine with two CPUs or more; both runs
+  must write the same bytes;
 - each argv of ``ARGV_MATRIX`` in ``tests/test_parser.py``, parsed by the
   full parser and by the parser of its subcommand alone, which ``main``
   builds; both must print the same bytes, exit with the same code, or
@@ -105,14 +108,16 @@ def written(stdout: bytes, out: Path) -> dict[str, bytes]:
 def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[str], dict]:
     """The mismatches of ``python`` against the golden digests, and its partition and layout."""
     faults = []
-    for key in CHECKED_FLAG_SETS:
-        out = work / key.replace(" ", "-")
-        files = written(run(python, ["run-all", *SAMPLE, "--out", str(out), *flag_sets[key]]),
-                        out)
+    piped = b"".join(Path(path).read_bytes() for path in SAMPLE)
+    for key, stdin in [(key, None) for key in CHECKED_FLAG_SETS] + [("coverage 50", piped)]:
+        label = f"run-all {key}" + (" from stdin" if stdin else "")
+        out = work / label.replace(" ", "-")
+        files = written(run(python, ["run-all", *([] if stdin else SAMPLE), "--out", str(out),
+                                     *flag_sets[key]], stdin=stdin), out)
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
-        faults += [f"run-all {key}: {name}" for name in sorted(digests.keys() | golden[key].keys())
+        faults += [f"{label}: {name}" for name in sorted(digests.keys() | golden[key].keys())
                    if digests.get(name) != golden[key].get(name)]
-    tables, files = work / "defaults", {}
+    tables, files = work / "run-all-defaults", {}
     for i, flags in enumerate(PARTITION_FLAG_SETS):
         out = work / f"tables{i}"
         stdout = run(python, ["partition", "--mono", str(tables / "monograms.tsv"),
