@@ -8,10 +8,11 @@ the innermost column outward, then the top row, then the bottom row,
 then the same sweep on the shift and ctrl layers.
 """
 
+import tempfile
 from pathlib import Path
 
 from layoutforge import (AlphabetConfig, build_layout, count_all, partition_all,
-                         read_corpus, render_grid, serialize_layout)
+                         read_corpus, render_grid, write_layout)
 
 data_dir = Path(__file__).resolve().parent.parent / "data" / "bn_sample"
 stream = read_corpus(sorted(data_dir.glob("*.txt")), AlphabetConfig())
@@ -27,8 +28,11 @@ for layer in layout.geometry.layers:
     print(render_grid(layout, layer))
     print()
 
-# The serialized form is canonical JSON: building the same layout twice
-# gives identical bytes, so layouts diff cleanly under version control.
-data = serialize_layout(layout)
-print(f"serialized layout: {len(data)} bytes, "
-      f"stable: {serialize_layout(layout) == data}")
+# The layout file is canonical JSON: writing the same layout twice gives
+# identical bytes, so layouts diff cleanly under version control.
+with tempfile.TemporaryDirectory() as tmp:
+    first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+    write_layout(layout, first)
+    write_layout(layout, second)
+    data = first.read_bytes()
+    print(f"layout file: {len(data)} bytes, stable: {second.read_bytes() == data}")

@@ -11,18 +11,15 @@ from .corpus import (BOUNDARY, AlphabetConfig, concat_streams, format_codepoint,
                      normalize_text, parse_codepoint, read_corpus, read_pieces, tokenize)
 from .errors import (AlreadyAssigned, CapacityExceeded, ConfigError, CorpusChanged,
                      EmptyCorpus, EmptyInput, InvalidEncoding, InvariantViolation,
-                     LayoutForgeError, MalformedInput, MalformedLayout,
-                     NoInvolvement, TooFewLetters)
+                     LayoutForgeError, MalformedInput, MalformedLayout, TooFewLetters)
 from .evaluator import (Comparison, ComparisonRow, EvaluationReport, compare, evaluate,
                         evaluate_all, format_comparison, score_tables)
 from .layout import (Geometry, KeyPosition, KeyboardLayout, build_layout,
-                     load_geometry, load_layout, parse_layout, render_grid,
-                     serialize_layout, write_layout)
+                     load_geometry, load_layout, render_grid, write_layout)
 from .partition import (Decision, HandPartition, assign, initialize,
                         partition_all, read_partition_json, write_partition_json)
-from .stats import (NGramTable, SideScore, count_all, count_ngrams, digraph_confidence,
-                    involvement_totals, ranked_monograms, read_ngram_tsv, side_scores,
-                    support, write_ngram_tsv)
+from .stats import (NGramTable, SideScore, count_all, count_ngrams, involvement_totals,
+                    ranked_monograms, read_ngram_tsv, side_scores, write_ngram_tsv)
 
 __version__ = "0.1.0"
 
@@ -31,15 +28,14 @@ __all__ = [
     "format_codepoint", "normalize_text", "parse_codepoint", "read_corpus", "read_pieces",
     "tokenize",
     "LayoutForgeError", "ConfigError", "InvalidEncoding", "EmptyCorpus",
-    "NoInvolvement", "TooFewLetters", "AlreadyAssigned", "CapacityExceeded",
+    "TooFewLetters", "AlreadyAssigned", "CapacityExceeded",
     "MalformedInput", "MalformedLayout", "InvariantViolation", "EmptyInput", "CorpusChanged",
-    "NGramTable", "SideScore", "count_all", "count_ngrams", "support", "involvement_totals",
-    "digraph_confidence", "side_scores", "ranked_monograms", "read_ngram_tsv",
-    "write_ngram_tsv",
+    "NGramTable", "SideScore", "count_all", "count_ngrams", "involvement_totals",
+    "side_scores", "ranked_monograms", "read_ngram_tsv", "write_ngram_tsv",
     "Decision", "HandPartition", "initialize", "assign", "partition_all",
     "read_partition_json", "write_partition_json",
     "Geometry", "KeyPosition", "KeyboardLayout", "build_layout", "load_geometry",
-    "load_layout", "parse_layout", "serialize_layout", "write_layout", "render_grid",
+    "load_layout", "write_layout", "render_grid",
     "EvaluationReport", "score_tables", "evaluate", "evaluate_all",
     "Comparison", "ComparisonRow", "compare", "format_comparison",
 ]

@@ -49,10 +49,10 @@ from .layout import (Geometry, KeyboardLayout, build_layout, check_layout_name, 
 from .partition import (HandPartition, partition_all, read_partition_json,
                         write_partition_json)
 from .stats import NGramTable, count_all, read_ngram_tsv, write_ngram_tsv
-# Never called here: bench/spans.py looks these names up in this module, and
-# its tests require every name it traces to exist. The metrics they feed
-# (corpus.letters, corpus.mb_per_s, corpus.rss_gain_mb, stats.count_*) read
-# 0 and measure nothing until the tracer is pointed at names the CLI calls.
+# Never called here: bench/spans.py traces these names in this module, and
+# bench/test_bench.py needs every metric they feed (corpus.letters,
+# corpus.mb_per_s, stats.count_*). Those read 0 until the tracer is pointed
+# at names the CLI calls; then these imports can go.
 from .corpus import normalize_text, read_corpus, tokenize  # noqa: F401
 from .stats import count_ngrams  # noqa: F401
 

@@ -33,10 +33,6 @@ class CorpusChanged(LayoutForgeError):
     """A corpus read again gave other letters than it gave the first time."""
 
 
-class NoInvolvement(LayoutForgeError):
-    """Confidence asked for a letter that occurs in no digraph."""
-
-
 class TooFewLetters(LayoutForgeError):
     """Hand seeding needs at least four distinct ranked letters."""
 

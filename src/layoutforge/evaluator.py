@@ -185,11 +185,9 @@ _REPORT_FIELDS = tuple(f.name for f in fields(EvaluationReport))
 REPORT_SHAPE = {**get_type_hints(EvaluationReport), "config": OptionalField(dict)}
 
 
-def write_report_json(report: EvaluationReport, path: str | Path,
-                      *, config_echo: dict | None = None) -> None:
+def write_report_json(report: EvaluationReport, path: str | Path, *, config_echo: dict) -> None:
     doc = {name: getattr(report, name) for name in _REPORT_FIELDS}
-    if config_echo is not None:
-        doc["config"] = config_echo
+    doc["config"] = config_echo
     write_json(doc, path)
 
 

@@ -7,20 +7,19 @@ home row from the innermost column outward, then the rows above and
 below in order of distance from home, then the same sweep on the next
 layer. More frequent letters therefore land on stronger positions.
 
-Layout files are canonical JSON: parsing a serialized layout gives back
-an equal object, and serializing again gives identical bytes.
+Layout files are canonical JSON: loading a written layout gives back an
+equal object, and writing it again gives identical bytes.
 """
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from .atomic import OptionalField, dump_json, parse_json_object, read_json_object, write_json
+from .atomic import OptionalField, read_json_object, write_json
 from .corpus import format_codepoint
 from .errors import (CapacityExceeded, ConfigError, InvariantViolation, LayoutForgeError,
                      MalformedLayout)
@@ -103,11 +102,7 @@ class Geometry:
                 raise ConfigError(
                     f"priority for {hand} hand must cover its {size} slots exactly once")
 
-    def position_priority(self, hand: str) -> tuple[KeyPosition, ...]:
-        """All slots of one hand, best first."""
-        return tuple(self._slots(hand))
-
-    def _slots(self, hand: str) -> Iterator[KeyPosition]:
+    def position_priority(self, hand: str) -> Iterator[KeyPosition]:
         """The slots of one hand, best first, made one at a time.
 
         Lazy so that placing a few letters on a very large grid costs only
@@ -190,7 +185,7 @@ def build_layout(partition: HandPartition, mono: NGramTable,
     assignment: dict[str, KeyPosition] = {}
     for hand, letters in (("left", partition.left), ("right", partition.right)):
         ordered = [g for g, _ in frequency_order({g: mono.counts.get(g, 0) for g in letters})]
-        slots = tuple(islice(geometry._slots(hand), len(ordered)))
+        slots = tuple(islice(geometry.position_priority(hand), len(ordered)))
         if len(ordered) > len(slots):
             raise CapacityExceeded(hand, len(ordered) - len(slots))
         for letter, slot in zip(ordered, slots):
@@ -221,12 +216,6 @@ def _layout_doc(layout: KeyboardLayout) -> dict:
             for letter, pos in keys
         ],
     }
-
-
-def serialize_layout(layout: KeyboardLayout) -> bytes:
-    text = io.StringIO()
-    dump_json(_layout_doc(layout), text)
-    return text.getvalue().encode("utf-8")
 
 
 def _layout_from_doc(doc: Mapping) -> KeyboardLayout:
@@ -266,18 +255,14 @@ def _layout_from_doc(doc: Mapping) -> KeyboardLayout:
     return KeyboardLayout(name=doc["name"], geometry=geometry, assignment=assignment)
 
 
-def parse_layout(data: bytes | str) -> KeyboardLayout:
-    """Parse and validate a layout document.
+def load_layout(path: str | Path) -> KeyboardLayout:
+    """Read and validate a layout file.
 
     Structural problems (bad JSON, missing fields) raise MalformedLayout;
     an internally inconsistent layout (two letters on one slot, a hand on
     the wrong side of the split, a code point that contradicts its letter)
     raises InvariantViolation.
     """
-    return _layout_from_doc(parse_json_object(data, MalformedLayout, "layout", LAYOUT_SHAPE))
-
-
-def load_layout(path: str | Path) -> KeyboardLayout:
     return read_json_object(path, MalformedLayout, "layout", LAYOUT_SHAPE, _layout_from_doc)
 
 

@@ -52,26 +52,15 @@ class HandPartition:
     right: list[str] = field(default_factory=list)
     trace: list[Decision] = field(default_factory=list)
 
-    def hand_of(self, letter: str) -> str:
-        if letter in self.left:
-            return "left"
-        if letter in self.right:
-            return "right"
-        raise KeyError(f"{letter!r} is not assigned to either hand")
-
-
-def _letter_of(entry) -> str:
-    return entry if isinstance(entry, str) else entry[0]
-
 
 def initialize(ranking: Sequence) -> HandPartition:
     """Seed the hands from the top four letters of a frequency ranking.
 
-    ``ranking`` entries may be bare letters or (letter, ...) tuples as
-    produced by ranked_monograms. Ranks one and four go right, two and
+    ``ranking`` entries are bare letters or ``ranked_monograms`` triples,
+    whose first item is the letter. Ranks one and four go right, two and
     three left. Fewer than four letters is refused.
     """
-    letters = [_letter_of(e) for e in ranking[:4]]
+    letters = [entry[0] for entry in ranking[:4]]
     if len(letters) < 4:
         raise TooFewLetters(
             f"need at least 4 distinct letters to seed both hands, got {len(letters)}")
@@ -89,10 +78,11 @@ def assign(letter: str, partition: HandPartition, digraphs: NGramTable,
 
     ``involvement`` maps at least ``letter`` to its involvement, as
     ``involvement_totals(digraphs)`` does every letter. Mutates and returns
-    the partition; the decision is appended to the trace.
+    the partition, whose trace gains the decision; a placed letter is refused.
     """
-    if letter in partition.left or letter in partition.right:
-        raise AlreadyAssigned(f"{letter!r} is already on the {partition.hand_of(letter)} hand")
+    for hand in ("left", "right"):
+        if letter in getattr(partition, hand):
+            raise AlreadyAssigned(f"{letter!r} is already on the {hand} hand")
     left_score = side_scores(letter, partition.left, digraphs, involvement)
     right_score = side_scores(letter, partition.right, digraphs, involvement)
     if (left_score.cumulative_support > right_score.cumulative_support
@@ -167,7 +157,7 @@ PARTITION_SHAPE = {
 
 
 def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: str | Path,
-                         *, config_echo: dict | None = None) -> None:
+                         *, config_echo: dict) -> None:
     ranking = ranked_monograms(mono)
     payload = {
         "left": list(partition.left),
@@ -187,9 +177,8 @@ def write_partition_json(partition: HandPartition, mono: NGramTable, out_path: s
             }
             for d in partition.trace
         ],
+        "config": config_echo,
     }
-    if config_echo is not None:
-        payload["config"] = config_echo
     write_json(payload, out_path)
 
 

@@ -21,8 +21,9 @@ counted. One loop over the distinct keys then folds them into the
 monogram, digraph, trigram and junction tables, decoding only the grams
 that hold no boundary.
 
-Support of a gram is its share of all letters, as a percentage. Confidence
-of a digraph relative to a focus letter divides the digraph's count by the
+The association scores are computed in one place, ``side_scores``. Support
+of a gram is its share of all letters, as a percentage. Confidence of a
+digraph relative to a focus letter divides the digraph's count by the
 total count of every digraph that involves the focus letter in either
 position (a doubled digraph counts once). That involvement is computed
 once per partition and handed to ``side_scores``, by one of two routes
@@ -65,7 +66,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence, TextIO
 
 from .corpus import BOUNDARY, blocks, refuse_bare_stream, seamed
-from .errors import EmptyCorpus, MalformedInput, NoInvolvement
+from .errors import EmptyCorpus, MalformedInput
 
 NGRAM_SIZES = (1, 2, 3)
 
@@ -346,13 +347,6 @@ def count_ngrams(corpus: Iterable[str], n: int, *,
     return count_all(corpus, span_boundaries=span_boundaries)[n - 1]
 
 
-def support(table: NGramTable, gram: str) -> float:
-    """Percentage of all letters accounted for by this gram's occurrences."""
-    if table.total_letters == 0:
-        raise EmptyCorpus("empty corpus: no letters to take percentages of")
-    return 100.0 * table.counts.get(gram, 0) / table.total_letters
-
-
 def involvement_totals(digraphs: NGramTable) -> dict[str, int]:
     """Every letter's involvement: the total count of the digraphs containing it.
 
@@ -401,16 +395,6 @@ def partners(digraphs: NGramTable, known: Iterable[str]) -> list[str]:
     return known + sorted(set(re.findall(outside, "".join(digraphs.counts))))
 
 
-def digraph_confidence(digraphs: NGramTable, focus_letter: str, digraph: str) -> float:
-    """The digraph's share, in percent, of all digraphs involving the focus letter."""
-    if focus_letter not in digraph:
-        raise ValueError(f"digraph {digraph!r} does not contain {focus_letter!r}")
-    inv = involvement_totals(digraphs).get(focus_letter, 0)
-    if inv == 0:
-        raise NoInvolvement(f"{focus_letter!r} occurs in no digraph")
-    return 100.0 * digraphs.counts.get(digraph, 0) / inv
-
-
 def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
                 involvement: Mapping[str, int]) -> SideScore:
     """Cumulative support/confidence of a candidate letter against one hand.
@@ -427,8 +411,9 @@ def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
     inv = involvement.get(focus_letter, 0)
     total = digraphs.total_letters
     get = digraphs.counts.get
-    # One lookup per gram. Each term is the one ``support`` (or the
-    # confidence) gives, added in turn, xm before mx, so the floats match.
+    # One lookup per gram. Each term is one gram's support, 100 * count /
+    # total, or confidence, 100 * count / inv, added in turn, xm before mx,
+    # so the floats match a sum of the terms taken one at a time.
     sup = 0.0
     conf = 0.0
     try:
@@ -444,7 +429,7 @@ def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
                 sup = sup + 100.0 * ahead / total + 100.0 * behind / total
                 if inv:
                     conf = conf + 100.0 * ahead / inv + 100.0 * behind / inv
-    except ZeroDivisionError:  # a letter total of 0, as ``support`` refuses it
+    except ZeroDivisionError:  # a letter total of 0: there is no share to take
         raise EmptyCorpus("empty corpus: no letters to take percentages of") from None
     return SideScore(cumulative_support=sup, cumulative_confidence=conf)
 
@@ -479,7 +464,7 @@ def ranked_monograms(mono: NGramTable) -> list[tuple[str, int, float]]:
 _ROWS_WRITTEN = 4096
 
 
-def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict | None = None) -> None:
+def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict) -> None:
     """Write the table as TSV: a '#' header, a column header, then rows in ``frequency_order``.
 
     A row's count and percentage depend on its count alone, so each
@@ -489,8 +474,7 @@ def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict | None 
     out.write("# layoutforge ngram table\n")
     out.write(f"# n\t{table.n}\n")
     out.write(f"# total_letters\t{table.total_letters}\n")
-    if config_echo is not None:
-        out.write(f"# config\t{json.dumps(config_echo, sort_keys=True, ensure_ascii=False)}\n")
+    out.write(f"# config\t{json.dumps(config_echo, sort_keys=True, ensure_ascii=False)}\n")
     out.write("gram\tcount\tpercentage\n")
     total = table.total_letters
     tails = {count: f"\t{count}\t{100.0 * count / total if total else 0.0:.6f}\n"

@@ -11,10 +11,9 @@ import time
 
 from layoutforge.cli import main
 from layoutforge.evaluator import EvaluationReport, compare, evaluate
-from layoutforge.layout import KeyPosition, build_layout, parse_layout, serialize_layout
+from layoutforge.layout import KeyPosition, build_layout, load_layout, write_layout
 from layoutforge.partition import assign, initialize, partition_all
-from layoutforge.stats import (count_ngrams, digraph_confidence, involvement_totals,
-                               ranked_monograms, side_scores, support)
+from layoutforge.stats import count_ngrams, involvement_totals, ranked_monograms, side_scores
 
 from conftest import (FOCUS, SAMPLE, K_LEFT_SCORE, K_RIGHT_SCORE, TABLE2_ROWS, layout_from_hands,
                       make_stream, make_tables, mirrored, partition_of, random_corpus,
@@ -30,10 +29,13 @@ def verdict(number, label, ok):
 def test_criterion_1_association_arithmetic(paper_digraphs):
     started = time.perf_counter()
     ok = True
+    involvement = involvement_totals(paper_digraphs)
     for gram, count, expected_support, expected_conf in TABLE2_ROWS:
         ok &= paper_digraphs.counts[gram] == count
-        ok &= abs(support(paper_digraphs, gram) - expected_support) <= 1e-5
-        ok &= abs(digraph_confidence(paper_digraphs, FOCUS, gram) - expected_conf) <= 1e-4
+        # the focus letter against the gram's other letter; no reversed digraph is listed
+        pair = side_scores(FOCUS, [gram.replace(FOCUS, "", 1)], paper_digraphs, involvement)
+        ok &= abs(pair.cumulative_support - expected_support) <= 1e-5
+        ok &= abs(pair.cumulative_confidence - expected_conf) <= 1e-4
     elapsed = time.perf_counter() - started
     ok &= elapsed < 1.0
     verdict(1, f"published digraph support/confidence values ({elapsed:.3f}s)", ok)
@@ -80,12 +82,12 @@ def test_criterion_4_ngram_oracle():
             ok &= count_ngrams([stream], n).counts == expected[n - 1]
         mono = count_ngrams([stream], 1)
         if mono.total_letters:
-            ok &= abs(sum(support(mono, g) for g in mono.counts) - 100.0) <= 1e-9
+            ok &= abs(sum(pct for _l, _c, pct in ranked_monograms(mono)) - 100.0) <= 1e-9
         dig = count_ngrams([stream], 2)
-        involved = {ch for g in dig.counts for ch in g}
-        for letter in involved:
-            conf = sum(digraph_confidence(dig, letter, g)
-                       for g in dig.counts if letter in g)
+        involvement = involvement_totals(dig)
+        for letter in involvement:
+            conf = sum(side_scores(letter, [partner], dig, involvement).cumulative_confidence
+                       for partner in involvement)
             ok &= abs(conf - 100.0) <= 1e-9
     verdict(4, "200 random streams match the window scanner; shares sum to 100", ok)
 
@@ -148,7 +150,7 @@ def test_criterion_7_comparison_fixture():
     verdict(7, "published comparison rows rank the optimized layout first", ok)
 
 
-def test_criterion_8_capacity_and_round_trip():
+def test_criterion_8_capacity_and_round_trip(tmp_path):
     counts = {chr(ord("a") + i): 100 - i for i in range(16)}
     counts["z"] = 1000
     letters = sorted(counts)[:16]
@@ -159,8 +161,11 @@ def test_criterion_8_capacity_and_round_trip():
     hand16 = build_layout(partition_of(letters, "z"), make_tables(counts))
     ok &= hand16.assignment[letters[15]] == KeyPosition("left", "shift", 1, 5)
     ok &= all(hand16.assignment[l].layer == "base" for l in letters[:15])
+    path = tmp_path / "layout.json"
     for layout in (hand5, hand16):
-        data = serialize_layout(layout)
-        ok &= parse_layout(data) == layout
-        ok &= serialize_layout(parse_layout(data)) == data
+        write_layout(layout, path)
+        data = path.read_bytes()
+        ok &= load_layout(path) == layout
+        write_layout(load_layout(path), path)
+        ok &= path.read_bytes() == data
     verdict(8, "home-row fill, shift spill, byte-stable round-trip", ok)

@@ -1,5 +1,8 @@
 """The package's public names, and the one shape of stream its counters and scorers take."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import layoutforge
@@ -14,6 +17,30 @@ def test_star_import_binds_every_public_name():
     assert len(set(layoutforge.__all__)) == len(layoutforge.__all__)
     for name in layoutforge.__all__:
         assert namespace[name] is getattr(layoutforge, name)
+
+
+# Public names that no module of the package uses, each kept for a caller outside it.
+UNUSED_BY_THE_PACKAGE = {
+    "concat_streams": "bench/spans.py traces layoutforge.corpus.concat_streams",
+    "render_grid": "the only drawing of a layout, which demos/04_build_layout.py prints",
+}
+
+
+def test_every_public_name_is_used_by_the_package():
+    """A public name that no module but ``__init__`` refers to restates one the pipeline calls."""
+    used = set()
+    for path in Path(layoutforge.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = set(layoutforge.__all__) - used
+    assert unused == set(UNUSED_BY_THE_PACKAGE)
 
 
 LAYOUT = layout_from_hands("a", "b")

@@ -6,6 +6,7 @@ scoring code.
 """
 
 import io
+import json
 import math
 import random
 
@@ -244,6 +245,8 @@ def test_report_json_round_trip(tmp_path):
     report = PUBLISHED_REPORTS[0]
     path = tmp_path / "report.json"
     write_report_json(report, path, config_echo={"coverage": 1})
+    assert list(json.loads(path.read_text(encoding="utf-8")).items())[-1] == (
+        "config", {"coverage": 1})  # the echo is the last key
     assert read_report_json(path) == report
 
 

@@ -8,8 +8,7 @@ import pytest
 from layoutforge.errors import (CapacityExceeded, ConfigError, InvariantViolation,
                                 MalformedLayout)
 from layoutforge.layout import (Geometry, KeyboardLayout, KeyPosition, build_layout,
-                                load_geometry, parse_layout, render_grid,
-                                serialize_layout)
+                                load_geometry, load_layout, render_grid, write_layout)
 from conftest import make_tables, partition_of
 
 
@@ -26,8 +25,8 @@ def test_default_geometry_shape():
 
 def test_default_priority_home_row_first_inner_to_outer():
     geo = Geometry()
-    left = geo.position_priority("left")
-    right = geo.position_priority("right")
+    left = tuple(geo.position_priority("left"))
+    right = tuple(geo.position_priority("right"))
     assert [(p.layer, p.row, p.column) for p in left[:5]] == [
         ("base", 1, 5), ("base", 1, 4), ("base", 1, 3), ("base", 1, 2), ("base", 1, 1)]
     assert [(p.layer, p.row, p.column) for p in right[:5]] == [
@@ -57,7 +56,7 @@ def test_custom_priority_validation():
         "right": tuple(("base", 0, c) for c in (3, 4)),
     }
     geo = Geometry(rows=1, columns=4, layers=("base",), priority=ok)
-    assert geo.position_priority("left")[0] == KeyPosition("left", "base", 0, 1)
+    assert next(geo.position_priority("left")) == KeyPosition("left", "base", 0, 1)
     with pytest.raises(ConfigError):  # missing a slot
         Geometry(rows=1, columns=4, layers=("base",),
                  priority={"left": (("base", 0, 1),), "right": ok["right"]})
@@ -102,14 +101,14 @@ def test_sixteenth_letter_spills_onto_shift_layer():
     assert all(layout.assignment[l].layer == "base" for l in letters[:15])
 
 
-def test_placement_is_deterministic():
+def test_placement_is_deterministic(tmp_path):
     counts = {"a": 5, "b": 5, "c": 2, "z": 9}
     part = partition_of("abc", "z")
     tables = make_tables(counts)
     first = build_layout(part, tables)
     second = build_layout(part, tables)
     assert first == second
-    assert serialize_layout(first) == serialize_layout(second)
+    assert written_bytes(first, tmp_path) == written_bytes(second, tmp_path)
 
 
 def test_frequency_monotone_within_hand():
@@ -175,7 +174,21 @@ def test_custom_priority_governs_placement():
 
 
 # ---------------------------------------------------------------------------
-# Serialization.
+# Layout files.
+
+def written_bytes(layout, tmp_path):
+    """The bytes ``write_layout`` writes for the layout."""
+    path = tmp_path / "written.json"
+    write_layout(layout, path)
+    return path.read_bytes()
+
+
+def loaded(text, tmp_path):
+    """The layout ``load_layout`` reads from a file that holds ``text``."""
+    path = tmp_path / "loaded.json"
+    path.write_text(text, encoding="utf-8")
+    return load_layout(path)
+
 
 def random_layout(rng):
     rows = rng.randrange(1, 4)
@@ -194,21 +207,24 @@ def random_layout(rng):
                           assignment=assignment)
 
 
-def test_round_trip_identity_randomized():
+def test_round_trip_identity_randomized(tmp_path):
     rng = random.Random(59)
+    path = tmp_path / "layout.json"
     for _ in range(50):
         layout = random_layout(rng)
-        data = serialize_layout(layout)
-        back = parse_layout(data)
+        write_layout(layout, path)
+        data = path.read_bytes()
+        back = load_layout(path)
         assert back == layout
-        assert serialize_layout(back) == data  # byte-stable re-serialize
+        write_layout(back, path)
+        assert path.read_bytes() == data  # byte-stable rewrite
 
 
-def test_serialized_form_is_reviewable():
+def test_serialized_form_is_reviewable(tmp_path):
     counts = {"ক": 5, "া": 3}
     layout = build_layout(partition_of(["া"], ["ক"]), make_tables(counts),
                           name="tiny")
-    doc = json.loads(serialize_layout(layout).decode("utf-8"))
+    doc = json.loads(written_bytes(layout, tmp_path).decode("utf-8"))
     assert doc["name"] == "tiny"
     assert doc["geometry"]["rows"] == 3
     ka = next(k for k in doc["keys"] if k["letter"] == "ক")
@@ -216,22 +232,22 @@ def test_serialized_form_is_reviewable():
     assert ka["hand"] == "right"
 
 
-def test_parse_rejects_malformed_documents():
+def test_parse_rejects_malformed_documents(tmp_path):
     with pytest.raises(MalformedLayout) as info:
-        parse_layout(b"{broken")
+        loaded("{broken", tmp_path)
     assert "line" in str(info.value)  # decoder position is reported
     with pytest.raises(MalformedLayout):
-        parse_layout(b"[]")
+        loaded("[]", tmp_path)
     with pytest.raises(MalformedLayout):
-        parse_layout(json.dumps({"name": "x", "keys": []}).encode())
+        loaded(json.dumps({"name": "x", "keys": []}), tmp_path)
     with pytest.raises(MalformedLayout):  # bad geometry shape
-        parse_layout(json.dumps(
+        loaded(json.dumps(
             {"name": "x", "geometry": {"rows": 3, "columns": 9, "layers": ["base"]},
-             "keys": []}).encode())
+             "keys": []}), tmp_path)
     with pytest.raises(MalformedLayout):  # key entry missing fields
-        parse_layout(json.dumps(
+        loaded(json.dumps(
             {"name": "x", "geometry": {"rows": 1, "columns": 2, "layers": ["base"]},
-             "keys": [{"letter": "a"}]}).encode())
+             "keys": [{"letter": "a"}]}), tmp_path)
 
 
 def layout_doc(keys):
@@ -239,7 +255,7 @@ def layout_doc(keys):
         "name": "t",
         "geometry": {"rows": 1, "columns": 2, "layers": ["base"]},
         "keys": keys,
-    }).encode("utf-8")
+    })
 
 
 def key_entry(letter, hand, column, *, layer="base", row=0, code_point=None):
@@ -247,25 +263,21 @@ def key_entry(letter, hand, column, *, layer="base", row=0, code_point=None):
             "hand": hand, "layer": layer, "row": row, "column": column}
 
 
-def test_parse_rejects_invariant_violations():
-    with pytest.raises(InvariantViolation):  # two letters, one slot
-        parse_layout(layout_doc([key_entry("a", "left", 1),
-                                 key_entry("b", "left", 1)]))
-    with pytest.raises(InvariantViolation):  # one letter, two slots
-        parse_layout(layout_doc([key_entry("a", "left", 1),
-                                 key_entry("a", "right", 2)]))
-    with pytest.raises(InvariantViolation):  # hand contradicts column
-        parse_layout(layout_doc([key_entry("a", "right", 1)]))
-    with pytest.raises(InvariantViolation):  # column out of range
-        parse_layout(layout_doc([key_entry("a", "left", 0)]))
-    with pytest.raises(InvariantViolation):  # row out of range
-        parse_layout(layout_doc([key_entry("a", "left", 1, row=5)]))
-    with pytest.raises(InvariantViolation):  # unknown layer
-        parse_layout(layout_doc([key_entry("a", "left", 1, layer="hyper")]))
-    with pytest.raises(InvariantViolation):  # code point contradicts letter
-        parse_layout(layout_doc([key_entry("a", "left", 1, code_point="U+0062")]))
-    with pytest.raises(InvariantViolation):  # multi-codepoint letter
-        parse_layout(layout_doc([key_entry("ab", "left", 1, code_point="U+0061")]))
+def test_parse_rejects_invariant_violations(tmp_path):
+    cases = {
+        "two letters, one slot": [key_entry("a", "left", 1), key_entry("b", "left", 1)],
+        "one letter, two slots": [key_entry("a", "left", 1), key_entry("a", "right", 2)],
+        "hand contradicts column": [key_entry("a", "right", 1)],
+        "column out of range": [key_entry("a", "left", 0)],
+        "row out of range": [key_entry("a", "left", 1, row=5)],
+        "unknown layer": [key_entry("a", "left", 1, layer="hyper")],
+        "code point contradicts letter": [key_entry("a", "left", 1, code_point="U+0062")],
+        "multi-codepoint letter": [key_entry("ab", "left", 1, code_point="U+0061")],
+    }
+    for case, keys in cases.items():
+        with pytest.raises(InvariantViolation):
+            loaded(layout_doc(keys), tmp_path)
+            pytest.fail(case)
 
 
 HAND_AUTHORED_BASELINE = """
@@ -284,8 +296,8 @@ HAND_AUTHORED_BASELINE = """
 """
 
 
-def test_hand_authored_baseline_parses_slot_by_slot():
-    layout = parse_layout(HAND_AUTHORED_BASELINE)
+def test_hand_authored_baseline_parses_slot_by_slot(tmp_path):
+    layout = loaded(HAND_AUTHORED_BASELINE, tmp_path)
     assert layout.name == "toy-baseline"
     expected = {
         "ক": KeyPosition("left", "base", 0, 1),

@@ -5,6 +5,7 @@ which recomputes every cumulative sum directly from the raw count dicts,
 step by step, sharing no code with the implementation.
 """
 
+import json
 import random
 from collections import Counter
 
@@ -104,8 +105,9 @@ def test_balance_tiebreak_sends_ties_to_lighter_hand():
 
 def test_assign_rejects_duplicates(paper_mono, paper_digraphs):
     part = initialize(["া", "ে", "র", "ি"])
-    with pytest.raises(AlreadyAssigned):
-        assign("া", part, paper_digraphs, involvement_totals(paper_digraphs))
+    for letter, hand in (("া", "right"), ("ে", "left")):
+        with pytest.raises(AlreadyAssigned, match=f"already on the {hand} hand"):
+            assign(letter, part, paper_digraphs, involvement_totals(paper_digraphs))
 
 
 def test_all_zero_digraphs_send_everything_left():
@@ -187,14 +189,6 @@ def test_trace_replays_to_the_same_partition():
     assert rebuilt.right == part.right
 
 
-def test_hand_of():
-    part = initialize(["a", "b", "c", "d"])
-    assert part.hand_of("a") == "right"
-    assert part.hand_of("b") == "left"
-    with pytest.raises(KeyError):
-        part.hand_of("z")
-
-
 # ---------------------------------------------------------------------------
 # JSON round-trip.
 
@@ -202,6 +196,8 @@ def test_partition_json_round_trip(tmp_path, paper_mono, paper_digraphs):
     part = partition_all(paper_mono, paper_digraphs)
     path = tmp_path / "partition.json"
     write_partition_json(part, paper_mono, path, config_echo={"coverage": 1})
+    assert list(json.loads(path.read_text(encoding="utf-8")).items())[-1] == (
+        "config", {"coverage": 1})  # the echo is the last key
     back, mono = read_partition_json(path)
     assert back.left == part.left
     assert back.right == part.right

@@ -194,7 +194,7 @@ def test_a_table_that_is_not_utf8_names_the_byte_offset(pipeline, tmp_path, monk
     counts = Counter({a + b: 1 + (i % 7) for i, (a, b) in
                       enumerate((a, b) for a in letters for b in letters)})
     out = io.StringIO()
-    write_ngram_tsv(NGramTable(2, counts, counts.total()), out)
+    write_ngram_tsv(NGramTable(2, counts, counts.total()), out, config_echo={"k": "v"})
     data = out.getvalue().encode("utf-8")
     offset = data.index(b"\n", 2 * len(data) // 3) + 1  # a row's start, past the first blocks
     assert offset > 2 * corpus._READ_BLOCK

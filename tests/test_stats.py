@@ -1,4 +1,4 @@
-"""N-gram counting and the support/confidence/side-score arithmetic.
+"""N-gram counting and the support/confidence arithmetic of side scores.
 
 The randomized suites check count_ngrams against ``oracle.count``, which
 splits the raw token list into letter runs and slides a window over each,
@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from layoutforge import corpus, stats
 from layoutforge.corpus import BOUNDARY, tokenize
-from layoutforge.errors import EmptyCorpus, NoInvolvement
-from layoutforge.stats import (NGramTable, count_ngrams, digraph_confidence,
-                               involvement_totals, ranked_monograms, read_ngram_tsv,
-                               side_scores, support, write_ngram_tsv)
+from layoutforge.errors import EmptyCorpus
+from layoutforge.stats import (NGramTable, count_ngrams, involvement_totals, ranked_monograms,
+                               read_ngram_tsv, side_scores, write_ngram_tsv)
 from conftest import (FOCUS, FILLER_DIGRAPH, INVOLVEMENT_K, K_LEFT_SCORE, K_RIGHT_SCORE,
                       TABLE1_ROWS, TABLE2_ROWS, letter_count, make_stream, random_tokens)
 import oracle
@@ -28,14 +27,25 @@ import oracle
 # ---------------------------------------------------------------------------
 # Published-table fixtures.
 
+def pair_score(digraphs, gram):
+    """The side score of the focus letter against the one other letter of ``gram``.
+
+    The reversed digraph is absent from the published rows, so this is
+    the gram's own support and confidence.
+    """
+    partner = gram.replace(FOCUS, "", 1)
+    return side_scores(FOCUS, [partner], digraphs, involvement_totals(digraphs))
+
+
 def test_published_supports(paper_digraphs):
     for gram, _count, expected_support, _conf in TABLE2_ROWS:
-        assert support(paper_digraphs, gram) == pytest.approx(expected_support, abs=1e-5)
+        assert pair_score(paper_digraphs, gram).cumulative_support == pytest.approx(
+            expected_support, abs=1e-5)
 
 
 def test_published_confidences(paper_digraphs):
     for gram, _count, _sup, expected_conf in TABLE2_ROWS:
-        assert digraph_confidence(paper_digraphs, FOCUS, gram) == pytest.approx(
+        assert pair_score(paper_digraphs, gram).cumulative_confidence == pytest.approx(
             expected_conf, abs=1e-4)
 
 
@@ -137,33 +147,23 @@ def test_monogram_sum_equals_total_and_digraph_bound():
 # support / confidence semantics.
 
 def test_support_of_absent_gram_is_zero(paper_digraphs):
-    assert support(paper_digraphs, "খখ") == 0.0
+    assert pair_score(paper_digraphs, FOCUS + "খ").cumulative_support == 0.0
 
 
 def test_support_of_single_letter_corpus():
     table = count_ngrams([tokenize("ক")], 1)
-    assert support(table, "ক") == 100.0
+    assert ranked_monograms(table) == [("ক", 1, 100.0)]
 
 
 def test_support_requires_letters():
-    empty = NGramTable(n=1, counts=Counter(), total_letters=0)
+    empty = NGramTable(n=2, counts=Counter(), total_letters=0)
     with pytest.raises(EmptyCorpus):
-        support(empty, "ক")
-
-
-def test_confidence_requires_focus_in_digraph(paper_digraphs):
-    with pytest.raises(ValueError):
-        digraph_confidence(paper_digraphs, "খ", "কা")
+        side_scores("ক", ["খ"], empty, {})
 
 
 def test_confidence_of_absent_digraph_is_zero(paper_digraphs):
-    assert digraph_confidence(paper_digraphs, FOCUS, FOCUS + "ঙ") == 0.0
-
-
-def test_confidence_without_involvement_raises():
-    table = NGramTable(n=2, counts=Counter(), total_letters=10)
-    with pytest.raises(NoInvolvement):
-        digraph_confidence(table, "ক", "কখ")
+    assert side_scores(FOCUS, ["ঙ"], paper_digraphs,
+                       involvement_totals(paper_digraphs)).cumulative_confidence == 0.0
 
 
 def test_support_totals_100():
@@ -172,7 +172,7 @@ def test_support_totals_100():
     for _ in range(30):
         tokens = random_tokens(rng, alphabet, rng.randrange(1, 500))
         mono = count_ngrams([make_stream(tokens)], 1)
-        total = sum(support(mono, g) for g in mono.counts)
+        total = sum(pct for _letter, _count, pct in ranked_monograms(mono))
         assert total == pytest.approx(100.0, abs=1e-9)
 
 
@@ -182,11 +182,11 @@ def test_per_letter_confidence_totals_100():
     for _ in range(30):
         tokens = random_tokens(rng, alphabet, rng.randrange(2, 400))
         dig = count_ngrams([make_stream(tokens)], 2)
-        for letter in alphabet:
-            if involvement_totals(dig).get(letter, 0) == 0:
-                continue
-            total = sum(digraph_confidence(dig, letter, g)
-                        for g in dig.counts if letter in g)
+        involvement = involvement_totals(dig)
+        for letter in involvement:
+            # every partner, the letter itself included: its doubled digraph counts once
+            total = sum(side_scores(letter, [partner], dig, involvement).cumulative_confidence
+                        for partner in involvement)
             assert total == pytest.approx(100.0, abs=1e-9)
 
 
@@ -272,9 +272,10 @@ def test_ngram_tsv_round_trip(tmp_path):
 def test_ngram_tsv_shape():
     table = count_ngrams([tokenize("ককক")], 1)
     out = io.StringIO()
-    write_ngram_tsv(table, out)
+    write_ngram_tsv(table, out, config_echo={"coverage": 1})
     lines = out.getvalue().splitlines()
     assert lines[0].startswith("#")
+    assert lines[3] == '# config\t{"coverage": 1}'
     assert "gram\tcount\tpercentage" in lines
     assert lines[-1] == "ক\t3\t100.000000"
 
