@@ -12,7 +12,12 @@ The letter unit is a single code point, so dependent vowel signs
 Files are read in blocks of 16 KiB that end right after an LF
 (``blocks``), and each block is decoded, normalized and tokenized on its
 own, so only one block is held at a time (``read_pieces``); n-gram
-tables are read through the same blocks. The pieces, joined in order,
+tables are read through the same blocks. A read learns from its first
+block which characters NFC keeps, and which pairs of them it changes
+(``NfcCheck``); a later block that holds only those characters and no
+such pair is NFC already, and is not normalized again. Under most
+alphabets, each space becomes a boundary by one ``str.replace`` before a
+pattern collapses the rest (``tokenize``). The pieces, joined in order,
 are the stream ``read_corpus`` returns whole. Only regular files
 (``regular_file_size``) can be read twice, or cut at their 1/P byte
 marks into one part per CPU (``byte_parts``), so stdin and pipes are
@@ -36,7 +41,7 @@ import tempfile
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import OptionalField, check_shape, read_json_object
 from .errors import ConfigError, InvalidEncoding
@@ -142,27 +147,131 @@ class AlphabetConfig:
         return read_json_object(path, ConfigError, "alphabet", ALPHABET_SHAPE, cls.from_dict)
 
 
-def normalize_text(raw: bytes) -> str:
-    """Decode UTF-8 strictly and normalize to NFC."""
+def normalize_text(raw: bytes, is_nfc: Callable[[str], bool] | None = None) -> str:
+    """Decode UTF-8 strictly and normalize to NFC.
+
+    A decoded text that ``is_nfc`` accepts (a ``NfcCheck``) is already NFC,
+    and is given back as decoded, not normalized again.
+    """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(exc.start) from exc
+    if is_nfc is not None and is_nfc(text):
+        return text
     return unicodedata.normalize("NFC", text)
+
+
+def _joins_previous(ch: str) -> bool:
+    """Whether ``ch`` may compose with, or reorder against, the character before it.
+
+    It may when it, or a character of its NFD, is a non-starter, a mark
+    or a Hangul vowel or trailing jamo, which composes with the syllable
+    before it. The second character of every primary composite is one of
+    these.
+    """
+    return any(unicodedata.combining(part) or unicodedata.category(part)[0] == "M"
+               or "\u1161" <= part <= "\u1175" or "\u11a8" <= part <= "\u11c2"
+               for part in ch + unicodedata.normalize("NFD", ch))
+
+
+class NfcCheck:
+    """Tells whether a text is NFC as it stands, by what it learned from the first text it saw.
+
+    The first call learns, and answers no. From that text it takes K, the
+    characters that NFC keeps as they are alone; S, those of K that
+    ``_joins_previous``; and P, the pairs of K × S that NFC changes, found
+    by one normalization for each first character. Each later text is NFC
+    when no character lies outside K, no two non-starters stand side by
+    side and no pair of P does, which up to three regex searches tell.
+
+    That test is exact. NFC changes a text in three ways only: at a
+    character that it changes alone, which is not in K; across two
+    adjacent non-starters, which it reorders or composes past; and where
+    a character composes with, or reorders against, the one right before
+    it. The last needs that character, or the first of its NFD, to be a
+    mark, a non-starter or a Hangul vowel or trailing jamo. A scan of
+    every code point finds this true of the second character of every
+    primary composite (Unicode 13.0-15.1, CPython 3.10-3.13), so such a
+    character is in S and the pair in P.
+
+    A check learns nothing, and answers no to every text, when its first
+    text holds no character of K, or when the pairs of K × S would take
+    more characters than ``budget``, the bytes it is to check.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.learned = False
+        self.searches: list[re.Pattern] | None = None  # None: nothing learned
+
+    def __call__(self, text: str) -> bool:
+        if not self.learned:
+            self.learned = True
+            self.searches = self._learn(text)
+            return False
+        return self.searches is not None and not any(search.search(text)
+                                                     for search in self.searches)
+
+    def _learn(self, text: str) -> list[re.Pattern] | None:
+        stable = [ch for ch in set(text) if unicodedata.is_normalized("NFC", ch)]
+        firsts = [ch for ch in stable if ch != BOUNDARY]  # LF composes with nothing
+        seconds = [ch for ch in stable if _joins_previous(ch)]
+        if not stable or 3 * len(firsts) * len(seconds) > self.budget:
+            return None
+        # A row of P at a time: the pairs that start with one character,
+        # joined by LF, which composes with nothing, and normalized at once.
+        branches = []
+        for first in sorted(firsts):
+            pairs = [first + second for second in seconds]
+            row = BOUNDARY.join(pairs)
+            normalized = unicodedata.normalize("NFC", row)
+            if normalized != row:
+                changed = (pair[1] for pair, nfc in zip(pairs, normalized.split(BOUNDARY))
+                           if pair != nfc)
+                branches.append(f"{re.escape(first)}[{_class_items(changed)}]")
+        nonstarters = [ch for ch in stable if unicodedata.combining(ch)]
+        # One pattern a search: a pattern that starts with one character
+        # (a class of one character is one) is scanned for by that character.
+        patterns = [f"[^{_class_items(stable)}]"]
+        if nonstarters:
+            patterns.append(f"[{_class_items(nonstarters)}]" * 2)
+        if branches:
+            patterns.append("|".join(branches))
+        return [re.compile(pattern) for pattern in patterns]
+
+
+def _class_items(chars: Iterable[str]) -> str:
+    """The items of a regex character class of ``chars``: one per run of consecutive code points."""
+    items = []
+    for _, group in itertools.groupby(enumerate(sorted(set(map(ord, chars)))),
+                                      lambda pair: pair[1] - pair[0]):
+        cps = [cp for _, cp in group]
+        lo, hi = re.escape(chr(cps[0])), re.escape(chr(cps[-1]))
+        items.append(lo if lo == hi else f"{lo}-{hi}")
+    return "".join(items)
 
 
 @functools.lru_cache(maxsize=16)
 def _scanner(config: AlphabetConfig) -> re.Pattern:
     """A pattern matching each maximal run of non-letters."""
     alphabet = config.resolve()
-    spans = []  # one class item per run of consecutive code points
-    for _, group in itertools.groupby(enumerate(sorted(map(ord, alphabet))),
-                                      lambda pair: pair[1] - pair[0]):
-        cps = [cp for _, cp in group]
-        lo, hi = re.escape(chr(cps[0])), re.escape(chr(cps[-1]))
-        spans.append(lo if lo == hi else f"{lo}-{hi}")
-    pattern = f"[^{''.join(spans)}]+" if spans else r"[\s\S]+"
-    return re.compile(pattern)
+    return re.compile(f"[^{_class_items(alphabet)}]+" if alphabet else r"[\s\S]+")
+
+
+@functools.lru_cache(maxsize=16)
+def _gap_scanners(config: AlphabetConfig) -> tuple[re.Pattern, re.Pattern] | None:
+    """Patterns matching each run of non-letters but LF, and each run of LFs.
+
+    None for an alphabet that is empty or holds the space.
+    """
+    alphabet = config.resolve()
+    if not alphabet or " " in alphabet:
+        return None
+    # Spelled so that each starts with one character or class, which the
+    # regex engine scans for: "[^x]+" and "\n{2,}" would be slower.
+    other = f"[^{_class_items(alphabet | {BOUNDARY})}]"
+    return re.compile(other + other + "*"), re.compile(BOUNDARY * 2 + "+")
 
 
 def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
@@ -170,10 +279,18 @@ def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
 
     Unknown characters never fail; any maximal run of non-alphabet code
     points becomes one ``BOUNDARY``, which no alphabet holds, so
-    tokenizing a stream again under its alphabet gives it back.
+    tokenizing a stream again under its alphabet gives it back. Under an
+    alphabet that is not empty and holds no space, each space is first
+    made a ``BOUNDARY`` by one ``str.replace``, then each run of other
+    non-letters, and last each run of ``BOUNDARY``; so a one-space word
+    gap, the most common run, is no match of a pattern.
     """
-    nonletters = _scanner(config if config is not None else AlphabetConfig())
-    return nonletters.sub(BOUNDARY, text)
+    config = config if config is not None else AlphabetConfig()
+    gaps = _gap_scanners(config)
+    if gaps is None:
+        return _scanner(config).sub(BOUNDARY, text)
+    others, boundaries = gaps
+    return boundaries.sub(BOUNDARY, others.sub(BOUNDARY, text.replace(" ", BOUNDARY)))
 
 
 def seamed(before: str, text: str) -> str:
@@ -253,13 +370,15 @@ class FileRange(NamedTuple):
 Source = str | Path | FileRange
 
 
-def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str]:
+def _source_texts(source: Source, config: AlphabetConfig | None,
+                  is_nfc: NfcCheck) -> Iterator[str]:
     """The letter stream of each block of a file or a range of one.
 
     LF is never a letter, and it is a starter that composes with nothing,
     so decoding, normalizing and tokenizing each block gives the stream
-    that those steps give the whole source. An encoding error is placed by
-    its offset from the start of the file.
+    that those steps give the whole source. A block that ``is_nfc``
+    accepts is not normalized again. An encoding error is placed by its
+    offset from the start of the file.
     """
     start, stop = 0, sys.maxsize
     if isinstance(source, FileRange):
@@ -267,10 +386,17 @@ def _source_texts(source: Source, config: AlphabetConfig | None) -> Iterator[str
     with open(source, "rb") as handle:
         for offset, block in blocks(handle, start, stop):
             try:
-                text = normalize_text(block)
+                text = normalize_text(block, is_nfc)
             except InvalidEncoding as exc:
                 raise InvalidEncoding(offset + exc.position, source) from None
             yield tokenize(text, config)
+
+
+def _source_bytes(source: Source) -> int:
+    """The bytes of a source to read: its range, or its file's size (0 for no regular file)."""
+    if isinstance(source, FileRange):
+        return source.stop - source.start
+    return regular_file_size(source) or 0
 
 
 def regular_file_size(path: str | Path) -> int | None:
@@ -354,9 +480,14 @@ def read_pieces(sources: Iterable[Source],
 
     Each seam between pieces, of one source or of two, holds exactly one
     boundary, so the pieces joined are the stream of the whole corpus,
-    while only one block is held at a time.
+    while only one block is held at a time. The first block read teaches
+    a ``NfcCheck``, which lives as long as this call's pieces, which later
+    blocks are already NFC; the corpus's bytes are its budget.
     """
-    return _joined(piece for source in sources for piece in _source_texts(source, config))
+    sources = list(sources)
+    is_nfc = NfcCheck(sum(map(_source_bytes, sources)))
+    return _joined(piece for source in sources
+                   for piece in _source_texts(source, config, is_nfc))
 
 
 def read_corpus(paths: Iterable[str | Path], config: AlphabetConfig | None = None) -> str:

@@ -111,9 +111,11 @@ def _count_pieces(windows: Counter, pieces: Iterable[str], carry: str = "") -> s
     counted once however the pieces split the whole. Within a piece, blocks
     of ``_BLOCK`` windows overlap by two characters. Each block is packed in
     C: its code points fill the low halves of 8-byte little-endian slots,
-    the slots read as one int ``x``, and ``x | (x >> 64) << 21 | (x >> 128)
-    << 42`` holds the key of the window that starts in each slot. Its first
-    ``size - 2`` slots are then counted by ``Counter.update``.
+    the slots read as one int ``x``, and ``x | x >> 43 | x >> 86`` holds
+    the key of the window that starts in each slot: each slot holds only
+    its 21-bit code point, so the next slot's lands in bits 21-41 and the
+    one after in bits 42-62. Its first ``size - 2`` slots are then counted
+    by ``Counter.update``.
     """
     for piece in pieces:
         text = carry + piece
@@ -123,7 +125,7 @@ def _count_pieces(windows: Counter, pieces: Iterable[str], carry: str = "") -> s
             slots = bytearray(8 * size)
             memoryview(slots).cast("I")[0::2] = memoryview(chunk.encode("utf-32-le")).cast("I")
             x = int.from_bytes(slots, "little")
-            keys = memoryview((x | (x >> 64) << 21 | (x >> 128) << 42)
+            keys = memoryview((x | x >> 43 | x >> 86)
                               .to_bytes(8 * size, sys.byteorder)).cast("Q")
             # A big-endian machine lists the slots last one first.
             windows.update(keys[:size - 2] if sys.byteorder == "little" else keys[:1:-1])
@@ -512,6 +514,22 @@ def _rows_only(data: bytes) -> bool:
     return data.endswith(b"\n") and marks == b"\t\t\n" * (len(marks) // 3)
 
 
+def _head_length(data: bytes) -> int:
+    """The bytes of the block's leading '#' lines and column headers."""
+    end = 0
+    while data.startswith((b"#", b"gram\t"), end):
+        end = data.find(b"\n", end) + 1 or len(data)
+    return end
+
+
+def _lines(block: str) -> list[str]:
+    """The lines of a block, split at LF only, without the LF that ends it."""
+    lines = block.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _refuse_repeats(path: str | Path, grams: Sequence[str], counts: Counter,
                     before: int) -> None:
     """Refuse the first of ``grams`` already listed: earlier among them, or in ``counts``.
@@ -558,13 +576,15 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
     and a byte that is not UTF-8 is named by its offset from the start of
     the file. CRLF and a lone CR read as LF, as in text mode, and the text
     is split at LF only: ``str.splitlines`` would also split at characters
-    a gram may hold. A block of rows alone, which ``_rows_only`` tells
-    from its bytes, is parsed in bulk: its LFs become TABs, one split
-    gives every field, and each distinct count string is parsed once.
-    Lines are split only for any other block, or one whose counts do not
-    all read as integers, which is read line by line and names the row at
-    fault. '#' lines carry the header wherever they stand; blank lines
-    and column headers are skipped. A table that lists a gram twice is
+    a gram may hold. The '#' lines and column headers that start a block
+    (``_head_length``) are read line by line. The rest of it, when
+    ``_rows_only`` tells from its bytes that it holds rows alone, is
+    parsed in bulk: its LFs become TABs, one split gives every field, and
+    each distinct count string is parsed once. Lines are split only for
+    any other rest, or one whose counts do not all read as integers,
+    which is read line by line and names the row at fault. '#' lines
+    carry the header wherever they stand; blank lines and column headers
+    are skipped. A table that lists a gram twice is
     malformed, and the gram named: a block parsed in bulk is searched for
     it only when it adds fewer grams than it has rows. A table whose
     ``n`` is not one of 1-3, that stores a gram of another length, that
@@ -584,6 +604,10 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
             if b"\r" in data:
                 data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 block = block.replace("\r\n", "\n").replace("\r", "\n")
+            if head := _head_length(data):
+                text = data[:head].decode("utf-8")
+                _read_lines(path, _lines(text), counts, header)
+                data, block = data[head:], block[len(text):]
             if _rows_only(data):
                 fields = block.replace("\n", "\t").split("\t")
                 texts = fields[1::3]
@@ -598,10 +622,7 @@ def read_ngram_tsv(path: str | Path) -> NGramTable:
                     if len(counts) - before < len(texts):  # a gram came again
                         _refuse_repeats(path, grams, counts, before)
                     continue
-            lines = block.split("\n")
-            if not lines[-1]:  # the LF that ends the block
-                lines.pop()
-            _read_lines(path, lines, counts, header)
+            _read_lines(path, _lines(block), counts, header)
     # a column header whose count field reads as a number is still no row
     counts.pop("gram", None)
     if "n" not in header or "total_letters" not in header:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge.corpus import (BOUNDARY, AlphabetConfig, concat_streams,
+from layoutforge.corpus import (BOUNDARY, AlphabetConfig, _scanner, concat_streams,
                                 format_codepoint, normalize_text, parse_codepoint,
                                 read_corpus, tokenize)
 from layoutforge.errors import ConfigError, InvalidEncoding
@@ -101,6 +101,19 @@ def test_no_consecutive_boundaries_property():
         text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 60)))
         stream = tokenize(text)
         assert BOUNDARY * 2 not in stream
+
+
+# Letters of the default alphabet, the danda and a digit it excludes, ASCII
+# punctuation, spaces, tabs and LFs, alone and in runs.
+TOKEN_POOL = "\u0995\u09be\u09cd\u0964\u09e7a. \t\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.text(st.sampled_from(TOKEN_POOL), max_size=40),
+       config=st.sampled_from([AlphabetConfig(), letter_config("a \u0995"), letter_config("")]))
+def test_tokenize_replaces_each_run_of_nonletters_as_one_pattern_does(text, config):
+    """Under the default alphabet spaces become LF first; with a space letter or no letter, not."""
+    assert tokenize(text, config) == _scanner(config).sub(BOUNDARY, text)
 
 
 def test_concatenation_letter_counts_add():

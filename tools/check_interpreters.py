@@ -20,14 +20,23 @@ Each interpreter (this one when none is given) runs, under ``-W error``:
   more, once from the named files and once from their bytes on stdin,
   both counted in parts on a machine with two CPUs or more; both runs
   must write the same bytes;
+- the scan of every code point in ``tests/test_nfc_check.py``
+  (``primary_composites``), which must find the second character of
+  every primary composite of the interpreter's Unicode tables to be one
+  that ``corpus._joins_previous`` accepts, since a block passed as NFC
+  without normalizing rests on it;
+- ``stats`` over the sample retyped as ``tests/test_nfc_check.py``
+  retypes it, NFC in its first block and decomposed after, and over the
+  NFC text of the same; both runs must write the same bytes;
 - each argv of ``ARGV_MATRIX`` in ``tests/test_parser.py``, parsed by the
   full parser and by the parser of its subcommand alone, which ``main``
   builds; both must print the same bytes, exit with the same code, or
   parse to the same namespace (argparse's help and usage text differs
   between Python versions, so each interpreter is checked against itself).
 
-The golden digests, flag sets and argvs are read from the test files'
-source with ``ast.literal_eval``, so the script needs neither pytest nor
+The golden digests, flag sets, argvs and retyped characters are read
+from the test files' source with ``ast.literal_eval``, and the code point
+scan is its function's source, so the script needs neither pytest nor
 hypothesis.
 It prints one line per check and exits 1 on any mismatch or failed run.
 """
@@ -42,6 +51,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +84,26 @@ for argv in json.loads(sys.stdin.read()):
     if outcome(build_parser(argv[0]), argv) != outcome(build_parser(), argv):
         print(json.dumps(argv))
 """
+
+# Run under each interpreter, behind the source of ``primary_composites``:
+# prints each primary composite whose second character ``_joins_previous``
+# refuses, one code point a line.
+COMPOSITES_PROBE = """
+import unicodedata
+from layoutforge.corpus import _joins_previous
+{source}
+for composite, _, second in primary_composites():
+    if not _joins_previous(second):
+        print(f"U+{{ord(composite):04X}}")
+"""
+
+
+def function_source(filename: str, name: str) -> str:
+    """The source of the module-level function ``name`` in ``tests/<filename>``."""
+    text = (ROOT / "tests" / filename).read_text(encoding="utf-8")
+    node, = (node for node in ast.parse(text).body
+             if isinstance(node, ast.FunctionDef) and node.name == name)
+    return ast.get_source_segment(text, node)
 
 
 def literals_of(filename: str, *names: str) -> list:
@@ -126,7 +156,8 @@ def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[
         stdout += run(python, ["layout", str(out / "partition.json"), "--out", str(out)])
         files.update((f"{' '.join(['partition', *flags])}: {name}", data)
                      for name, data in written(stdout, out).items())
-    return faults + check_parts(python, work) + check_parser(python), files
+    return (faults + check_parts(python, work) + check_nfc(python, work)
+            + check_parser(python)), files
 
 
 def check_parts(python: str, work: Path) -> list[str]:
@@ -146,6 +177,30 @@ def check_parts(python: str, work: Path) -> list[str]:
     return [f"stats from named files and from stdin: {name}"
             for name in sorted(named_files.keys() | piped_files.keys())
             if named_files.get(name) != piped_files.get(name)]
+
+
+def check_nfc(python: str, work: Path) -> list[str]:
+    """The composites whose second character ``_joins_previous`` refuses, and the mismatch, if
+    any, of ``stats`` over the retyped sample against its NFC text."""
+    probe = COMPOSITES_PROBE.format(source=function_source("test_nfc_check.py",
+                                                           "primary_composites"))
+    faults = [f"a primary composite joins nothing before it: {line}"
+              for line in run(python, ["-c", probe]).decode().splitlines()]
+    first_words, retyped = literals_of("test_nfc_check.py", "FIRST_WORDS", "RETYPED")
+    texts = [Path(path).read_text(encoding="utf-8") for path in SAMPLE]
+    later = "".join(texts[1:])
+    for old, new, count in retyped:
+        later = later.replace(old, new, count)
+    text = first_words + texts[0] + later
+    files = []
+    for name, data in [("typed", text), ("nfc", unicodedata.normalize("NFC", text))]:
+        (work / f"{name}.txt").write_text(data, encoding="utf-8")
+        out = work / name
+        files.append(written(run(python, ["stats", str(work / f"{name}.txt"), "--out", str(out)]),
+                             out))
+    return faults + [f"stats from retyped and from NFC text: {name}"
+                     for name in sorted(files[0].keys() | files[1].keys())
+                     if files[0].get(name) != files[1].get(name)]
 
 
 def check_parser(python: str) -> list[str]:
