@@ -15,10 +15,11 @@ own, so only one block is held at a time (``read_pieces``); n-gram
 tables are read through the same blocks. A read learns from its first
 block which characters NFC keeps, and which pairs of them it changes
 (``NfcCheck``); a later block that holds only those characters and no
-such pair is NFC already, and is not normalized again. Under most
-alphabets, each space becomes a boundary by one ``str.replace`` before a
-pattern collapses the rest (``tokenize``). The pieces, joined in order,
-are the stream ``read_corpus`` returns whole. Only regular files
+such pair is NFC already, and is not normalized again. Every alphabet
+is tokenized one way (``tokenize``): two patterns make each run of
+non-letters one boundary, after a ``str.replace`` has made each space
+one under an alphabet with letters but no space. The pieces, joined in
+order, are the stream ``read_corpus`` returns whole. Only regular files
 (``regular_file_size``) can be read twice, or cut at their 1/P byte
 marks into one part per CPU (``byte_parts``), so stdin and pipes are
 first copied to one (``spooled``). ``blocks`` alone decides where a line
@@ -242,36 +243,29 @@ class NfcCheck:
 
 
 def _class_items(chars: Iterable[str]) -> str:
-    """The items of a regex character class of ``chars``: one per run of consecutive code points."""
-    items = []
-    for _, group in itertools.groupby(enumerate(sorted(set(map(ord, chars)))),
-                                      lambda pair: pair[1] - pair[0]):
-        cps = [cp for _, cp in group]
-        lo, hi = re.escape(chr(cps[0])), re.escape(chr(cps[-1]))
-        items.append(lo if lo == hi else f"{lo}-{hi}")
-    return "".join(items)
+    """The items of a regex character class of ``chars``: one per run of consecutive code points.
 
-
-@functools.lru_cache(maxsize=16)
-def _scanner(config: AlphabetConfig) -> re.Pattern:
-    """A pattern matching each maximal run of non-letters."""
-    alphabet = config.resolve()
-    return re.compile(f"[^{_class_items(alphabet)}]+" if alphabet else r"[\s\S]+")
-
-
-@functools.lru_cache(maxsize=16)
-def _gap_scanners(config: AlphabetConfig) -> tuple[re.Pattern, re.Pattern] | None:
-    """Patterns matching each run of non-letters but LF, and each run of LFs.
-
-    None for an alphabet that is empty or holds the space.
+    A run is its character, or its ends joined by ``-``; only ``\\``,
+    ``]``, ``[``, ``^`` and ``-`` are escaped, ``[`` to keep off a
+    "possible nested set" warning. ``&&``, ``||``, ``~~`` and ``--``
+    would need a character twice, so no other pair warns.
     """
+    cps = sorted(set(map(ord, chars)))
+    firsts = [cp for cp, before in zip(cps, [-2, *cps]) if cp != before + 1]
+    lasts = [cp for cp, after in zip(cps, [*cps[1:], -2]) if cp + 1 != after]
+    spell = {ord(ch): "\\" + ch for ch in "\\][^-"}.get
+    return "".join([spell(lo, chr(lo)) if lo == hi
+                    else f"{spell(lo, chr(lo))}-{spell(hi, chr(hi))}"
+                    for lo, hi in zip(firsts, lasts)])
+
+
+@functools.lru_cache(maxsize=16)
+def _scanners(config: AlphabetConfig) -> tuple[re.Pattern, re.Pattern, bool]:
+    """``tokenize``'s patterns, of runs of non-LF non-letters and of LFs, and its space rule."""
     alphabet = config.resolve()
-    if not alphabet or " " in alphabet:
-        return None
-    # Spelled so that each starts with one character or class, which the
-    # regex engine scans for: "[^x]+" and "\n{2,}" would be slower.
     other = f"[^{_class_items(alphabet | {BOUNDARY})}]"
-    return re.compile(other + other + "*"), re.compile(BOUNDARY * 2 + "+")
+    spaces = bool(alphabet) and " " not in alphabet
+    return re.compile(other + other + "*"), re.compile(BOUNDARY * 2 + "+"), spaces
 
 
 def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
@@ -280,17 +274,19 @@ def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
     Unknown characters never fail; any maximal run of non-alphabet code
     points becomes one ``BOUNDARY``, which no alphabet holds, so
     tokenizing a stream again under its alphabet gives it back. Under an
-    alphabet that is not empty and holds no space, each space is first
-    made a ``BOUNDARY`` by one ``str.replace``, then each run of other
-    non-letters, and last each run of ``BOUNDARY``; so a one-space word
-    gap, the most common run, is no match of a pattern.
+    alphabet with letters but no space, each space is first made a
+    ``BOUNDARY`` by one ``str.replace``, so a one-space word gap, the most
+    common run, is no match of a pattern. Then each run of other
+    non-letters (each line, under the empty alphabet) becomes one
+    ``BOUNDARY``, which leaves each maximal run of non-letters a run of
+    LFs, and the last pattern makes each such run one LF. Each pattern
+    starts with a class, which the regex engine scans for first: "[^x]+"
+    and "\\n{2,}" are slower.
     """
-    config = config if config is not None else AlphabetConfig()
-    gaps = _gap_scanners(config)
-    if gaps is None:
-        return _scanner(config).sub(BOUNDARY, text)
-    others, boundaries = gaps
-    return boundaries.sub(BOUNDARY, others.sub(BOUNDARY, text.replace(" ", BOUNDARY)))
+    others, boundaries, spaces = _scanners(config if config is not None else AlphabetConfig())
+    if spaces:
+        text = text.replace(" ", BOUNDARY)
+    return boundaries.sub(BOUNDARY, others.sub(BOUNDARY, text))
 
 
 def seamed(before: str, text: str) -> str:

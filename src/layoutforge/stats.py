@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence, TextIO
 
-from .corpus import BOUNDARY, blocks, refuse_bare_stream, seamed
+from .corpus import BOUNDARY, _class_items, blocks, refuse_bare_stream, seamed
 from .errors import EmptyCorpus, MalformedInput
 
 NGRAM_SIZES = (1, 2, 3)
@@ -393,7 +393,7 @@ def partners(digraphs: NGramTable, known: Iterable[str]) -> list[str]:
     points.
     """
     known = list(dict.fromkeys(known))
-    outside = f"[^{re.escape(''.join(known))}]" if known else "(?s:.)"
+    outside = f"[^{_class_items(known)}]" if known else "(?s:.)"
     return known + sorted(set(re.findall(outside, "".join(digraphs.counts))))
 
 

@@ -1,13 +1,15 @@
 """Text ingestion: decoding, normalization, tokenization, concatenation."""
 
 import random
+import re
 import unicodedata
+import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from layoutforge.corpus import (BOUNDARY, AlphabetConfig, _scanner, concat_streams,
+from layoutforge.corpus import (BOUNDARY, AlphabetConfig, _class_items, concat_streams,
                                 format_codepoint, normalize_text, parse_codepoint,
                                 read_corpus, tokenize)
 from layoutforge.errors import ConfigError, InvalidEncoding
@@ -104,16 +106,57 @@ def test_no_consecutive_boundaries_property():
 
 
 # Letters of the default alphabet, the danda and a digit it excludes, ASCII
-# punctuation, spaces, tabs and LFs, alone and in runs.
-TOKEN_POOL = "\u0995\u09be\u09cd\u0964\u09e7a. \t\n"
+# punctuation, spaces, tabs and LFs, the characters a regex class escapes
+# and "&" and "_" beside them, and two astral characters, alone and in runs.
+TOKEN_POOL = "\u0995\u09be\u09cd\u0964\u09e7a. \t\n-]^\\[&_\U0001F600\U0001F601"
+
+
+def one_boundary_per_run(text: str, letters) -> str:
+    """``text`` walked a character at a time: each letter is kept, and any other character
+    adds a ``BOUNDARY`` unless the output already ends in one."""
+    out = []
+    for ch in text:
+        if ch in letters:
+            out.append(ch)
+        elif not out or out[-1] != BOUNDARY:
+            out.append(BOUNDARY)
+    return "".join(out)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=st.text(st.sampled_from(TOKEN_POOL), max_size=40),
-       config=st.sampled_from([AlphabetConfig(), letter_config("a \u0995"), letter_config("")]))
+       config=st.sampled_from([AlphabetConfig(), letter_config("a \u0995"), letter_config(""),
+                               letter_config("-]^\\[&"), letter_config("a\U0001F600")]))
 def test_tokenize_replaces_each_run_of_nonletters_as_one_pattern_does(text, config):
-    """Under the default alphabet spaces become LF first; with a space letter or no letter, not."""
-    assert tokenize(text, config) == _scanner(config).sub(BOUNDARY, text)
+    """One LF a run of non-letters, as one pattern over the run gives, under every alphabet:
+    the space a letter or not, no letter at all, regex specials or an astral letter."""
+    assert tokenize(text, config) == one_boundary_per_run(text, config.resolve())
+
+
+# Groups of characters a class is drawn from: the characters special in a
+# regex or in a class, LF, Bangla letters, a run of CJK, CJK points 97
+# apart and a run of astral emoji.
+CLASS_GROUPS = ["\\][^-&|~.*+?(){}$#", "\n",
+                "".join(map(chr, range(0x0995, 0x09A0))),
+                "".join(map(chr, range(0x4E00, 0x4E10))),
+                "".join(chr(0x4E20 + 97 * k) for k in range(40)),
+                "".join(map(chr, range(0x1F600, 0x1F608)))]
+CLASS_POOL = "".join(CLASS_GROUPS)
+# Every character of the pool and the code points on either side of each.
+CLASS_PROBE = "".join(sorted({chr(ord(ch) + step) for ch in CLASS_POOL for step in (-1, 0, 1)}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(groups=st.sets(st.sampled_from(CLASS_GROUPS)), picks=st.sets(st.sampled_from(CLASS_POOL)))
+def test_a_class_of_the_items_matches_exactly_its_characters(groups, picks):
+    chars = set("".join(groups)) | picks
+    assume(chars)
+    items = _class_items(chars)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        inside, outside = re.compile(f"[{items}]"), re.compile(f"[^{items}]")
+    assert inside.findall(CLASS_PROBE) == [ch for ch in CLASS_PROBE if ch in chars]
+    assert outside.findall(CLASS_PROBE) == [ch for ch in CLASS_PROBE if ch not in chars]
 
 
 def test_concatenation_letter_counts_add():

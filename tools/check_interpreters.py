@@ -16,6 +16,11 @@ Each interpreter (this one when none is given) runs, under ``-W error``:
   and once at ``--coverage 500``, where it sums involvement per scored
   letter; these files and stdouts must be the same bytes under every
   interpreter;
+- ``stats`` over the sample with six of its letters retyped as the
+  characters a regex class escapes and ``&`` (``RETYPED_LETTERS``), once
+  under each alphabet of ``ALPHABETS``: the Bengali block and the space,
+  and those six characters alone; these files and stdouts must be the
+  same bytes under every interpreter;
 - ``stats`` over the sample's files copied until they hold 600 KiB or
   more, once from the named files and once from their bytes on stdin,
   both counted in parts on a machine with two CPUs or more; both runs
@@ -60,6 +65,12 @@ CHECKED_FLAG_SETS = ("defaults", "coverage 50")
 # The partitions from tables: the first sums involvement in one pass over
 # the digraph rows, the second (8 letters scored) per scored letter.
 PARTITION_FLAG_SETS = ([], ["--coverage", "500"])
+# Letters of the sample retyped as characters that a regex class escapes, and
+# alphabets that ``stats`` runs under over the retyped sample: one that holds
+# the space, and one of the retyped characters alone.
+RETYPED_LETTERS = str.maketrans("\u0995\u09b0\u09be\u09c7\u09bf\u09a8", "-]^\\[&")
+ALPHABETS = {"space": {"ranges": [["U+0980", "U+09FF"]], "include": [" "]},
+             "specials": {"ranges": [], "include": list("-]^\\[&")}}
 # Above the 512 KiB a corpus needs before it is counted in parts.
 SPLIT_BYTES = 600 << 10
 
@@ -156,8 +167,25 @@ def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[
         stdout += run(python, ["layout", str(out / "partition.json"), "--out", str(out)])
         files.update((f"{' '.join(['partition', *flags])}: {name}", data)
                      for name, data in written(stdout, out).items())
+    files.update(check_alphabets(python, work))
     return (faults + check_parts(python, work) + check_nfc(python, work)
             + check_parser(python)), files
+
+
+def check_alphabets(python: str, work: Path) -> dict[str, bytes]:
+    """What ``stats`` writes over the retyped sample under each alphabet of ``ALPHABETS``."""
+    corpus = work / "retyped.txt"
+    corpus.write_text("".join(Path(path).read_text(encoding="utf-8") for path in SAMPLE)
+                      .translate(RETYPED_LETTERS), encoding="utf-8")
+    files = {}
+    for name, doc in ALPHABETS.items():
+        alphabet, out = work / f"{name}.json", work / f"alphabet-{name}"
+        alphabet.write_text(json.dumps(doc), encoding="utf-8")
+        stdout = run(python, ["stats", str(corpus), "--alphabet", str(alphabet),
+                              "--out", str(out)])
+        files.update((f"stats under the {name} alphabet: {file}", data)
+                     for file, data in written(stdout, out).items())
+    return files
 
 
 def check_parts(python: str, work: Path) -> list[str]:
