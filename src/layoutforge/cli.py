@@ -12,13 +12,10 @@ is given; ``run-all`` replays it where its tables cannot score its
 layout. ``stats``, ``partition`` and ``run-all`` first copy stdin, and
 each named file that is not a regular file (a pipe, say), to a
 temporary file (``corpus.spooled``), so their corpus is all regular
-files. One of at least two parts' bytes is counted in parts, one per
-CPU this process may use, each the lines that start in a byte range:
-this process counts the first and a forked child each other
-(``corpus.byte_parts``, ``stats.count_all``), or this process where no
-child can take a part or its child raised, with the same tables and
-files as one part gives; a replay reads the files again. Scoring a
-corpus (``evaluate``, and a replay) is done in this process.
+files. Their bytes are counted in parts, one per CPU, as ``parts``
+decides, with the same tables and files as one part gives; a replay
+reads the files again. Scoring a corpus (``evaluate``, and a replay) is
+done in this process.
 
 A call builds the argument parser of the subcommand it names alone
 (``COMMANDS`` declares each subcommand's arguments once); help, no
@@ -40,12 +37,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
 from .atomic import OptionalField, atomic_open, read_json_object, write_json
-from .corpus import AlphabetConfig, Source, byte_parts, read_pieces, spooled
+from .corpus import AlphabetConfig, Source, read_pieces, spooled
 from .errors import ConfigError, CorpusChanged, EmptyCorpus, LayoutForgeError
 from .evaluator import (EvaluationReport, compare, evaluate, evaluate_all, format_comparison,
                         read_report_json, score_tables, write_report_json, write_report_tsv)
 from .layout import (Geometry, KeyboardLayout, build_layout, check_layout_name, load_geometry,
                      load_layout, write_layout)
+from .parts import byte_parts
 from .partition import (HandPartition, partition_all, read_partition_json,
                         write_partition_json)
 from .stats import NGramTable, count_all, read_ngram_tsv, write_ngram_tsv

@@ -20,20 +20,18 @@ is tokenized one way (``tokenize``): two patterns make each run of
 non-letters one boundary, after a ``str.replace`` has made each space
 one under an alphabet with letters but no space. The pieces, joined in
 order, are the stream ``read_corpus`` returns whole. Only regular files
-(``regular_file_size``) can be read twice, or cut at their 1/P byte
-marks into one part per CPU (``byte_parts``), so stdin and pipes are
-first copied to one (``spooled``). ``blocks`` alone decides where a line
-starts: a part reads the lines that start in its byte ranges, and the
-parts' streams, joined by the same seam rule (``seamed``), are the
-stream of the whole. Whether a part is counted in a forked child or in
-this process, ``stats`` alone decides.
+(``regular_file_size``) can be read twice, or cut into byte ranges, so
+stdin and pipes are first copied to one (``spooled``). ``blocks`` alone
+decides where a line starts: a range reads the lines that start in it
+(``FileRange``), and the streams of consecutive ranges, joined by the
+same seam rule (``seamed``), are the stream of the whole; how a corpus
+is cut into parts, ``parts`` decides.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import os
 import re
 import shutil
@@ -67,9 +65,6 @@ BOUNDARY = "\n"
 # Bytes read at a time from a corpus file or an n-gram table; each block
 # then runs on to the end of its line.
 _READ_BLOCK = 1 << 14
-# The fewest bytes worth a part of their own (``byte_parts``): below that,
-# forking and merging cost more than a second core saves.
-_MIN_PART = 1 << 18
 
 ALPHABET_SHAPE = {"ranges": OptionalField([(str, str)]), "include": OptionalField([str]),
                   "exclude": OptionalField([str])}
@@ -261,11 +256,12 @@ def _class_items(chars: Iterable[str]) -> str:
 
 @functools.lru_cache(maxsize=16)
 def _scanners(config: AlphabetConfig) -> tuple[re.Pattern, re.Pattern, bool]:
-    """``tokenize``'s patterns, of runs of non-LF non-letters and of LFs, and its space rule."""
+    """``tokenize``'s patterns, of non-letters from a non-LF on and of LFs, and its space rule."""
     alphabet = config.resolve()
-    other = f"[^{_class_items(alphabet | {BOUNDARY})}]"
+    first = f"[^{_class_items(alphabet | {BOUNDARY})}]"
+    rest = f"[^{_class_items(alphabet)}]" if alphabet else "(?s:.)"
     spaces = bool(alphabet) and " " not in alphabet
-    return re.compile(other + other + "*"), re.compile(BOUNDARY * 2 + "+"), spaces
+    return re.compile(first + rest + "*"), re.compile(BOUNDARY * 2 + "+"), spaces
 
 
 def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
@@ -276,12 +272,13 @@ def tokenize(text: str, config: AlphabetConfig | None = None) -> str:
     tokenizing a stream again under its alphabet gives it back. Under an
     alphabet with letters but no space, each space is first made a
     ``BOUNDARY`` by one ``str.replace``, so a one-space word gap, the most
-    common run, is no match of a pattern. Then each run of other
-    non-letters (each line, under the empty alphabet) becomes one
-    ``BOUNDARY``, which leaves each maximal run of non-letters a run of
-    LFs, and the last pattern makes each such run one LF. Each pattern
-    starts with a class, which the regex engine scans for first: "[^x]+"
-    and "\\n{2,}" are slower.
+    common run, is no match of a pattern. Then the first non-LF of each
+    maximal run of non-letters starts a match that runs to the end of the
+    run, LFs included, and becomes one ``BOUNDARY``. This is exact, since
+    each such run becomes some LFs plus at most one match, and a stretch
+    of words that are no letters is one match, not one a word. The last
+    pattern then makes each run of LFs one LF. Each pattern starts with a class, which the
+    regex engine scans for first: "[^x]+" and "\\n{2,}" are slower.
     """
     others, boundaries, spaces = _scanners(config if config is not None else AlphabetConfig())
     if spaces:
@@ -431,43 +428,6 @@ def _spool(path: str | None, copied: dict[str, str | None]) -> str | None:
         copied[spool.name] = path
         shutil.copyfileobj(handle, spool)
     return spool.name
-
-
-def byte_parts(sources: Sequence[Source]) -> list[list[Source]]:
-    """The sources cut into parts of about equal bytes, one for each CPU this process may use.
-
-    The corpus is cut on a platform that tells the CPUs a process may
-    use; whether each part is counted in a forked child or here,
-    ``stats.count_all`` decides. The cuts lie at the 1/P byte marks of the
-    files joined, found with no file opened, and a part holds the lines
-    that start in its byte range (``FileRange``, ``blocks``), so each line
-    is read by one part: the parts' streams, joined as ``read_pieces``
-    joins pieces, are the stream of the whole. A file that is not regular
-    (``regular_file_size``), such as a name that does not open, counts as
-    empty, and its part reads it whole. P is capped so that the marks lie
-    ``_MIN_PART`` bytes apart or more; a corpus of fewer than two such
-    parts is one part.
-    """
-    whole = [list(sources)]
-    sizes = [regular_file_size(source) or 0 for source in sources]
-    if not hasattr(os, "sched_getaffinity"):
-        return whole
-    total = sum(sizes)
-    count = min(len(os.sched_getaffinity(0)), total // _MIN_PART)
-    if count < 2:
-        return whole
-    marks = (total * k // count for k in range(1, count))
-    cut = next(marks)
-    parts: list[list[Source]] = [[]]
-    for path, first, size in zip(sources, itertools.accumulate(sizes, initial=0), sizes):
-        start = first
-        while cut < first + size:
-            if cut > start:
-                parts[-1].append(FileRange(path, start - first, cut - first))
-            parts.append([])
-            start, cut = cut, next(marks, total)
-        parts[-1].append(path if start == first else FileRange(path, start - first, size))
-    return parts
 
 
 def read_pieces(sources: Iterable[Source],

@@ -7,17 +7,12 @@ one at a time, and the windows that straddle two pieces are counted
 once. The keys are built and counted in C, a block of windows at a time,
 so that only the counts grow with the corpus. The stream may also come
 in parts, such as the lines that start in each byte range of
-``corpus.byte_parts``: the first is counted in this process and each
-later one in a forked child, which sends back one marshal: its first
-three and last two characters and its keys and counts packed as 8-byte
-words. The windows of each seam are counted here, behind the part before
-it, and the part's counts merged after them, so the tables and their key
-order are those of the whole stream. A part is counted here, in its
-turn, where no child may be forked (``os.fork`` is missing or another
-thread runs), where the system refuses a pipe or a process, or where its
-child raised; a child that dies otherwise is reaped and named by its
-exit status or signal. This module alone decides where a part is
-counted. One loop over the distinct keys then folds them into the
+``parts.byte_parts``; where each is counted, ``parts.forked`` decides.
+Each part after the first is counted as its first three and last two
+characters and its keys and counts packed as 8-byte words. The windows
+of each seam are counted behind the part before it, and the part's
+counts merged after them, so the tables and their key order are those
+of the whole stream. One loop over the distinct keys then folds them into the
 monogram, digraph, trigram and junction tables, decoding only the grams
 that hold no boundary.
 
@@ -54,19 +49,17 @@ from __future__ import annotations
 
 import itertools
 import json
-import marshal
-import os
 import re
 import sys
-import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .corpus import BOUNDARY, _class_items, blocks, refuse_bare_stream, seamed
 from .errors import EmptyCorpus, MalformedInput
+from .parts import forked
 
 NGRAM_SIZES = (1, 2, 3)
 
@@ -133,14 +126,17 @@ def _count_pieces(windows: Counter, pieces: Iterable[str], carry: str = "") -> s
     return carry
 
 
-def _part_windows(part: Iterable[str]) -> tuple[str, Counter, str]:
-    """What a child counts of a part after the first: the windows it holds on its own, and its ends.
+def _part_windows(part: Iterable[str]) -> tuple[str, bytes, bytes, str]:
+    """A part after the first: the windows it holds on its own, and its ends.
 
     Those windows start at its second character or later and end within
     it. Its first three characters start the windows of the seam before
     it, however that seam trims or extends it, and its last two those of
     the seam after it; a part shorter than three characters holds no
-    window of its own and is sent whole.
+    window of its own and is given whole. The keys and the counts of its
+    windows, in order of first occurrence, are each packed as the native
+    8-byte words of an ``array("Q")``, which a forked child sends back
+    as they are.
     """
     pieces = iter(part)
     first = ""
@@ -150,132 +146,34 @@ def _part_windows(part: Iterable[str]) -> tuple[str, Counter, str]:
             break
     windows: Counter = Counter()
     last = _count_pieces(windows, itertools.chain([first[1:]], pieces))
-    return first[:3], windows, last
-
-
-def _serve(part: Iterable[str], fd: int) -> NoReturn:
-    """In a forked child: count a part, send what ``_part_windows`` gives through ``fd``, and leave.
-
-    The message is one marshal: the part's first characters, the keys and
-    the counts of its windows in order of first occurrence, each packed as
-    the native 8-byte words of an ``array("Q")``, and its last two
-    characters. Where the part fails, the child sends nothing and exits
-    with status 1, so that the parent counts the part itself and raises
-    the error in its turn. The child always leaves by ``os._exit``, so it
-    runs none of the parent's clean-up and flushes none of its buffers.
-    """
-    code = 1
-    try:
-        first, windows, last = _part_windows(part)
-        with open(fd, "wb") as pipe:
-            marshal.dump((first, array("Q", windows.keys()).tobytes(),
-                          array("Q", windows.values()).tobytes(), last), pipe)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-class _Part:
-    """A part after the first: counted in a forked child where one can be had, else here.
-
-    No child is forked where ``os.fork`` is missing or another thread
-    runs, which a fork could leave holding a lock, nor where the system
-    refuses a pipe or a process. Such a part, and one whose child
-    raised, is counted here in its turn (``result``).
-    """
-
-    def __init__(self, part: Iterable[str]):
-        self.part = part
-        self.pid: int | None = None
-        self.pipe = None
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            return
-        try:
-            read_end, write_end = os.pipe()
-        except OSError:  # EMFILE
-            return
-        self.pipe = open(read_end, "rb")
-        try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                _serve(part, write_end)
-        except OSError:  # EAGAIN or ENOMEM
-            pass
-        finally:
-            os.close(write_end)
-            if self.pid is None:
-                self.pipe.close()
-                self.pipe = None
-
-    def result(self) -> tuple[str, Iterable[tuple[int, int]], str]:
-        """The first characters, window counts and last two characters of the part.
-
-        A child's one marshal is read whole, and its packed keys and counts
-        are read in place. Where it ends short, the child is reaped: one
-        that exited with status 1 raised, and the part is counted here,
-        which raises the same error; any other is named by its exit status
-        or signal.
-        """
-        if self.pipe is not None:
-            try:
-                first, keys, counts, last = marshal.load(self.pipe)
-            except EOFError:
-                code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-                self.pid = None
-                if code != 1:
-                    how = (f"was killed by signal {-code}" if code < 0
-                           else f"exited with status {code}")
-                    raise RuntimeError(f"a counting process {how} before it sent its whole"
-                                       " result") from None
-            else:
-                return first, zip(memoryview(keys).cast("Q"), memoryview(counts).cast("Q")), last
-        first, windows, last = _part_windows(self.part)
-        return first, windows.items(), last
-
-    def end(self) -> None:
-        """Stop the child, if it still runs, and reap it, unless it was reaped already."""
-        import signal
-
-        if self.pipe is not None:
-            self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
+    return (first[:3], array("Q", windows.keys()).tobytes(),
+            array("Q", windows.values()).tobytes(), last)
 
 
 def _count_windows(parts: Sequence[Iterable[str]], *, seams: bool) -> Counter:
     """Count the trigram windows of the parts joined, plus two boundaries, by packed key.
 
-    The first part is counted here, each later one (``_Part``) in a
-    forked child (``_part_windows``) while this process counts the first,
-    or here in its turn where no child can take it or its child raised.
-    Each later part is then stitched in behind what came before it: its
-    first three characters, ``seamed`` when ``seams`` is set, are counted
-    behind the last two characters so far, which gives the windows of
-    the seam; the part's counts are merged after those, so every key
-    keeps its place of first occurrence, and its last two characters
-    carry on. Two boundaries follow the last part. Every child is
-    stopped, if it still runs, and reaped before this returns or raises;
-    the error raised is that of the earliest part that failed.
+    The first part is counted here while each later one is counted
+    (``_part_windows``) in a forked child (``parts.forked``). Each later
+    part is then stitched in behind what came before it: its first three
+    characters, ``seamed`` when ``seams`` is set, are counted behind the
+    last two characters so far, which gives the windows of the seam; the
+    part's counts are merged after those, so every key keeps its place
+    of first occurrence, and its last two characters carry on. Two
+    boundaries follow the last part. The error raised is that of the
+    earliest part that failed.
     """
     windows: Counter = Counter()
-    later: list[_Part] = []
-    try:
-        for part in parts[1:]:
-            later.append(_Part(part))
+    get = windows.get
+    with forked(parts[1:], _part_windows) as results:
         carry = _count_pieces(windows, parts[0] if parts else ())
-        for part in later:
-            first, pairs, last = part.result()
+        for first, keys, counts, last in results:
             carry = _count_pieces(windows, [seamed(carry, first) if seams else first], carry)
             if len(first) == 3:
-                get = windows.get
-                for key, count in pairs:
+                for key, count in zip(memoryview(keys).cast("Q"), memoryview(counts).cast("Q")):
                     windows[key] = get(key, 0) + count
                 carry = last
-        _count_pieces(windows, [BOUNDARY + BOUNDARY], carry)
-    finally:
-        for part in later:
-            part.end()
+    _count_pieces(windows, [BOUNDARY + BOUNDARY], carry)
     return windows
 
 

@@ -158,6 +158,16 @@ def test_partition_rejects_mixed_inputs(tmp_path, capsys):
     assert last_error(capsys)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("given", [["--mono", "m.tsv"], ["--digraphs", "d.tsv"]],
+                         ids=["mono alone", "digraphs alone"])
+def test_partition_refuses_one_table_without_the_other(tmp_path, capsys, given):
+    out = tmp_path / "out"
+    assert main(["partition", *given, "--out", str(out)]) == 2
+    assert last_error(capsys) == {"error": "ConfigError",
+                                  "message": "--mono and --digraphs must be given together"}
+    assert not out.exists()
+
+
 def test_partition_rejects_wrong_table_order(tmp_path, capsys):
     corpus = write_corpus(tmp_path, "কাকি খ")
     stats_out = tmp_path / "stats"

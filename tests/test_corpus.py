@@ -2,6 +2,7 @@
 
 import random
 import re
+import string
 import unicodedata
 import warnings
 
@@ -123,13 +124,22 @@ def one_boundary_per_run(text: str, letters) -> str:
     return "".join(out)
 
 
+# Latin words, spaces, punctuation and line ends with a Bangla letter now
+# and then: text that is mostly non-letters under the default alphabet.
+MOSTLY_OTHER = ["word", "a", "Bc", " ", " ", "  ", ". ", ",", "\n", " \n", "\t", "\u0995"]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(text=st.text(st.sampled_from(TOKEN_POOL), max_size=40),
+@given(text=st.text(st.sampled_from(TOKEN_POOL), max_size=40)
+       | st.lists(st.sampled_from(MOSTLY_OTHER), max_size=30).map("".join),
        config=st.sampled_from([AlphabetConfig(), letter_config("a \u0995"), letter_config(""),
-                               letter_config("-]^\\[&"), letter_config("a\U0001F600")]))
+                               letter_config("-]^\\[&"), letter_config("a\U0001F600"),
+                               letter_config(string.ascii_letters + " "),
+                               letter_config(string.ascii_lowercase)]))
 def test_tokenize_replaces_each_run_of_nonletters_as_one_pattern_does(text, config):
     """One LF a run of non-letters, as one pattern over the run gives, under every alphabet:
-    the space a letter or not, no letter at all, regex specials or an astral letter."""
+    the space a letter or not, no letter at all, regex specials, an astral letter or ASCII
+    letters, and in text that is mostly non-letters."""
     assert tokenize(text, config) == one_boundary_per_run(text, config.resolve())
 
 

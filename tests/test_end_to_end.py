@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layoutforge import corpus
+from layoutforge import parts
 from layoutforge.cli import main
 from conftest import read_all_bytes, write_files
 import oracle
@@ -122,7 +122,7 @@ def test_run_all_in_forked_parts_writes_what_the_oracle_and_the_stages_give(
     case = letters, [text.replace(".", "\n") for text in texts], flags
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        patch.setattr(corpus, "_MIN_PART", min_part)
+        patch.setattr(parts, "_MIN_PART", min_part)
         check_run_all_and_the_stages(tmp_path_factory, monkeypatch, case)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -23,6 +23,21 @@ def test_default_geometry_shape():
     assert geo.hand_of_column(6) == "right"
 
 
+@pytest.mark.parametrize("column", [0, 11])
+def test_hand_of_a_column_out_of_range_is_refused(column):
+    with pytest.raises(ValueError, match=f"column {column} out of range 1..10"):
+        Geometry().hand_of_column(column)
+
+
+@pytest.mark.parametrize("geometry", [Geometry(), Geometry(rows=1, columns=2, layers=("base",),
+                                                           priority={"left": [["base", 0, 1]],
+                                                                     "right": [["base", 0, 2]]})],
+                         ids=["default order", "given priority"])
+def test_priority_of_no_hand_is_refused(geometry):
+    with pytest.raises(ValueError, match="hand must be 'left' or 'right', got 'middle'"):
+        geometry.position_priority("middle")
+
+
 def test_default_priority_home_row_first_inner_to_outer():
     geo = Geometry()
     left = tuple(geo.position_priority("left"))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutforge import cli, corpus
+from layoutforge import cli, corpus, parts
 from layoutforge.cli import main
 from layoutforge.corpus import NfcCheck, _joins_previous, normalize_text, read_pieces
 from conftest import SAMPLE, read_all_bytes
@@ -140,7 +140,7 @@ def test_a_decomposed_corpus_counts_as_its_nfc_text(tmp_path, monkeypatch, cpus)
     typed.write_text(text, encoding="utf-8")
     nfc.write_text(unicodedata.normalize("NFC", text), encoding="utf-8")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+    monkeypatch.setattr(parts, "_MIN_PART", 4096)
     counted = []
     byte_parts = cli.byte_parts
 

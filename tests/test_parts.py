@@ -30,11 +30,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import layoutforge.parts
 from layoutforge import corpus, stats
 from layoutforge.cli import PipelineConfig, _count, _parts, main
-from layoutforge.corpus import (FileRange, byte_parts, concat_streams, normalize_text, read_pieces,
-                               tokenize)
+from layoutforge.corpus import FileRange, concat_streams, normalize_text, read_pieces, tokenize
 from layoutforge.errors import EmptyCorpus, LayoutForgeError
+from layoutforge.parts import byte_parts
 from layoutforge.stats import count_all
 from conftest import SAMPLE, letter_config, read_all_bytes, write_files
 
@@ -71,7 +72,7 @@ def test_parts_count_what_the_whole_stream_counts(tmp_path_factory, monkeypatch,
     whole = concat_streams(tokenize(normalize_text(path.read_bytes()), CONFIG) for path in paths)
     with monkeypatch.context() as patch:
         use_cpus(patch, cpus)
-        patch.setattr(corpus, "_MIN_PART", min_part)
+        patch.setattr(layoutforge.parts, "_MIN_PART", min_part)
         patch.setattr(corpus, "_READ_BLOCK", read_block)
         parts = byte_parts(paths)
         assert 1 <= len(parts) <= cpus
@@ -122,7 +123,7 @@ def test_ranges_cut_at_any_bytes_read_as_their_file(tmp_path_factory, monkeypatc
 def test_byte_parts_opens_no_file(tmp_path, monkeypatch):
     paths = sample_files(tmp_path)[0]
     use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+    monkeypatch.setattr(layoutforge.parts, "_MIN_PART", 4096)
     parts = byte_parts(paths)
 
     def refused_open(*args, **kwargs):
@@ -165,7 +166,7 @@ def run_split_and_serial(monkeypatch, capsys, tmp_path, argv, paths, cpus=3):
     for run, count in (("split", cpus), ("serial", 1)):
         with monkeypatch.context() as patch:
             use_cpus(patch, count)
-            patch.setattr(corpus, "_MIN_PART", 4096)
+            patch.setattr(layoutforge.parts, "_MIN_PART", 4096)
             assert len(byte_parts(paths)) == (count if run == "split" else 1)
             out = tmp_path / run
             code = main([*argv, *map(str, paths), "--out", str(out)])
@@ -260,7 +261,7 @@ def test_a_child_that_dies_is_named_by_its_cause(tmp_path, capsys, monkeypatch, 
         raise AssertionError("a part was counted in this process")
 
     use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+    monkeypatch.setattr(layoutforge.parts, "_MIN_PART", 4096)
     monkeypatch.setattr(stats, "_part_windows", dying)
     out = tmp_path / "out"
     assert main(["stats", *map(str, sample_files(tmp_path)[0]), "--out", str(out)]) == 1
@@ -286,7 +287,7 @@ def test_a_child_that_dies_part_way_through_its_result_is_named_by_its_cause(tmp
         os._exit(3)
 
     use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+    monkeypatch.setattr(layoutforge.parts, "_MIN_PART", 4096)
     monkeypatch.setattr(marshal, "dump", half_dump)
     out = tmp_path / "out"
     assert main(["stats", *map(str, sample_files(tmp_path)[0]), "--out", str(out)]) == 1
@@ -335,7 +336,7 @@ def test_a_childs_error_reaches_the_user_as_itself(tmp_path, capsys, monkeypatch
         assert split == serial
     else:
         use_cpus(monkeypatch, 3)
-        monkeypatch.setattr(corpus, "_MIN_PART", 4096)
+        monkeypatch.setattr(layoutforge.parts, "_MIN_PART", 4096)
         out = tmp_path / "out"
         assert main(["stats", *map(str, paths), "--out", str(out)]) == 2
         stdout, stderr = capsys.readouterr()

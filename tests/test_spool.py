@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from layoutforge import cli, corpus
+from layoutforge import cli, parts
 from layoutforge.cli import main
 from conftest import SAMPLE, last_error, read_all_bytes
 
@@ -118,8 +118,8 @@ def test_no_spool_is_left_after_an_interrupt(tmp_path, spools, monkeypatch):
 @pytest.mark.parametrize("argv", [["stats"], ["run-all", "--coverage", "50"]])
 def test_a_long_stdin_is_counted_in_parts(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(corpus, "_MIN_PART", 4096)
-    assert len(SAMPLE_BYTES) >= 2 * corpus._MIN_PART
+    monkeypatch.setattr(parts, "_MIN_PART", 4096)
+    assert len(SAMPLE_BYTES) >= 2 * parts._MIN_PART
     assert main([*argv, *map(str, SAMPLE), "--out", str(tmp_path / "named")]) == 0
     named_stdout = capsys.readouterr().out
     counted = []

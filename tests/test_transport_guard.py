@@ -1,10 +1,12 @@
 """Parts are sent back in one place, and files are read in blocks in one place.
 
-``stats`` alone decides where a part is counted: it forks the counting
-children, looks for other threads, and reads each child's result as one
-marshal. A module that forked, marshalled or watched threads on its own
-would be a second transport, with its own framing and its own way for a
-child to die, and no module imports ``pickle``.
+``parts`` alone decides how a corpus is cut and where a part is worked:
+it asks for the CPUs this process may use, forks the children, looks
+for other threads, and reads each child's result as one marshal. A
+module that forked, marshalled or watched threads on its own would be a
+second transport, with its own framing and its own way for a child to
+die, one that asked for the CPUs would be a second cut rule, and no
+module imports ``pickle``.
 
 ``corpus.blocks`` reads a file a block that ends right after an LF at a
 time, and is the only reader that runs a block on to the end of its line.
@@ -50,8 +52,10 @@ def imports(path, modules):
 
 
 def transport_calls(path):
-    """Line numbers of ``os.fork``, and of imports of ``marshal`` or ``threading``."""
-    return sorted(calls(path, "os", ("fork",)) + imports(path, ("marshal", "threading")))
+    """Line numbers of ``os.fork`` and ``os.sched_getaffinity``, and of imports of ``marshal`` or
+    ``threading``."""
+    return sorted(calls(path, "os", ("fork", "sched_getaffinity"))
+                  + imports(path, ("marshal", "threading")))
 
 
 def readline_calls(path):
@@ -78,10 +82,11 @@ def offenders(find, owner):
     return {name: lines for name, lines in found.items() if lines}
 
 
-def test_only_stats_forks_and_loads_results():
-    assert offenders(transport_calls, "stats.py") == {}
-    assert calls(PACKAGE / "stats.py", "os", ("fork",))
-    assert calls(PACKAGE / "stats.py", "marshal", ("load",))
+def test_only_parts_cuts_forks_and_loads_results():
+    assert offenders(transport_calls, "parts.py") == {}
+    assert calls(PACKAGE / "parts.py", "os", ("fork",))
+    assert calls(PACKAGE / "parts.py", "os", ("sched_getaffinity",))
+    assert calls(PACKAGE / "parts.py", "marshal", ("load",))
 
 
 def test_no_module_imports_pickle():
@@ -107,9 +112,10 @@ def test_the_guard_sees_every_spelling(tmp_path):
                       "import threading as t, marshal\nfrom threading import Thread\n"
                       "def whole(path, handle):\n"
                       "    return Path(path).read_bytes() + handle.read() + handle.read(4)\n"
-                      "stdin = sys.stdin.buffer.read\nsys.stdin.buffer.read()\n",
+                      "stdin = sys.stdin.buffer.read\nsys.stdin.buffer.read()\n"
+                      "cpus = len(os.sched_getaffinity(0))\nfrom os import sched_getaffinity\n",
                       encoding="utf-8")
-    assert transport_calls(module) == [3, 5, 9, 10]
+    assert transport_calls(module) == [3, 5, 9, 10, 15, 16]
     assert calls(module, "marshal", ("load",)) == [6]
     assert imports(module, ("pickle",)) == [1, 2]
     assert readline_calls(module) == [8]
