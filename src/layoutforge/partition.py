@@ -31,6 +31,7 @@ RULE_LEFT_TO_RIGHT = "left-association-to-right"
 RULE_RIGHT_TO_LEFT = "right-association-to-left"
 RULE_DEFAULT_LEFT = "default-left"
 RULE_BALANCE = "balance-to-lighter"
+RULES = (RULE_SEED, RULE_LEFT_TO_RIGHT, RULE_RIGHT_TO_LEFT, RULE_DEFAULT_LEFT, RULE_BALANCE)
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,9 @@ def _partition_from_doc(payload: dict) -> tuple[HandPartition, NGramTable]:
     if not all(len(letter) == 1 for letter in left | right | set(counts)):
         raise ConfigError("every placed and ranked letter must be one code point")
     ranked = [letter for letter, _count in payload["ranking"]]
-    for where, listed in ("left hand", part.left), ("right hand", part.right), ("ranking", ranked):
+    traced = [decision.letter for decision in part.trace]
+    for where, listed in (("left hand", part.left), ("right hand", part.right),
+                          ("ranking", ranked), ("trace", traced)):
         twice = sorted(letter for letter, seen in Counter(listed).items() if seen > 1)
         if twice:
             raise ConfigError(f"the {where} lists {twice} more than once")
@@ -219,6 +222,9 @@ def _partition_from_doc(payload: dict) -> tuple[HandPartition, NGramTable]:
         if decision.hand != placed:
             raise ConfigError(f"trace puts {decision.letter!r} on the {decision.hand} hand,"
                               f" the hands put it on {placed or 'neither'}")
+        if decision.rule not in RULES:
+            raise ConfigError(f"trace rule {decision.rule!r} of {decision.letter!r}"
+                              f" is not one of {list(RULES)}")
     unranked = (left | right) - set(counts)
     if unranked:
         raise ConfigError(f"placed letters missing from the ranking: {sorted(unranked)}")

@@ -12,7 +12,10 @@ Each part after the first is counted as its first three and last two
 characters and its keys and counts packed as 8-byte words. The windows
 of each seam are counted behind the part before it, and the part's
 counts merged after them, so the tables and their key order are those
-of the whole stream. One loop over the distinct keys then folds them into the
+of the whole stream. The distinct keys and their counts are then copied
+into two arrays of 8-byte words and the ``Counter`` released, so that the
+tables are built next to 16 bytes a distinct window, not next to a
+second copy of the counts. One loop over those arrays folds them into the
 monogram, digraph, trigram and junction tables, decoding only the grams
 that hold no boundary.
 
@@ -41,8 +44,10 @@ lines, at LF only, and read line by line, which keeps every layout it
 accepts and names the row at fault. Whether a block holds rows alone is
 told from its bytes, with one ``bytes.translate`` that keeps only its
 TABs, LFs and '#'s: a UTF-8 letter of two or more bytes never holds a
-TAB, LF, CR or '#' byte. The writer orders the rows by two sorts keyed
-in C and formats each distinct count once.
+TAB, LF, CR or '#' byte. The writer orders the grams by two sorts keyed
+in C (``ordered_grams``), formats each distinct count once, and builds
+each chunk of rows from the ordered grams, so it holds one list of the
+table's grams and never a list of its rows.
 """
 
 from __future__ import annotations
@@ -191,14 +196,17 @@ def count_all(*parts: Iterable[str], span_boundaries: bool = False
     space is not meaningful); then every boundary is dropped first. Every
     trigram window of the text with two boundaries appended is counted
     under one int key that packs its three code points, so each position
-    of the text starts exactly one window. One loop over the distinct
-    keys then folds the tables: a window that starts with a boundary is
-    dropped; any other adds its first letter to the monograms, its first
-    two letters to the digraphs unless the second is a boundary, and
-    itself to the trigrams unless it holds a boundary. Only these
-    surviving grams are decoded to strings. Each table lists its grams in
-    order of first occurrence, and the monograms add up to the letter
-    total.
+    of the text starts exactly one window. The distinct keys and their
+    counts are copied into two ``array("Q")``, in order of first
+    occurrence, and the ``Counter`` that counted them is released before
+    any table is built, so the fold holds 16 bytes a distinct window
+    beside the tables. One loop over the two arrays then folds the
+    tables: a window that starts with a boundary is dropped; any other
+    adds its first letter to the monograms, its first two letters to the
+    digraphs unless the second is a boundary, and itself to the trigrams
+    unless it holds a boundary. Only these surviving grams are decoded to
+    strings. Each table lists its grams in order of first occurrence, and
+    the monograms add up to the letter total.
 
     The fourth table, of 2-grams, holds the junctions: the letter pairs
     that meet across one word boundary, folded from the windows ``x·LF·y``.
@@ -212,13 +220,15 @@ def count_all(*parts: Iterable[str], span_boundaries: bool = False
     if span_boundaries:
         parts = tuple((piece.replace(BOUNDARY, "") for piece in part) for part in parts)
     windows = _count_windows(parts, seams=not span_boundaries)
+    keys, counts = array("Q", windows), array("Q", windows.values())
+    del windows
     boundary = ord(BOUNDARY)  # compared with the code points a key unpacks to
     monograms: Counter = Counter()
     digraphs: Counter = Counter()
     trigrams: Counter = Counter()
     junctions: Counter = Counter()
     mono_get, di_get = monograms.get, digraphs.get
-    for key, count in windows.items():
+    for key, count in zip(keys, counts):
         first = key & _CODE_MASK
         if first == boundary:
             continue
@@ -334,14 +344,19 @@ def side_scores(focus_letter: str, side: Sequence[str], digraphs: NGramTable,
     return SideScore(cumulative_support=sup, cumulative_confidence=conf)
 
 
-def frequency_order(counts: Mapping[str, int]) -> list[tuple[str, int]]:
-    """(gram, count) pairs by descending count, then ascending code point.
+def ordered_grams(counts: Mapping[str, int]) -> list[str]:
+    """The grams by descending count, then ascending code point.
 
     The order of table rows, of the partition's ranking and of key placement.
     Both sorts are keyed in C; the second is stable, so equal counts keep
     the ascending order of the first.
     """
-    grams = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    return sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+
+
+def frequency_order(counts: Mapping[str, int]) -> list[tuple[str, int]]:
+    """(gram, count) pairs in ``ordered_grams`` order."""
+    grams = ordered_grams(counts)
     return list(zip(grams, map(counts.__getitem__, grams)))
 
 
@@ -365,11 +380,13 @@ _ROWS_WRITTEN = 4096
 
 
 def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict) -> None:
-    """Write the table as TSV: a '#' header, a column header, then rows in ``frequency_order``.
+    """Write the table as TSV: a '#' header, a column header, then rows by ``ordered_grams``.
 
     A row's count and percentage depend on its count alone, so each
-    distinct count is formatted once, and the rows are written a few
-    thousand at a time.
+    distinct count is formatted once. The rows are written a few thousand
+    at a time, each chunk joined from the ordered grams and a lookup of
+    each gram's count, so the writer holds the table, one list of its
+    grams and one chunk of text, never a list of (gram, count) pairs.
     """
     out.write("# layoutforge ngram table\n")
     out.write(f"# n\t{table.n}\n")
@@ -379,10 +396,11 @@ def write_ngram_tsv(table: NGramTable, out: TextIO, *, config_echo: dict) -> Non
     total = table.total_letters
     tails = {count: f"\t{count}\t{100.0 * count / total if total else 0.0:.6f}\n"
              for count in set(table.counts.values())}
-    rows = frequency_order(table.counts)
-    for start in range(0, len(rows), _ROWS_WRITTEN):
-        out.write("".join([gram + tails[count]
-                           for gram, count in rows[start:start + _ROWS_WRITTEN]]))
+    grams = ordered_grams(table.counts)
+    count = table.counts.__getitem__
+    for start in range(0, len(grams), _ROWS_WRITTEN):
+        out.write("".join([gram + tails[count(gram)]
+                           for gram in grams[start:start + _ROWS_WRITTEN]]))
 
 
 def _read_comment(line: str, header: dict[str, int]) -> None:

@@ -416,6 +416,12 @@ def left_letter_twice(doc):
     doc["trace"].append(next(row for row in doc["trace"] if row["letter"] == letter))
 
 
+def trace_letter_twice(doc):
+    """A second left letter's trace row named for the first: one letter traced twice, one not."""
+    first, second = [row for row in doc["trace"] if row["hand"] == "left"][:2]
+    second["letter"] = first["letter"]
+
+
 DOCUMENT_EDITS = {
     "total 12.7": ("partition", lambda doc: doc.update(total_letters=12.7),
                    "wrongly typed partition fields: ['total_letters']"),
@@ -447,6 +453,10 @@ DOCUMENT_EDITS = {
                              "unknown report fields: ['extra']"),
     "letter twice on a hand": ("partition", left_letter_twice,
                                "the left hand lists ["),
+    "trace letter twice, another left out": ("partition", trace_letter_twice,
+                                             "the trace lists ["),
+    "trace rule unknown": ("partition", set_first("trace", "rule", "banana"),
+                           "trace rule 'banana' of "),
     "ranking letter twice": ("partition",
                              lambda doc: doc["ranking"].append([doc["ranking"][0][0], 1]),
                              "the ranking lists ["),

@@ -4,12 +4,14 @@
 
 Each interpreter (this one when none is given) runs, under ``-W error``:
 
-- ``run-all`` over ``data/bn_sample`` with the default flags and with the
-  replayed flag set ``coverage 50``, and with ``coverage 50`` once more
-  from the sample's bytes on stdin, which is spooled to a temporary file
-  and then counted and replayed as the named files are; every file and
-  the stdout must match the golden digests of
-  ``tests/test_run_all_scores.py``;
+- ``run-all`` over ``data/bn_sample`` under every flag set of ``GOLDEN``
+  in ``tests/test_run_all_scores.py`` (the defaults, boundaries spanned,
+  reset or both, and coverage floors with and without reset), so that
+  every route through the count and the scoring is compared, and with
+  ``coverage 50`` once more from the sample's bytes on stdin, which is
+  spooled to a temporary file and then counted and replayed as the named
+  files are; every file and the stdout must match that flag set's golden
+  digests;
 - ``partition --mono --digraphs`` from the tables the default run wrote,
   then ``layout`` from its partition, once with the default coverage,
   where the partition sums involvement in one pass over the digraph rows,
@@ -61,7 +63,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = [str(path) for path in sorted((ROOT / "data" / "bn_sample").glob("*.txt"))]
-CHECKED_FLAG_SETS = ("defaults", "coverage 50")
 # The partitions from tables: the first sums involvement in one pass over
 # the digraph rows, the second (8 letters scored) per scored letter.
 PARTITION_FLAG_SETS = ([], ["--coverage", "500"])
@@ -150,7 +151,7 @@ def check(python: str, work: Path, flag_sets: dict, golden: dict) -> tuple[list[
     """The mismatches of ``python`` against the golden digests, and its partition and layout."""
     faults = []
     piped = b"".join(Path(path).read_bytes() for path in SAMPLE)
-    for key, stdin in [(key, None) for key in CHECKED_FLAG_SETS] + [("coverage 50", piped)]:
+    for key, stdin in [(key, None) for key in golden] + [("coverage 50", piped)]:
         label = f"run-all {key}" + (" from stdin" if stdin else "")
         out = work / label.replace(" ", "-")
         files = written(run(python, ["run-all", *([] if stdin else SAMPLE), "--out", str(out),
